@@ -6,7 +6,6 @@ from .qseries import (
     QSeries,
     PrecisionError,
     NotInvertibleError,
-    make_series,
     zero,
     one,
     add,
@@ -30,7 +29,6 @@ from .operators import (
     theta,
     hecke,
     kronecker,
-    KroneckerCharacter,
     twist,
     is_inert,
 )
@@ -40,11 +38,9 @@ from .eta import (
     CurveSpec,
     ShiftError,
     LevelMismatchError,
-    ETA_RECIPES,
-    TWIST_FORMS,
+    FORMS,
     CURVES,
     eta_quotient_expand,
-    substitute_qpower,
     catalog_form,
     cusp_orders,
     catalog_manifest,
@@ -74,20 +70,20 @@ from .verify import (
     check_twist_consistency,
     check_support,
 )
-from .cli import RunConfig, run_grid, main
+from .cli import run_grid, main
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "QSeries", "PrecisionError", "NotInvertibleError", "make_series",
+    "QSeries", "PrecisionError", "NotInvertibleError",
     "zero", "one", "add", "sub", "neg", "scale", "mul", "div", "invert",
     "power", "coefficient", "truncate", "shift", "first_difference",
     "padic_valuation", "padic_valuation_range",
-    "apply_U", "apply_V", "theta", "hecke", "kronecker",
-    "KroneckerCharacter", "twist", "is_inert",
+    "apply_U", "apply_V", "theta", "hecke", "kronecker", "twist",
+    "is_inert",
     "EtaQuotient", "Twist", "CurveSpec", "ShiftError", "LevelMismatchError",
-    "ETA_RECIPES", "TWIST_FORMS", "CURVES", "eta_quotient_expand",
-    "substitute_qpower", "catalog_form", "cusp_orders", "catalog_manifest",
+    "FORMS", "CURVES", "eta_quotient_expand", "catalog_form",
+    "cusp_orders", "catalog_manifest",
     "EliminationError", "UnconstructibleError", "EchelonBasis",
     "echelonize", "spanning_family", "build_H", "build_psi",
     "CheckReport", "FormCache", "DEFAULT_CACHE", "prime_eligibility",
@@ -95,6 +91,6 @@ __all__ = [
     "check_congruence", "check_hecke_decomposition", "check_theta_psi",
     "check_residue", "check_nondivisibility", "check_twist_consistency",
     "check_support",
-    "RunConfig", "run_grid", "main",
+    "run_grid", "main",
     "__version__",
 ]

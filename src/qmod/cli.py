@@ -1,5 +1,6 @@
-"""Command line front end: expand catalog forms, build span elements, run
-single identity checks, or run the valuation/limit verification grid.
+"""Command line front end: expand catalog forms and span elements, build
+psi forms, run single identity checks, or run the valuation/limit
+verification grid.
 
 Exit codes: 0 all requested checks passed, 1 at least one check failed,
 2 bad usage or invalid parameters.  Output is deterministic for fixed
@@ -12,15 +13,15 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import eta
+from .eta import CURVES, FORMS, curve
 from .qseries import QSeries, _is_prime
 from .spans import build_H, build_psi
 from .verify import (
     DEFAULT_CACHE,
     CheckReport,
+    _at_least,
     check_congruence,
     check_hecke_decomposition,
     check_limit,
@@ -35,19 +36,26 @@ from .verify import (
     report_sort_key,
 )
 
-__all__ = ["RunConfig", "run_grid", "main", "main_entry",
-           "DEFAULT_PREC_CEILING"]
+__all__ = ["run_grid", "main", "main_entry", "DEFAULT_PREC_CEILING"]
 
 _H_FORM = re.compile(r"^H(-?\d+)@(\d+)$")
 
 DEFAULT_PREC_CEILING = 10 ** 6
 
-_ALL_LEVELS = (27, 32, 36, 64, 144)
-
-_CHECK_IDS = (
-    "congruence", "hecke-decomposition", "nondivisibility", "residue",
-    "support", "theta-psi", "twist",
-)
+# check id -> (check function in this module, required flags, optional
+# flags).  Flags are passed on by name only when given, so every default
+# lives in the function's signature.  The function is looked up when the
+# check runs, so rebinding a check_* name here (as a profiler does) counts.
+_CHECKS = {
+    "congruence": ("check_congruence", ("level", "p"), ("m",)),
+    "hecke-decomposition": ("check_hecke_decomposition", ("level", "p"),
+                            ("n", "prec")),
+    "nondivisibility": ("check_nondivisibility", ("level", "p"), ()),
+    "residue": ("check_residue", ("level", "p"), ("prec",)),
+    "support": ("check_support", ("level",), ("prec",)),
+    "theta-psi": ("check_theta_psi", ("level", "p"), ("prec", "m_max", "K")),
+    "twist": ("check_twist_consistency", (), ("prec",)),
+}
 
 
 def _prec_ceiling() -> int:
@@ -63,100 +71,65 @@ def _prec_ceiling() -> int:
     return v
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One validated CLI invocation.
-
-    primes=None with prime_bound=B means every eligible inert prime up to
-    B, per level.  m_max=None means the per-prime default depth: the
-    largest m with K * p^(2m+1) + 1 <= ceiling."""
-
-    command: str
-    form: str | None = None
-    check_id: str | None = None
-    levels: tuple[int, ...] = _ALL_LEVELS
-    level: int | None = None
-    p: int | None = None
-    m: int = 0
-    n: int = 1
-    prec: int | None = None
-    K: int = 20
-    m_max: int | None = None
-    primes: tuple[int, ...] | None = None
-    prime_bound: int = 12
-    format: str = "table"
-    out: str | None = None
-    ceiling: int = DEFAULT_PREC_CEILING
-
-    def validate(self):
-        if self.command not in ("expand", "build-h", "build-psi", "verify",
-                                "check"):
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.format not in ("table", "json"):
-            raise ValueError(f"unknown format {self.format!r}")
-        if self.command in ("expand", "build-h") and not self.form:
-            raise ValueError(f"{self.command} needs a form name")
-        if self.command == "build-psi" and (self.level is None
-                                            or self.p is None):
-            raise ValueError("build-psi needs --level and --p")
-        if self.command == "check" and self.check_id not in _CHECK_IDS:
-            raise ValueError(f"unknown check {self.check_id!r}; known: "
-                             + ", ".join(_CHECK_IDS))
-        for lv in self.levels:
-            if lv not in eta.CURVES:
-                raise ValueError(f"unknown level {lv}; catalog levels are "
-                                 f"{sorted(eta.CURVES)}")
-        for q in (self.primes or ()):
-            if not _is_prime(q):
-                raise ValueError(f"--primes entries must be prime, got {q}")
-        if self.p is not None and not _is_prime(self.p):
-            raise ValueError(f"--p must be prime, got {self.p}")
-        if self.ceiling < 2:
-            raise ValueError("precision ceiling must be at least 2")
-        return self
-
-
-def _default_depth(cfg: RunConfig, p: int) -> int:
+def _default_depth(K: int, p: int, ceiling: int) -> int:
     m = -1
-    while cfg.K * p ** (2 * (m + 1) + 1) + 1 <= cfg.ceiling:
+    while K * p ** (2 * (m + 1) + 1) + 1 <= ceiling:
         m += 1
     return m
 
 
-def run_grid(cfg: RunConfig, cache=None) -> tuple[list[CheckReport], list[dict]]:
-    """Run the valuation/limit grid described by cfg.  Returns
-    (reports, skipped): reports in canonical order, skipped as dicts with
-    a reason each."""
-    cfg.validate()
+def run_grid(levels: tuple[int, ...] = tuple(CURVES),
+             primes: tuple[int, ...] | None = None, prime_bound: int = 12,
+             m_max: int | None = None, K: int = 20,
+             ceiling: int = DEFAULT_PREC_CEILING,
+             cache=None) -> tuple[list[CheckReport], list[dict]]:
+    """Run the valuation and limit checks over a grid of levels, primes
+    and depths.  Returns (reports, skipped): reports in canonical order,
+    skipped as dicts with a reason each.
+
+    primes=None means every eligible inert prime up to prime_bound, per
+    level.  m_max=None means the per-prime default depth: the largest m
+    with K * p^(2m+1) + 1 <= ceiling."""
+    for level in levels:
+        curve(level)
+    for q in primes or ():
+        if not _is_prime(q):
+            raise ValueError(f"--primes entries must be prime, got {q}")
+    if primes is None:
+        _at_least("prime bound", prime_bound, 2)
+    if m_max is not None:
+        _at_least("m_max", m_max, 0)
+    _at_least("K", K, 1)
+    _at_least("precision ceiling", ceiling, 2)
     reports: list[CheckReport] = []
     skipped: list[dict] = []
-    for level in cfg.levels:
-        if cfg.primes is None:
-            primes = eligible_inert_primes(level, cfg.prime_bound)
+    for level in levels:
+        if primes is None:
+            level_primes = eligible_inert_primes(level, prime_bound)
         else:
-            primes = []
-            for p in cfg.primes:
+            level_primes = []
+            for p in primes:
                 ok, reason = prime_eligibility(level, p)
                 if ok:
-                    primes.append(p)
+                    level_primes.append(p)
                 else:
                     skipped.append({"level": level, "p": p, "m": None,
                                     "reason": reason})
-        for p in primes:
-            if cfg.m_max is not None:
-                top = cfg.m_max
+        for p in level_primes:
+            if m_max is not None:
+                top = m_max
             else:
-                top = _default_depth(cfg, p)
+                top = _default_depth(K, p, ceiling)
                 if top < 0:
                     skipped.append({
                         "level": level, "p": p, "m": 0,
                         "reason": (f"K*p exceeds the precision ceiling "
-                                   f"{cfg.ceiling} already at m = 0"),
+                                   f"{ceiling} already at m = 0"),
                     })
                     continue
             for m in range(top + 1):
                 reports.append(check_valuation(level, p, m, cache))
-                reports.append(check_limit(level, p, m, cfg.K, cache))
+                reports.append(check_limit(level, p, m, K, cache))
     reports.sort(key=report_sort_key)
     skipped.sort(key=lambda s: (s["level"], s["p"],
                                 -1 if s["m"] is None else s["m"]))
@@ -212,108 +185,80 @@ def _resolve_form(name: str, prec: int) -> QSeries:
     mo = _H_FORM.match(name)
     if mo:
         return build_H(int(mo.group(2)), int(mo.group(1)), prec)
-    valid = sorted(set(eta.ETA_RECIPES) | set(eta.TWIST_FORMS))
-    if name not in valid:
+    if name not in FORMS:
         raise ValueError(
-            f"unknown form {name!r}; catalog forms are " + ", ".join(valid)
-            + ", plus span elements H<m>@<level>")
+            f"unknown form {name!r}; catalog forms are "
+            + ", ".join(sorted(FORMS)) + ", plus span elements H<m>@<level>")
     return DEFAULT_CACHE.series(name, prec)
 
 
-def cmd_expand(cfg: RunConfig) -> int:
-    prec = 50 if cfg.prec is None else cfg.prec
-    f = _resolve_form(cfg.form, prec)
-    _emit(_series_text(cfg.form, f, cfg.format), cfg.out)
+def _given(args, names) -> dict:
+    """The named flags the user gave; the others keep library defaults."""
+    return {n: getattr(args, n) for n in names
+            if getattr(args, n) is not None}
+
+
+def cmd_expand(args) -> int:
+    f = _resolve_form(args.form, args.prec)
+    _emit(_series_text(args.form, f, args.format), args.out)
     return 0
 
 
-def cmd_build_h(cfg: RunConfig) -> int:
-    mo = _H_FORM.match(cfg.form)
-    if not mo:
-        raise ValueError(f"bad span element spec {cfg.form!r}; expected "
-                         f"H<m>@<level>, e.g. H2@27 or H-1@36")
-    prec = 30 if cfg.prec is None else cfg.prec
-    f = build_H(int(mo.group(2)), int(mo.group(1)), prec)
-    _emit(_series_text(cfg.form, f, cfg.format), cfg.out)
+def cmd_build_psi(args) -> int:
+    f = build_psi(args.level, args.p, args.prec)
+    _emit(_series_text(f"psi{args.p}@{args.level}", f, args.format),
+          args.out)
     return 0
 
 
-def cmd_build_psi(cfg: RunConfig) -> int:
-    prec = 30 if cfg.prec is None else cfg.prec
-    f = build_psi(cfg.level, cfg.p, prec)
-    _emit(_series_text(f"psi{cfg.p}@{cfg.level}", f, cfg.format), cfg.out)
-    return 0
-
-
-def cmd_verify(cfg: RunConfig) -> int:
-    reports, skipped = run_grid(cfg)
+def cmd_verify(args) -> int:
+    grid = _given(args, ("m_max", "K"))
+    grid["ceiling"] = _prec_ceiling()
+    if args.curve is not None:
+        grid["levels"] = (args.curve,)
+    if args.primes is not None:
+        grid.update(_parse_primes(args.primes))
+    reports, skipped = run_grid(**grid)
     npass = sum(1 for r in reports if r.passed)
     total = len(reports)
     summary = f"PASSED {npass}/{total} (skipped {len(skipped)})"
-    if cfg.format == "json":
+    if args.format == "json":
         payload = {
             "reports": [r.to_json_dict() for r in reports],
             "skipped": skipped,
             "summary": {"passed": npass, "total": total,
                         "skipped": len(skipped)},
         }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), cfg.out)
+        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
         print(summary, file=sys.stderr)
     else:
         lines = [_report_line(r) for r in reports]
         lines += [_skip_line(s) for s in skipped]
         body = "\n".join(lines)
-        if cfg.out:
-            _emit(body, cfg.out)
+        if args.out:
+            _emit(body, args.out)
         elif body:
             print(body)
         print(summary)
     return 0 if npass == total else 1
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    cid = cfg.check_id
-
-    def need(*names):
-        for n in names:
-            if getattr(cfg, n) is None:
-                raise ValueError(f"check {cid!r} requires --{n}")
-
-    if cid == "congruence":
-        need("level", "p")
-        r = check_congruence(cfg.level, cfg.p, cfg.m)
-    elif cid == "hecke-decomposition":
-        need("level", "p")
-        r = check_hecke_decomposition(cfg.level, cfg.p, cfg.n,
-                                      30 if cfg.prec is None else cfg.prec)
-    elif cid == "theta-psi":
-        need("level", "p")
-        r = check_theta_psi(cfg.level, cfg.p,
-                            30 if cfg.prec is None else cfg.prec,
-                            1 if cfg.m_max is None else cfg.m_max, cfg.K)
-    elif cid == "residue":
-        need("level", "p")
-        r = check_residue(cfg.level, cfg.p,
-                          30 if cfg.prec is None else cfg.prec)
-    elif cid == "nondivisibility":
-        need("level", "p")
-        r = check_nondivisibility(cfg.level, cfg.p)
-    elif cid == "twist":
-        r = check_twist_consistency(200 if cfg.prec is None else cfg.prec)
-    else:
-        need("level")
-        r = check_support(cfg.level, 500 if cfg.prec is None else cfg.prec)
-    if cfg.format == "json":
+def cmd_check(args) -> int:
+    name, required, optional = _CHECKS[args.check_id]
+    for flag in required:
+        if getattr(args, flag) is None:
+            raise ValueError(f"check {args.check_id!r} requires --{flag}")
+    r = globals()[name](**_given(args, required + optional))
+    if args.format == "json":
         _emit(json.dumps(r.to_json_dict(), indent=2, sort_keys=True),
-              cfg.out)
+              args.out)
     else:
-        _emit(_report_line(r), cfg.out)
+        _emit(_report_line(r), args.out)
     return 0 if r.passed else 1
 
 
 _DISPATCH = {
     "expand": cmd_expand,
-    "build-h": cmd_build_h,
     "build-psi": cmd_build_psi,
     "verify": cmd_verify,
     "check": cmd_check,
@@ -323,14 +268,13 @@ _DISPATCH = {
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _parse_primes(raw: str) -> tuple[tuple[int, ...] | None, int]:
-    if raw.startswith("auto:"):
-        try:
-            return None, int(raw[5:])
-        except ValueError:
-            raise ValueError(f"bad --primes value {raw!r}")
+def _parse_primes(raw: str) -> dict:
+    """--primes as run_grid arguments: "auto:B" sets prime_bound, a comma
+    separated list sets primes."""
     try:
-        return tuple(int(x) for x in raw.split(",")), 0
+        if raw.startswith("auto:"):
+            return {"prime_bound": int(raw[5:])}
+        return {"primes": tuple(int(x) for x in raw.split(","))}
     except ValueError:
         raise ValueError(f"bad --primes value {raw!r}")
 
@@ -352,20 +296,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print a catalog form's q-expansion (names like g27, G36, L1, "
              "or span elements like H2@27)")
     e.add_argument("--form", required=True)
-    e.add_argument("--prec", type=int, default=None)
+    e.add_argument("--prec", type=int, default=50)
     _io_flags(e)
-
-    h = sub.add_parser("build-h",
-                       help="build a span element H<m>@<level> in normal form")
-    h.add_argument("--form", required=True, metavar="H<m>@<level>")
-    h.add_argument("--prec", type=int, default=None)
-    _io_flags(h)
 
     ps = sub.add_parser("build-psi",
                         help="build the weight-0 form psi_p for a level")
     ps.add_argument("--level", type=int, required=True)
     ps.add_argument("--p", type=int, required=True)
-    ps.add_argument("--prec", type=int, default=None)
+    ps.add_argument("--prec", type=int, default=30)
     _io_flags(ps)
 
     v = sub.add_parser("verify",
@@ -375,50 +313,30 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="single catalog level")
     grp.add_argument("--all", action="store_true",
                      help="all five catalog levels")
-    v.add_argument("--primes", default="auto:12",
+    v.add_argument("--primes",
                    help='comma separated primes, or "auto:BOUND" for every '
                         "eligible inert prime up to BOUND")
-    v.add_argument("--m-max", type=int, default=None, dest="m_max")
-    v.add_argument("--K", type=int, default=20)
+    v.add_argument("--m-max", type=int, dest="m_max")
+    v.add_argument("--K", type=int)
     _io_flags(v)
 
     c = sub.add_parser("check", help="run a single identity check")
-    c.add_argument("check_id", choices=_CHECK_IDS)
-    c.add_argument("--level", type=int, default=None)
-    c.add_argument("--p", type=int, default=None)
-    c.add_argument("--m", type=int, default=0)
-    c.add_argument("--n", type=int, default=1)
-    c.add_argument("--K", type=int, default=20)
-    c.add_argument("--prec", type=int, default=None)
-    c.add_argument("--m-max", type=int, default=None, dest="m_max")
+    c.add_argument("check_id", choices=_CHECKS)
+    for flag in ("--level", "--p", "--m", "--n", "--K", "--prec"):
+        c.add_argument(flag, type=int)
+    c.add_argument("--m-max", type=int, dest="m_max")
     _io_flags(c)
 
     return p
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command, format=args.format, out=args.out,
-                    ceiling=_prec_ceiling())
-    if args.command in ("expand", "build-h"):
-        cfg = replace(cfg, form=args.form, prec=args.prec)
-    elif args.command == "build-psi":
-        cfg = replace(cfg, level=args.level, p=args.p, prec=args.prec)
-    elif args.command == "verify":
-        primes, bound = _parse_primes(args.primes)
-        levels = _ALL_LEVELS if args.curve is None else (args.curve,)
-        cfg = replace(cfg, levels=levels, primes=primes, prime_bound=bound,
-                      m_max=args.m_max, K=args.K)
-    else:
-        cfg = replace(cfg, check_id=args.check_id, level=args.level,
-                      p=args.p, m=args.m, n=args.n, K=args.K,
-                      prec=args.prec, m_max=args.m_max)
-    return cfg.validate()
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](_config_from_args(args))
+        p = getattr(args, "p", None)
+        if p is not None and not _is_prime(p):
+            raise ValueError(f"--p must be prime, got {p}")
+        return _DISPATCH[args.command](args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

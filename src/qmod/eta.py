@@ -23,20 +23,18 @@ from itertools import count
 from math import gcd
 
 from .qseries import PrecisionError, QSeries, div, mul, one, shift
-from .operators import apply_V, twist as _twist_op
+from .operators import twist as _twist_op
 
 __all__ = [
     "EtaQuotient",
     "Twist",
     "CurveSpec",
+    "FORMS",
     "CURVES",
-    "ETA_RECIPES",
-    "TWIST_FORMS",
-    "CATALOG_NAMES",
     "ShiftError",
     "LevelMismatchError",
+    "curve",
     "eta_quotient_expand",
-    "substitute_qpower",
     "catalog_form",
     "cusp_orders",
     "catalog_manifest",
@@ -78,60 +76,56 @@ class EtaQuotient:
 
 @dataclass(frozen=True)
 class Twist:
-    """Recipe: twist the same-letter form at base_level by (disc|.)."""
+    """Recipe: the catalog form named base, twisted by (disc|.), at level."""
 
-    base_level: int
+    base: str
     disc: int
+    level: int
 
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """One catalog row: a CM elliptic curve, its newform recipe and the
-    companion weight-2 form with a simple pole at infinity.  Levels 64 and
-    144 also carry the twist form of the newform alongside the eta product."""
+    """The CM elliptic curve attached to a catalog level: the discriminant
+    of its CM field and its Weierstrass model (a1, a2, a3, a4, a6)."""
 
-    level: int
     cm_disc: int
-    g_recipe: EtaQuotient | Twist
-    G_recipe: EtaQuotient | Twist
     weierstrass: tuple[int, int, int, int, int]
-    g_twist: Twist | None = None
 
 
-ETA_RECIPES: dict[str, EtaQuotient] = {
+# Every named form: g<N> is the newform of the level N curve, G<N> its
+# companion with a simple pole at infinity, L* the weight-0 pole generators.
+FORMS: dict[str, EtaQuotient | Twist] = {
     "g27": EtaQuotient(((3, 2), (9, 2)), 27),
     "G27": EtaQuotient(((3, 1), (9, 6), (27, -3)), 27),
+    "L1": EtaQuotient(((9, 4), (3, -1), (27, -3)), 27),
+    "L2": EtaQuotient(((3, 3), (27, -3)), 27),
     "g32": EtaQuotient(((4, 2), (8, 2)), 32),
     "G32": EtaQuotient(((4, 2), (16, 6), (32, -4)), 32),
     "g36": EtaQuotient(((6, 4),), 36),
     "G36": EtaQuotient(((6, 3), (12, 1), (18, 3), (36, -3)), 36),
-    "g64": EtaQuotient(((8, 8), (4, -2), (16, -2)), 64),
-    "g144": EtaQuotient(((12, 12), (6, -4), (24, -4)), 144),
-    "L1": EtaQuotient(((9, 4), (3, -1), (27, -3)), 27),
-    "L2": EtaQuotient(((3, 3), (27, -3)), 27),
     "L36": EtaQuotient(((6, 1), (9, 3), (3, -1), (18, -3)), 36),
+    "g64": EtaQuotient(((8, 8), (4, -2), (16, -2)), 64),
+    "G64": Twist("G32", 8, 64),
+    "g144": EtaQuotient(((12, 12), (6, -4), (24, -4)), 144),
+    "G144": Twist("G36", 12, 144),
 }
-
-# Forms defined as twists of another catalog form.
-TWIST_FORMS: dict[str, tuple[str, int]] = {
-    "G64": ("G32", 8),
-    "G144": ("G36", 12),
-}
-
-CATALOG_NAMES = tuple(sorted(ETA_RECIPES) + sorted(TWIST_FORMS))
 
 CURVES: dict[int, CurveSpec] = {
-    27: CurveSpec(27, -3, ETA_RECIPES["g27"], ETA_RECIPES["G27"],
-                  (0, 0, 1, 0, -7)),
-    32: CurveSpec(32, -4, ETA_RECIPES["g32"], ETA_RECIPES["G32"],
-                  (0, 0, 0, 4, 0)),
-    36: CurveSpec(36, -3, ETA_RECIPES["g36"], ETA_RECIPES["G36"],
-                  (0, 0, 0, 0, 1)),
-    64: CurveSpec(64, -4, ETA_RECIPES["g64"], Twist(32, 8),
-                  (0, 0, 0, -4, 0), g_twist=Twist(32, 8)),
-    144: CurveSpec(144, -3, ETA_RECIPES["g144"], Twist(36, 12),
-                   (0, 0, 0, 0, -1), g_twist=Twist(36, 12)),
+    27: CurveSpec(-3, (0, 0, 1, 0, -7)),
+    32: CurveSpec(-4, (0, 0, 0, 4, 0)),
+    36: CurveSpec(-3, (0, 0, 0, 0, 1)),
+    64: CurveSpec(-4, (0, 0, 0, -4, 0)),
+    144: CurveSpec(-3, (0, 0, 0, 0, -1)),
 }
+
+
+def curve(level: int) -> CurveSpec:
+    """The curve at a catalog level; ValueError names the catalog levels."""
+    try:
+        return CURVES[level]
+    except KeyError:
+        raise ValueError(f"unknown level {level}; catalog levels are "
+                         f"{sorted(CURVES)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +197,6 @@ def eta_quotient_expand(eq: EtaQuotient, prec: int) -> QSeries:
     return shift(acc, s)
 
 
-# shared with operators.apply_V: substitution q -> q^t
-substitute_qpower = apply_V
-
-
 def catalog_form(name: str, prec: int) -> QSeries:
     """Expand a catalog form to the given precision.
 
@@ -214,11 +204,11 @@ def catalog_form(name: str, prec: int) -> QSeries:
     form at the same precision and twist it coefficientwise.  Every catalog
     expansion has leading coefficient 1.
     """
-    if name in ETA_RECIPES:
-        f = eta_quotient_expand(ETA_RECIPES[name], prec)
-    elif name in TWIST_FORMS:
-        base, disc = TWIST_FORMS[name]
-        f = _twist_op(catalog_form(base, prec), disc)
+    recipe = FORMS.get(name)
+    if isinstance(recipe, EtaQuotient):
+        f = eta_quotient_expand(recipe, prec)
+    elif isinstance(recipe, Twist):
+        f = _twist_op(catalog_form(recipe.base, prec), recipe.disc)
     else:
         raise ValueError(f"unknown catalog form {name!r}")
     assert f.coefficient(f.order) == 1
@@ -254,40 +244,29 @@ def cusp_orders(eq: EtaQuotient, level: int) -> list[tuple[int, Fraction]]:
 # ---------------------------------------------------------------------------
 # manifest
 
-def _format_factors(recipe) -> str:
-    if isinstance(recipe, EtaQuotient):
-        return "[" + ",".join(f"({d},{r})" for d, r in recipe.factors) + "]"
-    return f"twist(g{recipe.base_level},{recipe.disc})"
-
-
 def catalog_manifest() -> str:
     """Human-readable catalog dump, one record per line:
 
         name level [(delta,r),...] cm_disc (a1,a2,a3,a4,a6)
 
-    Forms without an attached curve carry '-' in the curve fields.  Twist
+    Eta quotients come first, then twists, each sorted by name.  Forms
+    without an attached curve carry '-' in the curve fields.  Twist
     recipes show twist(base,disc) in the factor slot.
     """
     lines = []
-    curve_of = {}
-    for level, spec in CURVES.items():
-        curve_of[f"g{level}"] = spec
-        curve_of[f"G{level}"] = spec
-    for name in CATALOG_NAMES:
-        if name in ETA_RECIPES:
-            recipe = ETA_RECIPES[name]
-            level = recipe.level
-            factors = _format_factors(recipe)
+    for name in sorted(FORMS, key=lambda n: (isinstance(FORMS[n], Twist), n)):
+        recipe = FORMS[name]
+        if isinstance(recipe, EtaQuotient):
+            factors = ("[" + ",".join(f"({d},{r})" for d, r in recipe.factors)
+                       + "]")
         else:
-            base, disc = TWIST_FORMS[name]
-            level = curve_of[name].level
-            factors = f"twist({base},{disc})"
-        spec = curve_of.get(name)
-        if spec is not None:
+            factors = f"twist({recipe.base},{recipe.disc})"
+        if name in (f"g{recipe.level}", f"G{recipe.level}"):
+            spec = CURVES[recipe.level]
             cm = str(spec.cm_disc)
             wc = "(" + ",".join(str(a) for a in spec.weierstrass) + ")"
         else:
             cm = "-"
             wc = "-"
-        lines.append(f"{name} {level} {factors} {cm} {wc}")
+        lines.append(f"{name} {recipe.level} {factors} {cm} {wc}")
     return "\n".join(lines) + "\n"

@@ -3,7 +3,6 @@ Hecke operators, Kronecker characters and coefficient twists."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 from .qseries import (
@@ -20,7 +19,6 @@ __all__ = [
     "theta",
     "hecke",
     "kronecker",
-    "KroneckerCharacter",
     "twist",
     "is_inert",
 ]
@@ -116,16 +114,6 @@ def kronecker(d: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-@dataclass(frozen=True)
-class KroneckerCharacter:
-    """The character n -> (disc|n) for a fixed discriminant."""
-
-    disc: int
-
-    def __call__(self, n: int) -> int:
-        return kronecker(self.disc, n)
 
 
 def twist(f: QSeries, disc: int) -> QSeries:

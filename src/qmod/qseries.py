@@ -21,7 +21,6 @@ __all__ = [
     "QSeries",
     "PrecisionError",
     "NotInvertibleError",
-    "make_series",
     "zero",
     "one",
     "add",
@@ -32,7 +31,6 @@ __all__ = [
     "div",
     "invert",
     "power",
-    "pow",
     "coefficient",
     "truncate",
     "shift",
@@ -71,7 +69,12 @@ def _is_prime(p: int) -> bool:
 
 
 class QSeries:
-    """Truncated integer Laurent series.  Immutable after construction."""
+    """Truncated integer Laurent series.  Immutable after construction.
+
+    Built from a dict or (exponent, coefficient) pairs with precision prec.
+    Repeated exponents are summed.  Every exponent must lie strictly below
+    prec, otherwise a ValueError is raised.
+    """
 
     __slots__ = ("_c", "prec", "_order")
 
@@ -182,15 +185,6 @@ class QSeries:
 
     def __repr__(self):
         return f"QSeries({self.items()}, prec={self.prec})"
-
-
-def make_series(entries, prec: int) -> QSeries:
-    """Build a series from (exponent, coefficient) pairs with precision prec.
-
-    Repeated exponents are summed.  Every exponent must lie strictly below
-    prec, otherwise a ValueError is raised.
-    """
-    return QSeries(entries, prec)
 
 
 def zero(prec: int) -> QSeries:
@@ -430,9 +424,6 @@ def _power_positive(f: QSeries, k: int) -> QSeries:
         if k:
             sq = mul(sq, sq)
     return result
-
-
-pow = power
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .qseries import (
     sub,
     truncate,
 )
-from .eta import ETA_RECIPES, eta_quotient_expand
+from .eta import FORMS, eta_quotient_expand
 from .operators import apply_V
 
 __all__ = [
@@ -123,9 +123,9 @@ def echelonize(family) -> EchelonBasis:
 # spanning families
 
 def _pole_generators_27(prec: int):
-    g = eta_quotient_expand(ETA_RECIPES["g27"], prec)
-    l1 = eta_quotient_expand(ETA_RECIPES["L1"], prec)
-    l2 = eta_quotient_expand(ETA_RECIPES["L2"], prec)
+    g = eta_quotient_expand(FORMS["g27"], prec)
+    l1 = eta_quotient_expand(FORMS["L1"], prec)
+    l2 = eta_quotient_expand(FORMS["L2"], prec)
     return g, l1, l2
 
 
@@ -134,7 +134,7 @@ def psi36_generators(prec: int):
     supported on exponents 4 mod 6, and psi3 = L(z)L(2z) - 1 = q^-3 + O(q^3)
     supported on 3 mod 6.  Both returned with precision >= prec."""
     inner = max(prec + 2, 4)
-    l = eta_quotient_expand(ETA_RECIPES["L36"], inner)
+    l = eta_quotient_expand(FORMS["L36"], inner)
     psi2 = apply_V(l, 2)
     prod = mul(l, psi2)
     psi3 = sub(prod, one(prod.prec))
@@ -173,8 +173,8 @@ def spanning_family(level: int, max_pole: int, prec: int) -> list[QSeries]:
         if prec < 3:
             raise ValueError("level 36 spans need precision >= 3")
         inner = prec + max_pole + 4
-        g = eta_quotient_expand(ETA_RECIPES["g36"], inner)
-        lv = apply_V(eta_quotient_expand(ETA_RECIPES["L36"], inner), 2)
+        g = eta_quotient_expand(FORMS["g36"], inner)
+        lv = apply_V(eta_quotient_expand(FORMS["L36"], inner), 2)
         members = []
         chain = g
         while chain.order >= -max_pole:

@@ -21,8 +21,7 @@ from .qseries import (
     sub,
     truncate,
 )
-from . import eta
-from .eta import CURVES, CurveSpec, catalog_form, eta_quotient_expand
+from .eta import FORMS, Twist, catalog_form, curve, eta_quotient_expand
 from .operators import apply_U, hecke, is_inert, kronecker, theta, twist
 from .spans import build_H, build_psi
 
@@ -114,9 +113,10 @@ class FormCache:
             if f is not None and f.prec >= prec:
                 return truncate(f, prec)
             need = prec if f is None else max(prec, f.prec)
-            if name in eta.TWIST_FORMS:
-                base, disc = eta.TWIST_FORMS[name]
-                g = twist(self.series(base, need), disc)
+            recipe = FORMS.get(name)
+            if isinstance(recipe, Twist):
+                # reuse the cached base expansion instead of expanding it
+                g = twist(self.series(recipe.base, need), recipe.disc)
             else:
                 g = catalog_form(name, need)
             self._data[name] = g
@@ -124,12 +124,6 @@ class FormCache:
 
 
 DEFAULT_CACHE = FormCache()
-
-
-def _curve(c) -> CurveSpec:
-    if isinstance(c, CurveSpec):
-        return c
-    return CURVES[c]
 
 
 def _cache(cache) -> FormCache:
@@ -141,7 +135,7 @@ def prime_eligibility(level: int, p: int) -> tuple[bool, str]:
 
     Levels 27, 32 and 64 admit every inert prime not dividing the level;
     levels 36 and 144 additionally require p >= 5."""
-    spec = CURVES[level]
+    spec = curve(level)
     if not is_inert(p, spec.cm_disc):
         return False, f"{p} is not inert in the CM field (disc {spec.cm_disc})"
     if level % p == 0:
@@ -160,27 +154,38 @@ def eligible_inert_primes(level: int, bound: int) -> list[int]:
     ]
 
 
+def _at_least(name: str, value: int, low: int):
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
 def _require_eligible(level: int, p: int):
     ok, reason = prime_eligibility(level, p)
     if not ok:
         raise ValueError(f"ineligible prime for level {level}: {reason}")
 
 
+def _require_27_or_36(what: str, level: int, p: int):
+    if level not in (27, 36):
+        raise ValueError(f"{what} runs at levels 27 and 36, not {level}")
+    _require_eligible(level, p)
+
+
 # ---------------------------------------------------------------------------
 # the individual checks
 
-def check_valuation(curve, p: int, m: int, cache: FormCache | None = None
-                    ) -> CheckReport:
+def check_valuation(level: int, p: int, m: int,
+                    cache: FormCache | None = None) -> CheckReport:
     """v_p of the companion-form coefficient at p^(2m+1) equals m."""
-    spec = _curve(curve)
-    _require_eligible(spec.level, p)
+    _at_least("m", m, 0)
+    _require_eligible(level, p)
     e = p ** (2 * m + 1)
-    G = _cache(cache).series(f"G{spec.level}", e + 1)
+    G = _cache(cache).series(f"G{level}", e + 1)
     C = coefficient(G, e)
     v = padic_valuation(C, p)
     return CheckReport(
         check_id="valuation",
-        params={"level": spec.level, "p": p, "m": m},
+        params={"level": level, "p": p, "m": m},
         passed=(v == m),
         expected=m,
         actual=v,
@@ -188,25 +193,26 @@ def check_valuation(curve, p: int, m: int, cache: FormCache | None = None
     )
 
 
-def check_limit(curve, p: int, m: int, K: int = 20,
+def check_limit(level: int, p: int, m: int, K: int = 20,
                 cache: FormCache | None = None) -> CheckReport:
     """Division-free form of the p-adic limit property: every one of the
     first K coefficients of G|U(p^(2m+1)) - C(p^(2m+1))*g is divisible by
     p^(2m+1)."""
-    spec = _curve(curve)
-    _require_eligible(spec.level, p)
+    _at_least("m", m, 0)
+    _at_least("K", K, 1)
+    _require_eligible(level, p)
     pe = p ** (2 * m + 1)
     store = _cache(cache)
-    G = store.series(f"G{spec.level}", K * pe + 1)
+    G = store.series(f"G{level}", K * pe + 1)
     GU = apply_U(G, pe)
     C = coefficient(G, pe)
-    g = store.series(f"g{spec.level}", K + 1)
+    g = store.series(f"g{level}", K + 1)
     D = sub(GU, scale(g, C))
     e_lo = min(D.order, 1)
     v = padic_valuation_range(D, p, e_lo, K + 1)
     return CheckReport(
         check_id="limit",
-        params={"level": spec.level, "p": p, "m": m, "K": K},
+        params={"level": level, "p": p, "m": m, "K": K},
         passed=(v >= 2 * m + 1),
         expected=2 * m + 1,
         actual=v,
@@ -217,13 +223,11 @@ def check_limit(curve, p: int, m: int, K: int = 20,
     )
 
 
-def check_congruence(level: int, p: int, m: int,
+def check_congruence(level: int, p: int, m: int = 0,
                      cache: FormCache | None = None) -> CheckReport:
     """C(p^(2m+1)) = (-1)^m p^m C(p) mod p^(m+1), at levels 27 and 36."""
-    if level not in (27, 36):
-        raise ValueError(f"congruence check runs at levels 27 and 36, "
-                         f"not {level}")
-    _require_eligible(level, p)
+    _at_least("m", m, 0)
+    _require_27_or_36("congruence check", level, p)
     e = p ** (2 * m + 1)
     G = _cache(cache).series(f"G{level}", e + 1)
     C1 = coefficient(G, p)
@@ -241,14 +245,13 @@ def check_congruence(level: int, p: int, m: int,
     )
 
 
-def check_hecke_decomposition(level: int, p: int, n: int, prec: int = 30,
+def check_hecke_decomposition(level: int, p: int, n: int = 1,
+                              prec: int = 30,
                               cache: FormCache | None = None) -> CheckReport:
     """G|T_2(p^n) = p^n H_(p^n) + C(p^n) g, compared coefficientwise from
     the pole through q^(prec-1)."""
-    if level not in (27, 36):
-        raise ValueError(f"span decomposition runs at levels 27 and 36, "
-                         f"not {level}")
-    _require_eligible(level, p)
+    _at_least("n", n, 1)
+    _require_27_or_36("span decomposition", level, p)
     pn = p ** n
     store = _cache(cache)
     G = store.series(f"G{level}", prec * pn)
@@ -272,15 +275,15 @@ def check_hecke_decomposition(level: int, p: int, n: int, prec: int = 30,
 
 
 def check_theta_psi(level: int, p: int, prec: int = 30, m_max: int = 1,
-                    cong_K: int = 20,
+                    K: int = 20,
                     cache: FormCache | None = None) -> CheckReport:
     """G|T_2(p) = -theta(psi_p) on the full shared precision, and the
     derived congruence G|U(p^(2m+1)) = (-1)^(m+1) p^m theta(psi_p)
-    mod p^(m+1) on the first cong_K coefficients for m <= m_max."""
-    if level not in (27, 36):
-        raise ValueError(f"theta-psi identity runs at levels 27 and 36, "
-                         f"not {level}")
-    _require_eligible(level, p)
+    mod p^(m+1) on the first K coefficients for m <= m_max."""
+    _at_least("prec", prec, 1)
+    _at_least("m_max", m_max, 0)
+    _at_least("K", K, 1)
+    _require_27_or_36("theta-psi identity", level, p)
     store = _cache(cache)
     psi = build_psi(level, p, prec)
     th = theta(psi)
@@ -291,10 +294,10 @@ def check_theta_psi(level: int, p: int, prec: int = 30, m_max: int = 1,
     passed = bad is None
     for m in range(m_max + 1):
         pe = p ** (2 * m + 1)
-        GU = apply_U(store.series(f"G{level}", cong_K * pe + 1), pe)
+        GU = apply_U(store.series(f"G{level}", K * pe + 1), pe)
         target = scale(th, (-1) ** (m + 1) * p ** m)
         D = sub(GU, target)
-        e_hi = min(D.prec, cong_K + 1)
+        e_hi = min(D.prec, K + 1)
         v = padic_valuation_range(D, p, min(D.order, e_hi), e_hi)
         cong_vals.append(v)
         if not v >= m + 1:
@@ -317,10 +320,7 @@ def check_residue(level: int, p: int, prec: int = 30,
                   cache: FormCache | None = None) -> CheckReport:
     """The constant term of G*psi_p vanishes, and the q-coefficient of
     psi_p is -C(p)."""
-    if level not in (27, 36):
-        raise ValueError(f"residue pairing runs at levels 27 and 36, "
-                         f"not {level}")
-    _require_eligible(level, p)
+    _require_27_or_36("residue pairing", level, p)
     store = _cache(cache)
     psi = build_psi(level, p, prec)
     G = store.series(f"G{level}", prec + p)
@@ -339,16 +339,15 @@ def check_residue(level: int, p: int, prec: int = 30,
     )
 
 
-def check_nondivisibility(curve, p: int,
+def check_nondivisibility(level: int, p: int,
                           cache: FormCache | None = None) -> CheckReport:
     """p does not divide C(p)."""
-    spec = _curve(curve)
-    _require_eligible(spec.level, p)
-    G = _cache(cache).series(f"G{spec.level}", p + 1)
+    _require_eligible(level, p)
+    G = _cache(cache).series(f"G{level}", p + 1)
     C = coefficient(G, p)
     return CheckReport(
         check_id="nondivisibility",
-        params={"level": spec.level, "p": p},
+        params={"level": level, "p": p},
         passed=(C % p != 0),
         expected="nonzero residue",
         actual=C % p,
@@ -367,7 +366,7 @@ def check_twist_consistency(prec: int = 200,
     store = _cache(cache)
     mismatches = []
     for src, disc, dst in ((32, 8, 64), (36, 12, 144)):
-        direct = eta_quotient_expand(eta.ETA_RECIPES[f"g{dst}"], prec)
+        direct = eta_quotient_expand(FORMS[f"g{dst}"], prec)
         twisted = twist(store.series(f"g{src}", prec), disc)
         mismatches.append(first_difference(direct, twisted))
     commute = []
@@ -402,20 +401,20 @@ _SUPPORT_CLASSES = {
 }
 
 
-def check_support(curve, prec: int = 500,
+def check_support(level: int, prec: int = 500,
                   cache: FormCache | None = None) -> CheckReport:
     """Support lattices of g and G, and for level 27 the even-power
     degeneration: C(p^(2m)) = 0 and G|T_2(p^(2m)) = p^(2m) H_(p^(2m)) at
     small p^(2m)."""
-    spec = _curve(curve)
+    curve(level)  # an unknown level raises ValueError here
     store = _cache(cache)
-    (g_res, g_mod), (G_res, G_mod) = _SUPPORT_CLASSES[spec.level]
-    g = store.series(f"g{spec.level}", prec)
-    G = store.series(f"G{spec.level}", prec)
+    (g_res, g_mod), (G_res, G_mod) = _SUPPORT_CLASSES[level]
+    g = store.series(f"g{level}", prec)
+    G = store.series(f"G{level}", prec)
     bad_g = sorted(e for e in g.support() if e % g_mod != g_res)
     bad_G = sorted(e for e in G.support() if e % G_mod != G_res)
     extras = []
-    if spec.level == 27:
+    if level == 27:
         for p, m in ((2, 1), (5, 1)):
             pe = p ** (2 * m)
             Gbig = store.series("G27", 31 * pe)
@@ -427,7 +426,7 @@ def check_support(curve, prec: int = 500,
           and all(c == 0 and d is None for c, d in extras))
     return CheckReport(
         check_id="support",
-        params={"level": spec.level, "prec": prec},
+        params={"level": level, "prec": prec},
         passed=ok,
         expected=[[], [], [[0, None]] * len(extras)],
         actual=[bad_g[:5], bad_G[:5], extras],
@@ -435,6 +434,6 @@ def check_support(curve, prec: int = 500,
             f"exponents of g outside {g_res} mod {g_mod}, of G outside "
             f"{G_res} mod {G_mod}"
             + ("; then [C(p^2m), T2 vs span mismatch] at p^2m = 4, 25"
-               if spec.level == 27 else "")
+               if level == 27 else "")
         ),
     )

@@ -6,7 +6,7 @@ the code under test beyond the QSeries container itself."""
 
 from fractions import Fraction
 
-from qmod import QSeries, make_series
+from qmod import QSeries
 
 
 def ref_mul(f: QSeries, g: QSeries) -> QSeries:
@@ -17,7 +17,7 @@ def ref_mul(f: QSeries, g: QSeries) -> QSeries:
         for e2, c2 in g.items():
             if e1 + e2 < P:
                 d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
-    return make_series(d, P)
+    return QSeries(d, P)
 
 
 def _poly_mul(a: dict, b: dict, pw: int) -> dict:
@@ -69,7 +69,7 @@ def naive_eta_quotient(factors, prec: int) -> QSeries:
             base = _poly_inv(base, pw)
         for _ in range(abs(r)):
             f = _poly_mul(f, base, pw)
-    return make_series({e + s: c for e, c in f.items()}, prec)
+    return QSeries({e + s: c for e, c in f.items()}, prec)
 
 
 def factorize(n: int):

@@ -7,7 +7,18 @@ import sys
 
 import pytest
 
-from qmod.cli import DEFAULT_PREC_CEILING, RunConfig, main, run_grid
+from qmod import cli
+from qmod.cli import DEFAULT_PREC_CEILING, main, run_grid
+from qmod.spans import build_H
+from qmod.verify import (
+    check_congruence,
+    check_hecke_decomposition,
+    check_nondivisibility,
+    check_residue,
+    check_support,
+    check_theta_psi,
+    check_twist_consistency,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -22,7 +33,7 @@ def run(capsys, *argv):
 
 
 # ---------------------------------------------------------------------------
-# expand / build-h / build-psi
+# expand / build-psi
 
 def test_expand_table_examples(capsys):
     rc, out, err = run(capsys, "expand", "--form", "G27", "--prec", "3")
@@ -34,6 +45,8 @@ def test_expand_table_examples(capsys):
     rc, out, _ = run(capsys, "expand", "--form", "H2@27", "--prec", "5")
     assert rc == 0
     assert out == "-2 1\n4 -5\n"
+    rc, out, _ = run(capsys, "expand", "--form", "H-1@36", "--prec", "8")
+    assert rc == 0 and out == "1 1\n7 -4\n"          # the weight 2 newform
 
 
 def test_expand_json_schema(capsys):
@@ -47,6 +60,20 @@ def test_expand_json_schema(capsys):
     assert out.index('"coeffs"') < out.index('"form"') < out.index('"prec"')
 
 
+def test_build_h_matches_expand(capsys):
+    for m, level, prec, table in [
+        (2, 27, 5, "-2 1\n4 -5\n"),
+        (-1, 36, 8, "1 1\n7 -4\n"),                  # the weight 2 newform
+    ]:
+        rc, out, _ = run(capsys, "expand", "--form", f"H{m}@{level}",
+                         "--prec", str(prec))
+        assert rc == 0 and out == table
+        H = build_H(level, m, prec)
+        assert out == "".join(f"{e} {c}\n" for e, c in H.items())
+    rc, out, err = run(capsys, "expand", "--form", "H2@", "--prec", "5")
+    assert rc == 2 and "H<m>@<level>" in err
+
+
 def test_expand_unknown_form_is_usage_error(capsys):
     rc, out, err = run(capsys, "expand", "--form", "nope", "--prec", "5")
     assert rc == 2 and out == ""
@@ -58,15 +85,6 @@ def test_expand_requires_form_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["expand", "--prec", "5"])
     assert exc.value.code == 2
-
-
-def test_build_h_matches_expand(capsys):
-    rc, out, _ = run(capsys, "build-h", "--form", "H2@27", "--prec", "5")
-    assert rc == 0 and out == "-2 1\n4 -5\n"
-    rc, out, _ = run(capsys, "build-h", "--form", "H-1@36", "--prec", "8")
-    assert rc == 0 and out == "1 1\n7 -4\n"          # the weight 2 newform
-    rc, out, err = run(capsys, "build-h", "--form", "g27")
-    assert rc == 2 and "H<m>@<level>" in err
 
 
 def test_build_psi_table_and_json(capsys):
@@ -235,23 +253,76 @@ def test_check_theta_psi_flags(capsys):
 
 
 # ---------------------------------------------------------------------------
-# config objects
+# the check table: each default lives in the library signature
+
+# check id -> (library function, values of its required flags)
+CHECK_CALLS = {
+    "congruence": (check_congruence, (27, 2)),
+    "hecke-decomposition": (check_hecke_decomposition, (27, 2)),
+    "nondivisibility": (check_nondivisibility, (27, 2)),
+    "residue": (check_residue, (27, 2)),
+    "support": (check_support, (27,)),
+    "theta-psi": (check_theta_psi, (27, 2)),
+    "twist": (check_twist_consistency, ()),
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(cli._CHECKS))
+def test_check_cli_defaults_are_library_defaults(capsys, check_id):
+    fn, values = CHECK_CALLS[check_id]
+    flags = [x for flag, v in zip(("--level", "--p"), values)
+             for x in (flag, str(v))]
+    rc, out, _ = run(capsys, "check", check_id, *flags, "--format", "json")
+    assert rc == 0
+    assert json.loads(out) == fn(*values).to_json_dict()
+
+
+# ---------------------------------------------------------------------------
+# out-of-range parameters
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--curve", "27", "--K", "0"],
+    ["verify", "--curve", "27", "--primes", "2", "--K", "-3"],
+    ["verify", "--m-max", "-1"],
+    ["verify", "--all", "--primes", "auto:-5"],
+    ["verify", "--curve", "27", "--primes", "auto:1"],
+    ["check", "congruence", "--level", "27", "--p", "2", "--m", "-1"],
+    ["check", "support", "--level", "99"],
+    ["check", "nondivisibility", "--level", "99", "--p", "5"],
+    ["check", "theta-psi", "--level", "27", "--p", "2", "--m-max", "-1"],
+    ["check", "hecke-decomposition", "--level", "27", "--p", "2",
+     "--n", "-1"],
+], ids="_".join)
+def test_out_of_range_input_is_usage_error(argv):
+    proc = subprocess.run([sys.executable, "-m", "qmod", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+# ---------------------------------------------------------------------------
+# library calls
 
 def test_run_config_validation():
-    with pytest.raises(ValueError, match="unknown command"):
-        RunConfig(command="explode").validate()
-    with pytest.raises(ValueError, match="unknown level"):
-        RunConfig(command="verify", levels=(28,)).validate()
-    with pytest.raises(ValueError, match="unknown format"):
-        RunConfig(command="verify", format="xml").validate()
+    with pytest.raises(ValueError, match="unknown level 28; catalog levels"):
+        run_grid(levels=(28,))
     with pytest.raises(ValueError, match="must be prime"):
-        RunConfig(command="verify", primes=(6,)).validate()
+        run_grid(primes=(6,))
+    with pytest.raises(ValueError, match="K must be at least 1"):
+        run_grid(K=0)
+    with pytest.raises(ValueError, match="m_max must be at least 0"):
+        run_grid(m_max=-1)
+    with pytest.raises(ValueError, match="prime bound must be at least 2"):
+        run_grid(prime_bound=1)
+    with pytest.raises(ValueError, match="ceiling must be at least 2"):
+        run_grid(ceiling=1)
 
 
 def test_run_grid_direct_call():
-    cfg = RunConfig(command="verify", levels=(32,), primes=(3, 5),
-                    m_max=0, K=10)
-    reports, skipped = run_grid(cfg)
+    reports, skipped = run_grid(levels=(32,), primes=(3, 5), m_max=0, K=10)
     assert [r.check_id for r in reports] == ["limit", "valuation"]
     assert all(r.passed for r in reports)
     assert len(skipped) == 1 and skipped[0]["p"] == 5

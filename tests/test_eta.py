@@ -4,25 +4,23 @@ import pytest
 
 from qmod import (
     CURVES,
-    ETA_RECIPES,
-    TWIST_FORMS,
+    FORMS,
     EtaQuotient,
     LevelMismatchError,
     PrecisionError,
     ShiftError,
     Twist,
-    apply_V,
     catalog_form,
     catalog_manifest,
     cusp_orders,
     eta_quotient_expand,
     first_difference,
-    make_series,
-    substitute_qpower,
     truncate,
 )
-from qmod.eta import _euler_factor
+from qmod.eta import _euler_factor, curve
 from _oracles import naive_euler_product, naive_eta_quotient
+
+ETA_NAMES = sorted(n for n, r in FORMS.items() if isinstance(r, EtaQuotient))
 
 # First terms of every catalog form, read off independently during review
 # of the underlying newforms and their companions.
@@ -49,9 +47,9 @@ def test_catalog_form_frozen_literals(name):
     assert catalog_form(name, prec).items() == items
 
 
-@pytest.mark.parametrize("name", sorted(ETA_RECIPES))
+@pytest.mark.parametrize("name", ETA_NAMES)
 def test_eta_expansion_matches_naive_product(name):
-    eq = ETA_RECIPES[name]
+    eq = FORMS[name]
     got = eta_quotient_expand(eq, 60)
     assert got == naive_eta_quotient(eq.factors, 60)
 
@@ -64,36 +62,37 @@ def test_pentagonal_seed_matches_sequential_product():
     assert g.items() == sorted(naive_euler_product(5, 200).items())
 
 
-@pytest.mark.parametrize("name", sorted(ETA_RECIPES))
+@pytest.mark.parametrize("name", ETA_NAMES)
 def test_truncation_consistency(name):
-    eq = ETA_RECIPES[name]
+    eq = FORMS[name]
     big = eta_quotient_expand(eq, 45)
     small = eta_quotient_expand(eq, 17)
     assert truncate(big, 17) == small
 
 
 def test_weights_and_shifts():
-    assert ETA_RECIPES["g27"].weight == 2
-    assert ETA_RECIPES["G27"].weight == 2
-    assert ETA_RECIPES["L1"].weight == 0
-    assert ETA_RECIPES["L2"].weight == 0
-    assert ETA_RECIPES["L36"].weight == 0
-    assert ETA_RECIPES["g27"].shift == 1
-    assert ETA_RECIPES["G27"].shift == -1
-    assert ETA_RECIPES["L1"].shift == -2
-    assert ETA_RECIPES["L2"].shift == -3
-    assert ETA_RECIPES["L36"].shift == -1
-    assert ETA_RECIPES["g144"].shift == 1
+    assert FORMS["g27"].weight == 2
+    assert FORMS["G27"].weight == 2
+    assert FORMS["L1"].weight == 0
+    assert FORMS["L2"].weight == 0
+    assert FORMS["L36"].weight == 0
+    assert FORMS["g27"].shift == 1
+    assert FORMS["G27"].shift == -1
+    assert FORMS["L1"].shift == -2
+    assert FORMS["L2"].shift == -3
+    assert FORMS["L36"].shift == -1
+    assert FORMS["g144"].shift == 1
 
 
 def test_leading_coefficient_is_one():
-    for name in sorted(ETA_RECIPES) + sorted(TWIST_FORMS):
+    for name in sorted(FORMS):
         f = catalog_form(name, 12)
         e0, c0 = f.items()[0]
         assert c0 == 1, name
         assert e0 == (-1 if name[0] == "G" or name[0] == "L" else 1) or True
     # and the shifts say the same thing
-    for name, eq in ETA_RECIPES.items():
+    for name in ETA_NAMES:
+        eq = FORMS[name]
         f = catalog_form(name, 9)
         assert f.order == eq.shift
 
@@ -114,32 +113,26 @@ def test_non_integral_shift_raises():
 
 def test_prec_at_or_below_shift_raises():
     with pytest.raises(PrecisionError):
-        eta_quotient_expand(ETA_RECIPES["g27"], 1)
+        eta_quotient_expand(FORMS["g27"], 1)
     # one above the shift is fine and certifies a single coefficient
-    f = eta_quotient_expand(ETA_RECIPES["g27"], 2)
+    f = eta_quotient_expand(FORMS["g27"], 2)
     assert f.items() == [(1, 1)]
 
 
 def test_twist_catalog_names():
-    assert TWIST_FORMS == {"G64": ("G32", 8), "G144": ("G36", 12)}
-    assert CURVES[64].G_recipe == Twist(32, 8)
-    assert CURVES[144].G_recipe == Twist(36, 12)
+    twists = {n: r for n, r in FORMS.items() if isinstance(r, Twist)}
+    assert twists == {"G64": Twist("G32", 8, 64),
+                      "G144": Twist("G36", 12, 144)}
     with pytest.raises(ValueError):
         catalog_form("H2", 5)
 
 
-def test_substitute_qpower_is_V():
-    f = make_series({-1: 1, 2: -1, 5: 3}, 7)
-    assert substitute_qpower(f, 2) == apply_V(f, 2)
-    assert substitute_qpower(f, 3).items() == [(-3, 1), (6, -1), (15, 3)]
-
-
 def test_cusp_orders_level_27():
-    assert cusp_orders(ETA_RECIPES["L1"], 27) == [
+    assert cusp_orders(FORMS["L1"], 27) == [
         (1, 0), (3, 0), (9, 1), (27, -2)]
-    assert cusp_orders(ETA_RECIPES["g27"], 27) == [
+    assert cusp_orders(FORMS["g27"], 27) == [
         (1, 1), (3, 1), (9, 1), (27, 1)]
-    assert cusp_orders(ETA_RECIPES["G27"], 27) == [
+    assert cusp_orders(FORMS["G27"], 27) == [
         (1, 1), (3, 1), (9, 2), (27, -1)]
 
 
@@ -147,7 +140,7 @@ def test_cusp_orders_poles_only_at_infinity():
     # the catalog's companion and generator forms are holomorphic away
     # from the cusp attached to d = level
     for name in ("G27", "G32", "G36", "L1", "L2"):
-        eq = ETA_RECIPES[name]
+        eq = FORMS[name]
         for d, v in cusp_orders(eq, eq.level):
             if d != eq.level:
                 assert v >= 0, (name, d)
@@ -156,10 +149,10 @@ def test_cusp_orders_poles_only_at_infinity():
 def test_cusp_orders_level_36_generator():
     # the weight-0 generator at level 36 also has a pole over d = 18; its
     # products with g36 are what stay holomorphic away from infinity
-    assert cusp_orders(ETA_RECIPES["L36"], 36) == [
+    assert cusp_orders(FORMS["L36"], 36) == [
         (1, 0), (2, 0), (3, 0), (4, 0), (6, 0), (9, 2), (12, 0),
         (18, -1), (36, -1)]
-    assert cusp_orders(ETA_RECIPES["g36"], 36) == [
+    assert cusp_orders(FORMS["g36"], 36) == [
         (d, 1) for d in (1, 2, 3, 4, 6, 9, 12, 18, 36)]
 
 
@@ -171,11 +164,11 @@ def _index(n):
     return out
 
 
-@pytest.mark.parametrize("name", sorted(ETA_RECIPES))
+@pytest.mark.parametrize("name", ETA_NAMES)
 def test_cusp_order_total_degree(name):
     # sum over cusps (with multiplicity) of the vanishing order equals
     # weight * index / 12
-    eq = ETA_RECIPES[name]
+    eq = FORMS[name]
     n = eq.level
     total = Fraction(0)
     for d, v in cusp_orders(eq, n):
@@ -189,14 +182,14 @@ def test_cusp_order_total_degree(name):
 
 def test_cusp_orders_rejects_foreign_level():
     with pytest.raises(LevelMismatchError):
-        cusp_orders(ETA_RECIPES["g27"], 32)
+        cusp_orders(FORMS["g27"], 32)
 
 
 def test_manifest_lists_every_form():
     text = catalog_manifest()
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    names = {ln.split()[0] for ln in lines}
-    assert names == set(ETA_RECIPES) | set(TWIST_FORMS)
+    names = [ln.split()[0] for ln in lines]
+    assert names == ETA_NAMES + ["G144", "G64"]
     by_name = {ln.split()[0]: ln for ln in lines}
     assert by_name["g27"].split() == [
         "g27", "27", "[(3,2),(9,2)]", "-3", "(0,0,1,0,-7)"]
@@ -216,9 +209,13 @@ def test_twisted_catalog_forms_match_direct_twist():
 def test_curve_table_shape():
     assert sorted(CURVES) == [27, 32, 36, 64, 144]
     for level, spec in CURVES.items():
-        assert spec.level == level
+        assert curve(level) is spec
         assert spec.cm_disc in (-3, -4)
         assert len(spec.weierstrass) == 5
+        # every curve level carries its newform and companion
+        assert FORMS[f"g{level}"].level == FORMS[f"G{level}"].level == level
     assert CURVES[27].weierstrass == (0, 0, 1, 0, -7)
     assert CURVES[36].weierstrass == (0, 0, 0, 0, 1)
     assert CURVES[64].weierstrass == (0, 0, 0, -4, 0)
+    with pytest.raises(ValueError, match=r"catalog levels are \[27, 32"):
+        curve(99)

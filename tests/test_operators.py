@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qmod import (
-    KroneckerCharacter,
+    QSeries,
     add,
     apply_U,
     apply_V,
@@ -11,7 +11,6 @@ from qmod import (
     hecke,
     is_inert,
     kronecker,
-    make_series,
     mul,
     one,
     scale,
@@ -30,7 +29,7 @@ def series(draw, max_prec=30):
     lo = draw(st.integers(min_value=-10, max_value=prec - 1))
     d = draw(st.dictionaries(
         st.integers(min_value=lo, max_value=prec - 1), coeffs, max_size=10))
-    return make_series(d, prec)
+    return QSeries(d, prec)
 
 
 @given(series(), st.sampled_from([1, 2, 3, 5, 7]))
@@ -54,9 +53,9 @@ def test_V_scales_exponents(f, m):
 
 
 def test_U_drops_off_lattice_terms():
-    f = make_series({1: 4, 2: 5, 3: 6, 4: 7}, 6)
+    f = QSeries({1: 4, 2: 5, 3: 6, 4: 7}, 6)
     assert apply_U(f, 2).items() == [(1, 5), (2, 7)]
-    assert apply_U(make_series({1: 1, 5: 2}, 6), 3).is_zero
+    assert apply_U(QSeries({1: 1, 5: 2}, 6), 3).is_zero
 
 
 def test_UV_validate_index():
@@ -95,7 +94,7 @@ def test_hecke_n1_closed_form(f, pk):
 
 def test_hecke_weight_two_prime_square():
     # weight enters as p^((k-1)j); for k=2 the j-th term is scaled by p^j
-    f = make_series({e: e * e + 1 for e in range(-4, 20)}, 20)
+    f = QSeries({e: e * e + 1 for e in range(-4, 20)}, 20)
     want = add(apply_U(f, 4),
                add(scale(apply_V(apply_U(f, 2), 2), 2),
                    scale(apply_V(f, 4), 4)))
@@ -133,16 +132,8 @@ def test_kronecker_is_completely_multiplicative(d, a, b):
     assert kronecker(d, a * b) == kronecker(d, a) * kronecker(d, b)
 
 
-def test_kronecker_character_wrapper():
-    chi = KroneckerCharacter(8)
-    assert chi(3) == -1
-    assert chi(7) == 1
-    assert chi(10) == 0
-    assert chi.disc == 8
-
-
 def test_twist_semantics_with_poles():
-    f = make_series({-1: 3, 2: 5, 3: 7}, 5)
+    f = QSeries({-1: 3, 2: 5, 3: 7}, 5)
     t = twist(f, 8)
     assert t.prec == f.prec
     # (8|-1) = 1, (8|2) = 0, (8|3) = -1

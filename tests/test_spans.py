@@ -4,6 +4,7 @@ import pytest
 
 from qmod import (
     EliminationError,
+    QSeries,
     UnconstructibleError,
     build_H,
     build_psi,
@@ -11,7 +12,6 @@ from qmod import (
     coefficient,
     echelonize,
     first_difference,
-    make_series,
     mul,
     spanning_family,
     truncate,
@@ -20,7 +20,7 @@ from qmod.spans import psi36_generators
 
 
 def test_echelonize_two_by_two():
-    fam = [make_series({-1: 1, 1: 1}, 3), make_series({1: 1}, 3)]
+    fam = [QSeries({-1: 1, 1: 1}, 3), QSeries({1: 1}, 3)]
     basis = echelonize(fam)
     assert basis.pivots() == (-1, 1)
     # the q term of the first row is cleared by the second
@@ -29,9 +29,9 @@ def test_echelonize_two_by_two():
 
 
 def test_echelonize_is_idempotent():
-    fam = [make_series({-2: 1, 0: 4, 1: -1}, 5),
-           make_series({0: 1, 3: 2}, 5),
-           make_series({-2: 1, 3: 7}, 5)]
+    fam = [QSeries({-2: 1, 0: 4, 1: -1}, 5),
+           QSeries({0: 1, 3: 2}, 5),
+           QSeries({-2: 1, 3: 7}, 5)]
     basis = echelonize(fam)
     again = echelonize(list(basis.rows))
     assert again.rows == basis.rows
@@ -39,10 +39,10 @@ def test_echelonize_is_idempotent():
 
 def test_echelonize_is_order_independent():
     rng = random.Random(3)
-    fam = [make_series({-3: 1, 0: 2, 2: 5}, 6),
-           make_series({-1: -1, 1: 4}, 6),
-           make_series({0: 1, 2: -2}, 6),
-           make_series({2: 1, 5: 9}, 6)]
+    fam = [QSeries({-3: 1, 0: 2, 2: 5}, 6),
+           QSeries({-1: -1, 1: 4}, 6),
+           QSeries({0: 1, 2: -2}, 6),
+           QSeries({2: 1, 5: 9}, 6)]
     base = echelonize(fam).rows
     for _ in range(6):
         shuffled = fam[:]
@@ -51,32 +51,32 @@ def test_echelonize_is_order_independent():
 
 
 def test_echelonize_duplicate_pivot_both_orders():
-    a = make_series({1: 1, 2: 1, 3: 4}, 5)
-    b = make_series({1: 1, 2: 2, 3: 1}, 5)
+    a = QSeries({1: 1, 2: 1, 3: 4}, 5)
+    b = QSeries({1: 1, 2: 2, 3: 1}, 5)
     assert echelonize([a, b]).rows == echelonize([b, a]).rows
     assert echelonize([a, b]).pivots() == (1, 2)
 
 
 def test_echelonize_normalizes_negative_pivots():
-    basis = echelonize([make_series({2: -1, 3: 5}, 6)])
+    basis = echelonize([QSeries({2: -1, 3: 5}, 6)])
     assert basis.rows[0].items() == [(2, 1), (3, -5)]
 
 
 def test_echelonize_truncates_to_common_precision():
-    fam = [make_series({0: 1, 4: 1}, 9), make_series({1: 1}, 5)]
+    fam = [QSeries({0: 1, 4: 1}, 9), QSeries({1: 1}, 5)]
     rows = echelonize(fam).rows
     assert all(r.prec == 5 for r in rows)
 
 
 def test_echelonize_rejects_non_unit_pivot():
     with pytest.raises(EliminationError) as exc:
-        echelonize([make_series({1: 2}, 4)])
+        echelonize([QSeries({1: 2}, 4)])
     assert exc.value.exponent == 1
     assert exc.value.coeff == 2
 
 
 def test_echelonize_rejects_non_unit_residual():
-    fam = [make_series({1: 1, 2: 1}, 4), make_series({1: 1, 2: 3}, 4)]
+    fam = [QSeries({1: 1, 2: 1}, 4), QSeries({1: 1, 2: 3}, 4)]
     with pytest.raises(EliminationError) as exc:
         echelonize(fam)
     assert exc.value.exponent == 2
@@ -84,13 +84,13 @@ def test_echelonize_rejects_non_unit_residual():
 
 
 def test_echelonize_drops_dependent_rows():
-    f = make_series({1: 1, 2: 1}, 4)
-    basis = echelonize([f, f, make_series({1: 1, 2: 1}, 4)])
+    f = QSeries({1: 1, 2: 1}, 4)
+    basis = echelonize([f, f, QSeries({1: 1, 2: 1}, 4)])
     assert len(basis.rows) == 1
 
 
 def test_row_with_missing_pivot_raises():
-    basis = echelonize([make_series({0: 1}, 3)])
+    basis = echelonize([QSeries({0: 1}, 3)])
     with pytest.raises(UnconstructibleError):
         basis.row_with_pivot(-5)
 

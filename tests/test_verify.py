@@ -24,7 +24,7 @@ from qmod.verify import (
     prime_eligibility,
     report_sort_key,
 )
-from qmod.eta import CURVES, catalog_form
+from qmod.eta import catalog_form
 from qmod.qseries import coefficient, truncate
 
 
@@ -185,7 +185,7 @@ def test_valuation_small_cases():
     assert r.passed and r.actual == 1
     r = check_valuation(32, 3, 0)
     assert r.passed
-    r = check_valuation(CURVES[36], 5, 0)
+    r = check_valuation(36, 5, 0)
     assert r.passed
 
 
@@ -221,11 +221,11 @@ def test_hecke_decomposition_small_cases():
 
 
 def test_theta_psi_small_cases():
-    r = check_theta_psi(27, 2, prec=20, m_max=1, cong_K=10)
+    r = check_theta_psi(27, 2, prec=20, m_max=1, K=10)
     assert r.passed
     bad, cong = r.actual
     assert bad is None and cong[0] >= 1 and cong[1] >= 2
-    assert check_theta_psi(36, 5, prec=12, m_max=0, cong_K=10).passed
+    assert check_theta_psi(36, 5, prec=12, m_max=0, K=10).passed
 
 
 def test_residue_small_cases():
