@@ -22,6 +22,7 @@ from .verify import (
     DEFAULT_CACHE,
     CheckReport,
     _at_least,
+    _cache,
     check_congruence,
     check_hecke_decomposition,
     check_limit,
@@ -32,6 +33,7 @@ from .verify import (
     check_twist_consistency,
     check_valuation,
     eligible_inert_primes,
+    limit_prec,
     prime_eligibility,
     report_sort_key,
 )
@@ -73,7 +75,7 @@ def _prec_ceiling() -> int:
 
 def _default_depth(K: int, p: int, ceiling: int) -> int:
     m = -1
-    while K * p ** (2 * (m + 1) + 1) + 1 <= ceiling:
+    while limit_prec(K, p, m + 1) <= ceiling:
         m += 1
     return m
 
@@ -88,8 +90,11 @@ def run_grid(levels: tuple[int, ...] = tuple(CURVES),
     skipped as dicts with a reason each.
 
     primes=None means every eligible inert prime up to prime_bound, per
-    level.  m_max=None means the per-prime default depth: the largest m
-    with K * p^(2m+1) + 1 <= ceiling."""
+    level; repeated primes count once.  m_max=None means the per-prime
+    default depth: the largest m with K * p^(2m+1) + 1 <= ceiling.
+
+    Every form is expanded once, at the largest precision the grid needs,
+    before the checks run."""
     for level in levels:
         curve(level)
     for q in primes or ():
@@ -97,11 +102,13 @@ def run_grid(levels: tuple[int, ...] = tuple(CURVES),
             raise ValueError(f"--primes entries must be prime, got {q}")
     if primes is None:
         _at_least("prime bound", prime_bound, 2)
+    else:
+        primes = tuple(dict.fromkeys(primes))
     if m_max is not None:
         _at_least("m_max", m_max, 0)
     _at_least("K", K, 1)
     _at_least("precision ceiling", ceiling, 2)
-    reports: list[CheckReport] = []
+    jobs: list[tuple[int, int, int]] = []
     skipped: list[dict] = []
     for level in levels:
         if primes is None:
@@ -127,9 +134,22 @@ def run_grid(levels: tuple[int, ...] = tuple(CURVES),
                                    f"{ceiling} already at m = 0"),
                     })
                     continue
-            for m in range(top + 1):
-                reports.append(check_valuation(level, p, m, cache))
-                reports.append(check_limit(level, p, m, K, cache))
+            jobs.extend((level, p, m) for m in range(top + 1))
+    # Expand each form once, at the largest precision any job needs; the
+    # checks below then only truncate.  Twin levels (32 and 64, 36 and 144)
+    # admit the same primes, so a twisted G never needs more than its base.
+    need: dict[str, int] = {}
+    for level, p, m in jobs:
+        need[f"G{level}"] = max(need.get(f"G{level}", 0),
+                                limit_prec(K, p, m))
+        need[f"g{level}"] = K + 1
+    store = _cache(cache)
+    for name, prec in need.items():
+        store.series(name, prec)
+    reports: list[CheckReport] = []
+    for level, p, m in jobs:
+        reports.append(check_valuation(level, p, m, store))
+        reports.append(check_limit(level, p, m, K, store))
     reports.sort(key=report_sort_key)
     skipped.sort(key=lambda s: (s["level"], s["p"],
                                 -1 if s["m"] is None else s["m"]))

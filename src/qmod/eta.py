@@ -193,7 +193,10 @@ def eta_quotient_expand(eq: EtaQuotient, prec: int) -> QSeries:
         acc = mul(acc, atom)
     for atom in div_atoms:
         acc = div(acc, atom)
-    assert acc.prec == pw
+    if acc.prec != pw:
+        raise RuntimeError(
+            f"eta product came back at precision {acc.prec}, not {pw}"
+        )
     return shift(acc, s)
 
 
@@ -211,7 +214,11 @@ def catalog_form(name: str, prec: int) -> QSeries:
         f = _twist_op(catalog_form(recipe.base, prec), recipe.disc)
     else:
         raise ValueError(f"unknown catalog form {name!r}")
-    assert f.coefficient(f.order) == 1
+    lead = f.coefficient(f.order)
+    if lead != 1:
+        raise RuntimeError(
+            f"catalog form {name} has leading coefficient {lead}, not 1"
+        )
     return f
 
 

@@ -183,7 +183,11 @@ def spanning_family(level: int, max_pole: int, prec: int) -> list[QSeries]:
     else:
         raise ValueError(f"no spanning family at level {level}")
     for f in members:
-        assert f.prec >= prec
+        if f.prec < prec:
+            raise RuntimeError(
+                f"spanning family member certified only to precision "
+                f"{f.prec}, below the requested {prec}"
+            )
     return members
 
 
@@ -274,6 +278,10 @@ def _monomial_family(gen2, gen3, max_pole, in_class):
                 f = fa
             else:
                 f = mul(fa, fb)
-            assert f.order == -(2 * a + 3 * b)
+            if f.order != -(2 * a + 3 * b):
+                raise RuntimeError(
+                    f"monomial (a, b) = ({a}, {b}) has leading exponent "
+                    f"{f.order}, not -(2a+3b) = {-(2 * a + 3 * b)}"
+                )
             members.append(f)
     return members

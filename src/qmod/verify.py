@@ -31,6 +31,7 @@ __all__ = [
     "DEFAULT_CACHE",
     "prime_eligibility",
     "eligible_inert_primes",
+    "limit_prec",
     "check_valuation",
     "check_limit",
     "check_congruence",
@@ -154,6 +155,12 @@ def eligible_inert_primes(level: int, bound: int) -> list[int]:
     ]
 
 
+def limit_prec(K: int, p: int, m: int) -> int:
+    """Precision of G that fixes the first K coefficients of
+    G|U(p^(2m+1)): K * p^(2m+1) + 1."""
+    return K * p ** (2 * m + 1) + 1
+
+
 def _at_least(name: str, value: int, low: int):
     if value < low:
         raise ValueError(f"{name} must be at least {low}, got {value}")
@@ -203,7 +210,7 @@ def check_limit(level: int, p: int, m: int, K: int = 20,
     _require_eligible(level, p)
     pe = p ** (2 * m + 1)
     store = _cache(cache)
-    G = store.series(f"G{level}", K * pe + 1)
+    G = store.series(f"G{level}", limit_prec(K, p, m))
     GU = apply_U(G, pe)
     C = coefficient(G, pe)
     g = store.series(f"g{level}", K + 1)
@@ -287,6 +294,8 @@ def check_theta_psi(level: int, p: int, prec: int = 30, m_max: int = 1,
     store = _cache(cache)
     psi = build_psi(level, p, prec)
     th = theta(psi)
+    # one expansion of G at the largest precision requested below
+    store.series(f"G{level}", max(p * prec, limit_prec(K, p, m_max)))
     G = store.series(f"G{level}", p * prec)
     lhs = hecke(G, 2, p, 1)
     bad = first_difference(lhs, scale(th, -1))
@@ -294,7 +303,7 @@ def check_theta_psi(level: int, p: int, prec: int = 30, m_max: int = 1,
     passed = bad is None
     for m in range(m_max + 1):
         pe = p ** (2 * m + 1)
-        GU = apply_U(store.series(f"G{level}", K * pe + 1), pe)
+        GU = apply_U(store.series(f"G{level}", limit_prec(K, p, m)), pe)
         target = scale(th, (-1) ** (m + 1) * p ** m)
         D = sub(GU, target)
         e_hi = min(D.prec, K + 1)
@@ -370,9 +379,13 @@ def check_twist_consistency(prec: int = 200,
         twisted = twist(store.series(f"g{src}", prec), disc)
         mismatches.append(first_difference(direct, twisted))
     commute = []
+    if samples:
+        # one expansion of G32 at the largest precision requested below
+        store.series("G32", max(limit_prec(sample_K, p, m)
+                                for p, m in samples))
     for p, m in samples:
         pe = p ** (2 * m + 1)
-        G = store.series("G32", sample_K * pe + 1)
+        G = store.series("G32", limit_prec(sample_K, p, m))
         lhs = apply_U(twist(G, 8), pe)
         rhs = scale(twist(apply_U(G, pe), 8), kronecker(8, pe))
         commute.append(first_difference(lhs, rhs))
@@ -409,19 +422,22 @@ def check_support(level: int, prec: int = 500,
     curve(level)  # an unknown level raises ValueError here
     store = _cache(cache)
     (g_res, g_mod), (G_res, G_mod) = _SUPPORT_CLASSES[level]
+    even = ((2, 1), (5, 1)) if level == 27 else ()
     g = store.series(f"g{level}", prec)
+    # one expansion of G at the largest precision requested below
+    store.series(f"G{level}",
+                 max([prec] + [31 * p ** (2 * m) for p, m in even]))
     G = store.series(f"G{level}", prec)
     bad_g = sorted(e for e in g.support() if e % g_mod != g_res)
     bad_G = sorted(e for e in G.support() if e % G_mod != G_res)
     extras = []
-    if level == 27:
-        for p, m in ((2, 1), (5, 1)):
-            pe = p ** (2 * m)
-            Gbig = store.series("G27", 31 * pe)
-            Ce = coefficient(Gbig, pe)
-            lhs = hecke(Gbig, 2, p, 2 * m)
-            rhs = scale(build_H(27, pe, 31), pe)
-            extras.append([Ce, first_difference(lhs, rhs)])
+    for p, m in even:
+        pe = p ** (2 * m)
+        Gbig = store.series("G27", 31 * pe)
+        Ce = coefficient(Gbig, pe)
+        lhs = hecke(Gbig, 2, p, 2 * m)
+        rhs = scale(build_H(27, pe, 31), pe)
+        extras.append([Ce, first_difference(lhs, rhs)])
     ok = (not bad_g and not bad_G
           and all(c == 0 and d is None for c, d in extras))
     return CheckReport(

@@ -7,17 +7,21 @@ import sys
 
 import pytest
 
+import qmod.verify
 from qmod import cli
 from qmod.cli import DEFAULT_PREC_CEILING, main, run_grid
 from qmod.spans import build_H
 from qmod.verify import (
+    FormCache,
     check_congruence,
     check_hecke_decomposition,
+    check_limit,
     check_nondivisibility,
     check_residue,
     check_support,
     check_theta_psi,
     check_twist_consistency,
+    check_valuation,
 )
 
 
@@ -139,6 +143,19 @@ def test_verify_table_lines(capsys):
     assert lines[0] == "PASS limit level=27 p=2 m=0 K=20"
     assert lines[1] == "PASS valuation level=27 p=2 m=0"
     assert lines[2] == "PASSED 2/2 (skipped 0)"
+
+
+def test_verify_repeated_primes_count_once(capsys):
+    rc, out, _ = run(capsys, "verify", "--curve", "27", "--primes", "2,2",
+                     "--m-max", "0")
+    assert rc == 0
+    assert out == ("PASS limit level=27 p=2 m=0 K=20\n"
+                   "PASS valuation level=27 p=2 m=0\n"
+                   "PASSED 2/2 (skipped 0)\n")
+    rc, out, _ = run(capsys, "verify", "--curve", "36", "--primes", "2,2")
+    assert rc == 0
+    assert out == ("SKIP level=36 p=2: 2 divides the level 36\n"
+                   "PASSED 0/0 (skipped 1)\n")
 
 
 def test_verify_rejects_composite_primes(capsys):
@@ -326,6 +343,32 @@ def test_run_grid_direct_call():
     assert [r.check_id for r in reports] == ["limit", "valuation"]
     assert all(r.passed for r in reports)
     assert len(skipped) == 1 and skipped[0]["p"] == 5
+
+
+def test_run_grid_expands_each_form_once(monkeypatch):
+    expanded = []
+    real = qmod.verify.catalog_form
+
+    def counting(name, prec):
+        expanded.append(name)
+        return real(name, prec)
+
+    monkeypatch.setattr(qmod.verify, "catalog_form", counting)
+    reports, skipped = run_grid(levels=(27, 32, 64), prime_bound=12,
+                                ceiling=5000, cache=FormCache())
+    # G64 is the twist of the cached G32, so it expands no eta quotient
+    assert sorted(expanded) == ["G27", "G32", "g27", "g32", "g64"]
+    assert len(reports) == 2 * 17 and skipped == []
+    monkeypatch.undo()
+    # truncating the planned expansions gives what each check computes
+    # on its own
+    for r in reports:
+        level, p, m = r.params["level"], r.params["p"], r.params["m"]
+        if r.check_id == "valuation":
+            alone = check_valuation(level, p, m, cache=FormCache())
+        else:
+            alone = check_limit(level, p, m, r.params["K"], cache=FormCache())
+        assert r.to_json_dict() == alone.to_json_dict()
 
 
 def test_default_ceiling_constant():

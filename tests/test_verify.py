@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import qmod.verify
 from qmod.verify import (
     CheckReport,
     DEFAULT_CACHE,
@@ -267,3 +268,38 @@ def test_checks_share_and_accept_private_caches():
     r1 = check_valuation(27, 2, 0, cache=cache)
     r2 = check_valuation(27, 2, 0)
     assert r1.to_json_dict() == r2.to_json_dict()
+
+
+# ---------------------------------------------------------------------------
+# one expansion per form inside a check
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """Names handed to catalog_form by the cache, in call order."""
+    names = []
+    real = qmod.verify.catalog_form
+
+    def counting(name, prec):
+        names.append(name)
+        return real(name, prec)
+
+    monkeypatch.setattr(qmod.verify, "catalog_form", counting)
+    return names
+
+
+def test_theta_psi_expands_G_once(expansions):
+    # G27 is needed at 5 * 30 = 150 and at 20 * 5^3 + 1 = 2501
+    assert check_theta_psi(27, 5, cache=FormCache()).passed
+    assert expansions == ["G27"]
+
+
+def test_support_expands_G_once(expansions):
+    # G27 is needed at 500 and at 31 * 25 = 775
+    assert check_support(27, prec=500, cache=FormCache()).passed
+    assert expansions == ["g27", "G27"]
+
+
+def test_twist_consistency_expands_G32_once(expansions):
+    # G32 is needed at 50 * 3 + 1 = 151 and at 50 * 7 + 1 = 351
+    assert check_twist_consistency(prec=40, cache=FormCache()).passed
+    assert expansions == ["g32", "g36", "G32"]
