@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import gcd
+from math import gcd, isqrt
 
 from .qseries import PrecisionError, QSeries, div, mul, one, shift
 from .operators import twist as _twist_op
@@ -161,6 +161,21 @@ def _euler_factor_cubed(delta: int, prec: int) -> QSeries:
     return QSeries._trusted(d, prec)
 
 
+def _euler_inverse_bits(r: int, m: int) -> int:
+    """An integer b such that every coefficient of prod_n (1 - x^n)^(-r) at
+    degrees 0..m is below 2^b.
+
+    The coefficients p_r(k) are nonnegative, so p_r(k) x^k is at most the
+    whole product for 0 < x < 1.  With x = e^(-t), the log of
+    prod_n (1 - e^(-nt))^(-1) is sum_j 1 / (j (e^(jt) - 1)) <= pi^2 / (6t),
+    hence p_r(k) <= exp(kt + r pi^2 / (6t)), and t = pi sqrt(r / (6k))
+    gives p_r(k) <= exp(pi sqrt(2rk/3)), increasing in k.  In bits that is
+    (pi / log 2) sqrt(2rk/3), bounded in integers without rounding error:
+    pi / log 2 < 4.533 and sqrt(2rm/3) < isqrt(ceil(2rm/3)) + 1.
+    """
+    return -(-4533 * (isqrt(-(-2 * r * m // 3)) + 1) // 1000)
+
+
 def eta_quotient_expand(eq: EtaQuotient, prec: int) -> QSeries:
     """q-expansion of the eta quotient with certified precision prec.
 
@@ -179,20 +194,26 @@ def eta_quotient_expand(eq: EtaQuotient, prec: int) -> QSeries:
         )
     pw = prec - s
     mul_atoms: list[QSeries] = []
-    div_atoms: list[QSeries] = []
+    div_atoms: list[tuple[QSeries, int]] = []
     for delta, r in eq.factors:
         cubes, rest = divmod(abs(r), 3)
-        atoms = [_euler_factor_cubed(delta, pw) for _ in range(cubes)]
-        atoms += [_euler_factor(delta, pw) for _ in range(rest)]
-        (mul_atoms if r > 0 else div_atoms).extend(atoms)
+        atoms = [(_euler_factor_cubed(delta, pw), 3) for _ in range(cubes)]
+        atoms += [(_euler_factor(delta, pw), 1) for _ in range(rest)]
+        if r > 0:
+            mul_atoms += [a for a, _ in atoms]
+        else:
+            # the quotient reaches 1/atom below q^pw: x = q^delta degree at
+            # most (pw - 1) // delta
+            div_atoms += [(a, _euler_inverse_bits(k, (pw - 1) // delta))
+                          for a, k in atoms]
     # fold the widest factors into the scatter product first; later factors
     # each cost (their term count) * (dense length)
     mul_atoms.sort(key=lambda a: -len(a._c))
     acc = one(pw)
     for atom in mul_atoms:
         acc = mul(acc, atom)
-    for atom in div_atoms:
-        acc = div(acc, atom)
+    for atom, bits in div_atoms:
+        acc = div(acc, atom, inverse_bits=bits)
     if acc.prec != pw:
         raise RuntimeError(
             f"eta product came back at precision {acc.prec}, not {pw}"

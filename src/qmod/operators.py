@@ -118,10 +118,17 @@ def kronecker(d: int, n: int) -> int:
 
 def twist(f: QSeries, disc: int) -> QSeries:
     """Coefficientwise twist a(e) -> (disc|e) * a(e) at every exponent,
-    negative ones included.  Precision unchanged."""
+    negative ones included.  Precision unchanged.
+
+    For a discriminant (nonzero disc = 0 or 1 mod 4) the symbol (disc|n) has
+    period |disc| on n > 0, so positive exponents read one table of |disc|
+    values; exponents <= 0 and every other disc call kronecker per term.
+    """
+    period = abs(disc) if disc and disc % 4 in (0, 1) else 0
+    table = [kronecker(disc, n) for n in range(period)]
     d = {}
     for e, c in f._c.items():
-        chi = kronecker(disc, e)
+        chi = table[e % period] if period and e > 0 else kronecker(disc, e)
         if chi:
             d[e] = chi * c if chi != 1 else c
     return QSeries._trusted(d, f.prec)

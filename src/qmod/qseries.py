@@ -11,6 +11,17 @@ Every operation tracks the precision it can certify and refuses to report a
 coefficient beyond it.  For the zero series (no stored entries) the leading
 exponent is reported as P itself, which acts as an order sentinel in the
 precision rules below.
+
+The two hot kernels, the dense product and division, pack many coefficients
+into one Python integer (Kronecker substitution): a list v_0, ..., v_{n-1}
+becomes sum_k v_k 2^(kW) with W = 8B bits per slot.  A slot value v with
+|v| < 2^(W-1) is stored as v + 2^(W-1), a B-byte unsigned field, so the
+conversion runs through int.to_bytes/int.from_bytes; subtracting the same
+offset in every slot gives back a signed-digit integer on which big-int
+addition, shifts and small multiples act slotwise.  The digits of such an
+integer are recovered exactly when every slot of the result again lies in
+(-2^(W-1), 2^(W-1)), so each caller derives W from a proven bound on the
+coefficients it will unpack and never from a guess that is checked later.
 """
 
 from __future__ import annotations
@@ -242,9 +253,13 @@ def truncate(f: QSeries, prec: int) -> QSeries:
         )
     if prec == f.prec:
         return f
-    return QSeries._trusted(
-        {e: c for e, c in f._c.items() if e < prec}, prec
-    )
+    c = f._c
+    if prec - f._order < len(c):
+        # a window shorter than the stored terms: look its exponents up
+        d = {e: c[e] for e in range(f._order, prec) if e in c}
+    else:
+        d = {e: v for e, v in c.items() if e < prec}
+    return QSeries._trusted(d, prec)
 
 
 def shift(f: QSeries, k: int) -> QSeries:
@@ -278,6 +293,31 @@ def _lattice(f: QSeries, g: QSeries | None = None) -> int:
     return L or 1
 
 
+def _slot_bytes(bits: int) -> int:
+    """Bytes per slot for values of absolute value below 2^bits: the slot
+    width W = 8B satisfies bits <= W - 1, which leaves the sign bit."""
+    return bits // 8 + 1
+
+
+def _slot_offset(n: int, B: int) -> int:
+    """2^(W-1) in each of n slots of B bytes."""
+    return int.from_bytes((1 << (8 * B - 1)).to_bytes(B, "little") * n,
+                          "little")
+
+
+def _to_slots(values, B: int) -> bytes:
+    """The offset slots of values, lowest first; each |v| < 2^(8B-1)."""
+    half = 1 << (8 * B - 1)
+    return b"".join([(v + half).to_bytes(B, "little") for v in values])
+
+
+def _from_slots(buf: bytes, B: int, n: int) -> list[int]:
+    """The first n signed values stored by _to_slots in buf."""
+    half = 1 << (8 * B - 1)
+    fb = int.from_bytes
+    return [fb(buf[i:i + B], "little") - half for i in range(0, n * B, B)]
+
+
 def _mul_dense(f: QSeries, g: QSeries, P: int) -> QSeries:
     wf, wg = f._order, g._order
     w = wf + wg
@@ -287,6 +327,7 @@ def _mul_dense(f: QSeries, g: QSeries, P: int) -> QSeries:
     n_out = _ceil_div(P - w, L)
     bound_f = min(f.prec, P - wg)
     bound_g = min(g.prec, P - wf)
+    # every compressed index below is < n_out, because e < P - (other order)
     items_f = [((e - wf) // L, c) for e, c in f._c.items() if e < bound_f]
     items_g = [((e - wg) // L, c) for e, c in g._c.items() if e < bound_g]
     if not items_f or not items_g:
@@ -299,15 +340,22 @@ def _mul_dense(f: QSeries, g: QSeries, P: int) -> QSeries:
     dense = [0] * n_fol
     for i, c in follower:
         dense[i] = c
-    out = [0] * n_out
+    # Each output slot is a sum of c * dense[k] over driver terms c*q^i, so
+    # |out_k| <= sum|c| * max|dense| < 2^(bits(sum|c|) + bits(max|dense|)).
+    B = _slot_bytes(max(map(abs, dense)).bit_length()
+                    + sum(abs(c) for _, c in driver).bit_length())
+    W = 8 * B
+    packed = int.from_bytes(_to_slots(dense, B), "little")
+    packed -= _slot_offset(n_fol, B)
+    del dense
+    acc = 0
     for i, c in driver:
-        if i >= n_out:
-            continue
-        seg = min(n_out - i, n_fol)
-        if seg <= 0:
-            continue
-        sl = out[i:i + seg]
-        out[i:i + seg] = [x + c * y for x, y in zip(sl, dense)]
+        acc += c * packed << i * W
+    del packed
+    # slots at or above n_out hold discarded terms; the mask drops them
+    acc = (acc + _slot_offset(n_out, B)) & ((1 << n_out * W) - 1)
+    out = _from_slots(acc.to_bytes(n_out * B, "little"), B, n_out)
+    del acc
     d = {w + L * k: v for k, v in enumerate(out) if v}
     return QSeries._trusted(d, P)
 
@@ -317,8 +365,13 @@ def mul(f: QSeries, g: QSeries) -> QSeries:
 
     The zero-series order sentinel (order = prec) makes the rule correct when
     either factor has no certified nonzero term.  Internally small products
-    use pairwise scatter; large ones run on dense coefficient arrays
-    compressed onto the common exponent lattice.
+    use pairwise scatter.  Large ones compress both factors onto their common
+    exponent lattice, pack the factor with more terms (the dense one) into
+    one integer, and add one shifted multiple c * packed << i*W per term
+    c*q^i of the other factor, a single big-int operation each.  The slot
+    width W is proven wide enough: every output coefficient is a sum of
+    c * (dense coefficient) over those terms, so its absolute value is below
+    2^(bits(sum |c|) + bits(max |dense|)), and W adds a sign bit to that.
     """
     P = min(f.prec + g._order, g.prec + f._order)
     if not f._c or not g._c:
@@ -341,13 +394,28 @@ def mul(f: QSeries, g: QSeries) -> QSeries:
 # ---------------------------------------------------------------------------
 # division and inversion
 
-def div(f: QSeries, g: QSeries) -> QSeries:
+def div(f: QSeries, g: QSeries, inverse_bits: int | None = None) -> QSeries:
     """Solve g*h = f for h by forward substitution.
 
     Requires g nonzero with leading coefficient +-1.  The result is certified
     to precision min(f.prec - order(g), g.prec - 2*order(g) + order(f)),
     matching mul(f, invert(g)).  Cost is (number of stored terms of g) times
     the output length, so division by a lacunary series is cheap.
+
+    On the lattice both series share, let D be the stride common to the
+    offsets of g from its leading term.  The D interleaved residue classes
+    of h then satisfy the same recurrence, and when the caller supplies
+    inverse_bits they are solved together: one packed row of D slots per
+    step, so the Python-level work drops by a factor of D.  inverse_bits
+    must be an integer b such that the coefficients of 1/g at its leading
+    exponent and the next (result precision - order(h) - 1) exponents all
+    have absolute value below 2^b.  Each coefficient of h is a sum of
+    (coefficient of f) * (coefficient of 1/g) over that window, so its
+    absolute value is below ||f||_1 * 2^b, and the slot width adds a sign
+    bit to bits(||f||_1) + b.  The zero-padded slots past the end of the
+    last row obey the same bound: their offsets into 1/g are multiples of D
+    no larger than those of that row's first slot.  Without inverse_bits,
+    or when D = 1, each row is a single coefficient and nothing is packed.
     """
     if not g._c:
         raise NotInvertibleError("division by a zero series")
@@ -375,14 +443,38 @@ def div(f: QSeries, g: QSeries) -> QSeries:
         ((e - wg) // L, c) for e, c in g._c.items() if e != wg
     )
     g_items = [(k, c) for k, c in g_items if k < n]
-    H = [0] * n
-    for j in range(n):
-        s = F[j]
-        for k, c in g_items:
-            if k > j:
+    D = 0
+    for k, _ in g_items:
+        D = math.gcd(D, k)
+    if inverse_bits is None or D < 2:
+        D = 1
+    N = _ceil_div(n, D)
+    if D > 1:
+        B = _slot_bytes(sum(map(abs, F)).bit_length() + inverse_bits)
+        off = _slot_offset(D, B)
+        F += [0] * (N * D - n)
+        rows = [int.from_bytes(_to_slots(F[i:i + D], B), "little") - off
+                for i in range(0, N * D, D)]
+        del F
+    else:
+        rows = F
+    # rows[t] is read once, at step t, then holds the solved row t
+    steps = [(k // D, c) for k, c in g_items]
+    for t in range(N):
+        s = rows[t]
+        for k, c in steps:
+            if k > t:
                 break
-            s -= c * H[j - k]
-        H[j] = s if u == 1 else -s
+            s -= c * rows[t - k]
+        rows[t] = s if u == 1 else -s
+    if D > 1:
+        H = []
+        for t in range(N):
+            H += _from_slots((rows[t] + off).to_bytes(D * B, "little"), B, D)
+            rows[t] = None
+        del H[n:]
+    else:
+        H = rows
     d = {w0 + L * j: v for j, v in enumerate(H) if v}
     return QSeries._trusted(d, Pout)
 

@@ -386,3 +386,16 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 1\n7 -4\n"
+
+
+def test_cli_imports_no_numpy():
+    # the packed kernels use only the standard library
+    code = ("import contextlib, io, sys\n"
+            "import qmod.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = qmod.cli.main(['expand', '--form', 'G27', "
+            "'--prec', '3000'])\n"
+            "print(rc, 'numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.stdout == "0 False\n", proc.stderr

@@ -17,7 +17,7 @@ from qmod import (
     first_difference,
     truncate,
 )
-from qmod.eta import _euler_factor, curve
+from qmod.eta import _euler_factor, _euler_inverse_bits, curve
 from _oracles import naive_euler_product, naive_eta_quotient
 
 ETA_NAMES = sorted(n for n, r in FORMS.items() if isinstance(r, EtaQuotient))
@@ -219,3 +219,41 @@ def test_curve_table_shape():
     assert CURVES[64].weierstrass == (0, 0, 0, -4, 0)
     with pytest.raises(ValueError, match=r"catalog levels are \[27, 32"):
         curve(99)
+
+
+@pytest.mark.parametrize("name", ETA_NAMES)
+def test_eta_expansion_matches_naive_product_at_3000(name):
+    # long enough for the packed division rows (stride 9 for G27, 8 for
+    # G32, 6 for G36) to span hundreds of steps
+    eq = FORMS[name]
+    assert eta_quotient_expand(eq, 3001) == naive_eta_quotient(eq.factors,
+                                                               3001)
+
+
+def _inverse_euler_coefficients(r, n):
+    """Coefficients of prod (1 - x^k)^(-r) below x^n, r = 1 or 3, from the
+    recurrences of the pentagonal and the triangular expansions."""
+    if r == 1:
+        steps = []
+        for k in range(1, n):
+            s = 1 if k % 2 else -1
+            if k * (3 * k - 1) // 2 >= n:
+                break
+            steps += [(k * (3 * k - 1) // 2, s), (k * (3 * k + 1) // 2, s)]
+    else:
+        steps = [(k * (k + 1) // 2, (2 * k + 1) * (1 if k % 2 else -1))
+                 for k in range(1, n) if k * (k + 1) // 2 < n]
+    a = [1] + [0] * (n - 1)
+    for m in range(1, n):
+        a[m] = sum(c * a[m - t] for t, c in steps if t <= m)
+    return a
+
+
+def test_euler_inverse_width_lemma():
+    p = _inverse_euler_coefficients(1, 3000)
+    assert p[:8] == [1, 1, 2, 3, 5, 7, 11, 15]
+    p3 = _inverse_euler_coefficients(3, 3000)
+    assert p3[:6] == [1, 3, 9, 22, 51, 108]
+    for r, coeffs in ((1, p), (3, p3)):
+        for m, c in enumerate(coeffs):
+            assert 0 <= c < 2 ** _euler_inverse_bits(r, m), (r, m)

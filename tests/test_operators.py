@@ -166,3 +166,24 @@ def test_is_inert_tables():
         is_inert(9, -3)
     with pytest.raises(ValueError):
         is_inert(5, -7)
+
+
+@pytest.mark.parametrize("disc", [8, 12, -4, 3])
+def test_twist_table_matches_kronecker_per_term(disc):
+    f = QSeries({n: 2 * n + 1 for n in range(-500, 501)}, 501)
+    t = twist(f, disc)
+    assert t.prec == f.prec
+    for n in range(-500, 501):
+        assert coefficient(t, n) == kronecker(disc, n) * (2 * n + 1), n
+
+
+def test_kronecker_period_of_discriminants():
+    # the twist table rests on (d|n) having period |d| on n > 0 for nonzero
+    # d = 0, 1 mod 4; d = 3 mod 4 has no such period
+    for d in range(-60, 61):
+        periodic = all(kronecker(d, n) == kronecker(d, n + abs(d))
+                       for n in range(1, 600))
+        if d and d % 4 in (0, 1):
+            assert periodic, d
+        elif d % 4 == 3:
+            assert not periodic, d

@@ -25,6 +25,7 @@ from qmod import (
     truncate,
     zero,
 )
+from qmod.qseries import _mul_dense
 from _oracles import ref_mul
 
 coeffs = st.integers(min_value=-50, max_value=50)
@@ -266,3 +267,135 @@ def test_padic_valuation_range_matches_brute_minimum(f, p):
     vals = [padic_valuation(coefficient(f, e), p)
             for e in range(lo, f.prec)]
     assert got == (min(vals) if vals else math.inf)
+
+
+# ---------------------------------------------------------------------------
+# packed kernels
+
+wide_coeffs = st.one_of(
+    st.integers(min_value=-2 ** 260, max_value=2 ** 260),
+    st.integers(min_value=-3, max_value=3),
+)
+
+
+@st.composite
+def lattice_series(draw, max_terms=80):
+    """A series on order + stride*Z with coefficients up to 260 bits of
+    either sign, a possibly negative order and a precision past its last
+    stored exponent."""
+    stride = draw(st.integers(min_value=1, max_value=6))
+    lo = draw(st.integers(min_value=-20, max_value=5))
+    cs = draw(st.lists(wide_coeffs, min_size=1, max_size=max_terms))
+    prec = lo + stride * len(cs) + draw(st.integers(min_value=0,
+                                                    max_value=stride))
+    return QSeries({lo + stride * k: c for k, c in enumerate(cs)}, prec)
+
+
+@given(lattice_series(), lattice_series())
+def test_mul_dense_path_matches_oracle_on_wide_coefficients(f, g):
+    P = min(f.prec + g.order, g.prec + f.order)
+    assert _mul_dense(f, g, P) == ref_mul(f, g)
+
+
+def test_mul_dense_path_with_one_wide_outlier():
+    # one 400-bit coefficient among small ones sets the slot width
+    rng = random.Random(11)
+    a = QSeries({-4 + 2 * k: rng.randint(-5, 5) for k in range(400)}, 800)
+    a = add(a, QSeries({300: -(2 ** 400) + 1}, 800))
+    b = QSeries({k * k: (-1) ** k * (2 * k + 1) for k in range(25)}, 700)
+    P = min(a.prec + b.order, b.prec + a.order)
+    assert _mul_dense(a, b, P) == ref_mul(a, b)
+    assert _mul_dense(b, a, P) == ref_mul(a, b)
+
+
+def _scalar_and_packed_div(f, g):
+    inverse = invert(g)
+    bits = max(abs(c) for _, c in inverse.items()).bit_length()
+    return div(f, g), div(f, g, inverse_bits=bits)
+
+
+@pytest.mark.parametrize("D", range(2, 10))
+@pytest.mark.parametrize("u", [1, -1])
+def test_div_packed_rows_match_scalar_recurrence(D, u):
+    # divisor offsets are multiples of L*D and the numerator has a term at
+    # offset L, so the compressed stride is exactly D
+    rng = random.Random(100 * D + u)
+    L = 1 + D % 3
+    n = 60 * D + 7
+    g = QSeries({0: u, **{L * D * k: rng.randint(-9, 9)
+                          for k in range(1, n // D, rng.randint(1, 3))}},
+                L * n)
+    f = QSeries({-2 * L + L * k: rng.randint(-2 ** 240, 2 ** 240)
+                 for k in range(n)}, L * n - 2 * L)
+    scalar, packed = _scalar_and_packed_div(f, g)
+    assert packed == scalar
+    assert first_difference(mul(packed, g), f) is None
+
+
+@given(st.integers(min_value=2, max_value=9), st.sampled_from([1, -1]),
+       st.integers(min_value=1, max_value=3),
+       st.lists(st.integers(min_value=-7, max_value=7), min_size=1,
+                max_size=12),
+       st.lists(wide_coeffs, min_size=1, max_size=120),
+       st.integers(min_value=-9, max_value=9))
+def test_div_packed_rows_match_scalar_property(D, u, L, g_cs, f_cs, lo):
+    g = QSeries({0: u, **{L * D * (k + 1): c for k, c in enumerate(g_cs)}},
+                L * D * (len(g_cs) + 1) + 1)
+    f = QSeries({lo + L * k: c for k, c in enumerate(f_cs)},
+                lo + L * len(f_cs))
+    scalar, packed = _scalar_and_packed_div(f, g)
+    assert packed == scalar
+
+
+def test_div_without_bound_or_stride_is_scalar():
+    # D = 1 (offsets 1 and 2) and a missing bound both run 1-slot rows
+    g = QSeries({0: 1, 1: -1, 2: 3}, 50)
+    f = QSeries({0: 2 ** 300, 5: -7}, 50)
+    assert div(f, g, inverse_bits=1) == div(f, g)
+    assert first_difference(mul(div(f, g), g), f) is None
+
+
+def _old_truncate(f, prec):
+    return QSeries({e: c for e, c in f.items() if e < prec}, prec)
+
+
+@given(lattice_series(max_terms=40), st.data())
+def test_truncate_window_lookup_matches_scan(f, data):
+    # windows shorter and longer than the stored terms, poles and lattice
+    # gaps, down to below the leading exponent
+    prec = data.draw(st.integers(min_value=f.order - 5, max_value=f.prec))
+    assert truncate(f, prec) == _old_truncate(f, prec)
+
+
+def test_truncate_short_window_of_long_series():
+    f = QSeries({-3 + 3 * k: k + 1 for k in range(5000)}, 15000)
+    for prec in (-3, -2, 0, 1, 4, 7, 100):
+        assert truncate(f, prec) == _old_truncate(f, prec)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_mul_dense_slot_width_at_its_bound(sign):
+    # out_k = c * M with M = 2^a - 1 and c = 2^b - 1 reaches the proven
+    # bound 2^(a+b) from below; a + b takes every residue mod 8
+    for a in range(1, 12):
+        for b in range(1, 10):
+            M, c = sign * (2 ** a - 1), 2 ** b - 1
+            dense = QSeries({k: M if k % 3 else -M for k in range(40)}, 40)
+            lac = QSeries({0: c, 7: -c}, 40)
+            got = _mul_dense(lac, dense, 40)
+            assert got == ref_mul(lac, dense), (a, b)
+            assert max(abs(v) for _, v in got.items()) == 2 * c * (2 ** a - 1)
+
+
+@pytest.mark.parametrize("D", [2, 5, 9])
+@pytest.mark.parametrize("u", [1, -1])
+def test_div_packed_slot_width_at_its_bound(D, u):
+    # 1/((1 - x)(1 - 2x)) = sum (2^(k+1) - 1) x^k with x = q^D, so with
+    # ||f||_1 = 2^a - 1 the quotient coefficient (2^a - 2) * (2^12 - 1) sits
+    # just below 2^(a + 12); the term at q^1 makes the stride exactly D
+    g = QSeries({0: u, D: -3 * u, 2 * D: 2 * u}, 12 * D)
+    for a in range(2, 18):
+        f = QSeries({0: 2 ** a - 2, 1: 1}, 12 * D)
+        scalar, packed = _scalar_and_packed_div(f, g)
+        assert packed == scalar, a
+        assert abs(scalar.coefficient(11 * D)) == (2 ** a - 2) * (2 ** 12 - 1)
