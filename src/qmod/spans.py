@@ -1,19 +1,42 @@
-"""Echelonized spans of weakly holomorphic forms.
+"""Normal forms in spans of weakly holomorphic forms.
 
 Level 27 uses the weight-2 newform g27 together with the weight-0 pole
 generators L1 = q^-2 + ... and L2 = q^-3 + ... (poles only at infinity,
 holomorphic at the other cusps).  The family g27*L1^d, g27*L1^d*L2 realizes
-every leading exponent <= 1 except 0; integer echelonization then yields the
-forms H_m = q^-m + O(q^2).  Level 36 plays the same game with g36 and the
-single generator L(2z), hitting every odd leading exponent <= 1 and giving
-H_m = q^-m + O(q^3) for odd m.
+every leading exponent <= 1 except 0, which yields the forms
+H_m = q^-m + O(q^2).  Level 36 plays the same game with g36 and the single
+generator L(2z), hitting every odd leading exponent <= 1 and giving
+H_m = q^-m + O(q^3) for odd m.  Every member is supported on one residue
+class (mod 3 at level 27, mod 6 at level 36), and so is H_m, on the class
+of -m.  A member of another class has no term at any exponent of that
+class, so it never enters the reduction below, and build_H forms only the
+members in the class of -m: a third of the family, one cube of L1 or
+L(2z) apart.
 
-The weight-0 functions psi_p are echelonized from monomials in the pole
+The weight-0 functions psi_p = q^-p + O(q) come from monomials in the pole
 generators, constrained to the support class of q^-p: at level 27 the
-monomials L1^a L2^b with 2a+3b <= p and a in the class of -p mod 3, at
-level 36 the monomials psi2^a psi3^b with 2a+3b <= p, a = 1 mod 3 and b
-odd, where psi2 = L(2z) and psi3 = L(z)L(2z) - 1.  The leading pole of a
-monomial is exactly 2a+3b.
+monomials L1^a L2^b with a in the class of -p mod 3, at level 36 the
+monomials psi2^a psi3^b with a = 1 mod 3 and b odd, where psi2 = L(2z) and
+psi3 = L(z)L(2z) - 1.  The leading pole of a monomial is exactly 2a+3b, so
+the poles in the class are k = p mod 3 (level 27) and k = 5 mod 6 (level
+36).  One monomial per pole order k <= p suffices: L1*L2^b at level 27 and
+psi2*psi3^b, b odd, at level 36, both with k = 2+3b.  The difference of two
+in-class monomials with the same pole k is a class-restricted polynomial in
+the generators with a pole below k.  Subtracting the kept monomials at its
+remaining pole orders leaves a function with no pole at infinity and none
+elsewhere, so a constant; the class excludes the exponent 0, so that
+constant is 0, and every in-class monomial lies in the integer span of the
+kept ones.
+
+Both kinds of family are triangular: their leading exponents are distinct
+and every leading coefficient is 1, because g27, g36, L1, L2, L(2z), psi2
+and psi3 are all monic.  So the normal form with pivot e needs no echelon
+basis of the whole family.  Take the member with leading exponent e and
+walk the other leading exponents upwards, subtracting c*f_e' whenever the
+current coefficient c at e' is nonzero.  A subtraction at e' changes only exponents
+>= e', so the exponents already cleared stay clear, and the cost is one
+pass over the family instead of a full elimination.  The result is the row
+with pivot e of echelonize(family), which the tests use as the oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +46,6 @@ from dataclasses import dataclass
 from .qseries import (
     QSeries,
     _is_prime,
-    add,
     coefficient,
     mul,
     one,
@@ -123,10 +145,9 @@ def echelonize(family) -> EchelonBasis:
 # spanning families
 
 def _pole_generators_27(prec: int):
-    g = eta_quotient_expand(FORMS["g27"], prec)
     l1 = eta_quotient_expand(FORMS["L1"], prec)
     l2 = eta_quotient_expand(FORMS["L2"], prec)
-    return g, l1, l2
+    return l1, l2
 
 
 def psi36_generators(prec: int):
@@ -151,10 +172,10 @@ def spanning_family(level: int, max_pole: int, prec: int) -> list[QSeries]:
     if max_pole < 1:
         raise ValueError("max_pole must be at least 1")
     if level == 27:
-        if prec < 2:
-            raise ValueError("level 27 spans need precision >= 2")
+        _require_span_prec(level, prec)
         inner = prec + max_pole + 4
-        g, l1, l2 = _pole_generators_27(inner)
+        g = eta_quotient_expand(FORMS["g27"], inner)
+        l1, l2 = _pole_generators_27(inner)
         members = []
         chain = g
         while True:
@@ -170,8 +191,7 @@ def spanning_family(level: int, max_pole: int, prec: int) -> list[QSeries]:
                 break
             chain = mul(chain, l1)
     elif level == 36:
-        if prec < 3:
-            raise ValueError("level 36 spans need precision >= 3")
+        _require_span_prec(level, prec)
         inner = prec + max_pole + 4
         g = eta_quotient_expand(FORMS["g36"], inner)
         lv = apply_V(eta_quotient_expand(FORMS["L36"], inner), 2)
@@ -182,6 +202,47 @@ def spanning_family(level: int, max_pole: int, prec: int) -> list[QSeries]:
             chain = mul(chain, lv)
     else:
         raise ValueError(f"no spanning family at level {level}")
+    return _certified(members, prec)
+
+
+def _class_family(level: int, pole: int, prec: int) -> list[QSeries]:
+    """The members of spanning_family(level, max(pole, 1), prec) whose
+    exponents lie in the residue class of -pole (mod 3 at level 27, mod 6
+    at level 36), for level 27 or 36.
+
+    Each member lives in one class.  At level 27, g27*L1^d and g27*L1^d*L2
+    (poles 2d-1 and 2d+2) lie in the class 1+d mod 3, which is that of
+    -pole exactly when d = 2*pole + 2 mod 3.  At level 36, g36*L(2z)^d
+    (pole 2d-1) lies in 1+4d mod 6, that of -pole when d = (pole+1)/2
+    mod 3.  So the chain starts at that d and steps by the cube of L1 or
+    L(2z).  That start has the smallest pole in the class, at most pole.
+    """
+    _require_span_prec(level, prec)
+    inner = prec + max(pole, 1) + 4
+    if level == 27:
+        start = eta_quotient_expand(FORMS["g27"], inner)
+        gen, l2 = _pole_generators_27(inner)
+        d0 = (2 * pole + 2) % 3
+    else:
+        start = eta_quotient_expand(FORMS["g36"], inner)
+        gen = apply_V(eta_quotient_expand(FORMS["L36"], inner), 2)
+        d0 = (pole + 1) // 2 % 3
+    for _ in range(d0):
+        start = mul(start, gen)
+    members = _chain(start, mul(mul(gen, gen), gen), pole)
+    if level == 27:
+        members += [mul(f, l2) for f in members
+                    if -(f.order + l2.order) <= pole]
+    return _certified(members, prec)
+
+
+def _require_span_prec(level: int, prec: int):
+    low = 2 if level == 27 else 3
+    if prec < low:
+        raise ValueError(f"level {level} spans need precision >= {low}")
+
+
+def _certified(members: list[QSeries], prec: int) -> list[QSeries]:
     for f in members:
         if f.prec < prec:
             raise RuntimeError(
@@ -192,11 +253,57 @@ def spanning_family(level: int, max_pole: int, prec: int) -> list[QSeries]:
 
 
 # ---------------------------------------------------------------------------
+# normal forms in a triangular family
+
+def _triangular(family, prec: int) -> dict[int, QSeries]:
+    """The members of a triangular family truncated to prec, keyed by
+    leading exponent and scaled to leading coefficient +1.
+
+    Raises EliminationError for a leading coefficient that is not a unit and
+    RuntimeError when two members share a leading exponent.  A member with
+    no term below prec is dropped: it changes no coefficient there."""
+    rows: dict[int, QSeries] = {}
+    for f in family:
+        f = truncate(f, prec)
+        if f.is_zero:
+            continue
+        lead = coefficient(f, f.order)
+        if lead not in (1, -1):
+            raise EliminationError(f.order, lead)
+        if f.order in rows:
+            raise RuntimeError(
+                f"two family members share the leading exponent {f.order}"
+            )
+        rows[f.order] = f if lead == 1 else scale(f, -1)
+    return rows
+
+
+def _reduce(f: QSeries, rows: dict[int, QSeries]) -> QSeries:
+    """f minus the multiples of rows that clear its coefficient at every
+    leading exponent of rows, walked upwards (see the module docstring)."""
+    for e in sorted(rows):
+        c = coefficient(f, e)
+        if c:
+            f = sub(f, scale(rows[e], c))
+    return f
+
+
+def _normal_form(family, pivot: int, prec: int) -> QSeries:
+    """The row with leading exponent pivot of echelonize(family), truncated
+    to prec, computed without reducing the other rows."""
+    rows = _triangular(family, prec)
+    row = rows.pop(pivot, None)
+    if row is None:
+        raise UnconstructibleError(f"no row with leading exponent {pivot}")
+    return _reduce(row, rows)
+
+
+# ---------------------------------------------------------------------------
 # the H_m and psi_p constructions
 
 def build_H(level: int, m: int, prec: int) -> QSeries:
     """The unique weight-2 form q^-m + (zeros through q^1 at level 27,
-    through q^2 at level 36) in the echelonized span.
+    through q^2 at level 36) in the span.
 
     Level 27 admits every m >= -1 except m = 0; level 36 admits odd
     m >= -1.  Raises UnconstructibleError otherwise.
@@ -213,14 +320,19 @@ def build_H(level: int, m: int, prec: int) -> QSeries:
             )
     else:
         raise ValueError(f"no span construction at level {level}")
-    basis = echelonize(spanning_family(level, max(m, 1), prec))
-    return truncate(basis.row_with_pivot(-m), prec)
+    return _normal_form(_class_family(level, m, prec), -m, prec)
 
 
 def build_psi(level: int, p: int, prec: int) -> QSeries:
     """The weight-0 function q^-p + C_p q + O(q^4) (level 27, p = 2 mod 3)
-    or q^-p + C q + O(q^7) (level 36, p = 5 mod 6), built by echelonizing
-    pole-generator monomials within the support class of q^-p."""
+    or q^-p + C q + O(q^7) (level 36, p = 5 mod 6), to precision prec >= 1.
+
+    It is the normal form with pivot -p in the family of one in-class
+    monomial per pole order k <= p: L1*L2^b at level 27 and psi2*psi3^b,
+    b odd, at level 36, with k = 2+3b.  The module docstring shows that
+    these span every in-class monomial, so the result equals the one from
+    the full monomial family.
+    """
     if not _is_prime(p):
         raise UnconstructibleError(f"{p} is not prime")
     if level == 27:
@@ -228,60 +340,35 @@ def build_psi(level: int, p: int, prec: int) -> QSeries:
             raise UnconstructibleError(
                 f"level 27 psi needs p = 2 mod 3, got {p}"
             )
-        inner = prec + p
-        _, l1, l2 = _pole_generators_27(inner)
-        a_cls = (-p) % 3
-        monomials = _monomial_family(l1, l2, p, lambda a, b: a % 3 == a_cls)
     elif level == 36:
         if p % 6 != 5:
             raise UnconstructibleError(
                 f"level 36 psi needs p = 5 mod 6, got {p}"
             )
-        inner = prec + p + 2
-        psi2, psi3 = psi36_generators(inner)
-        monomials = _monomial_family(
-            psi2, psi3, p, lambda a, b: a % 3 == 1 and b % 2 == 1
-        )
     else:
         raise ValueError(f"no psi construction at level {level}")
-    basis = echelonize(monomials)
-    return truncate(basis.row_with_pivot(-p), prec)
+    if prec < 1:
+        raise ValueError(f"prec must be at least 1, got {prec}")
+    if level == 27:
+        first, step = _pole_generators_27(prec + p)
+    else:
+        psi2, psi3 = psi36_generators(prec + p + 2)
+        first, step = mul(psi2, psi3), mul(psi3, psi3)
+    return _normal_form(_chain(first, step, p), -p, prec)
 
 
-def _monomial_family(gen2, gen3, max_pole, in_class):
-    """Products gen2^a * gen3^b with 2a+3b <= max_pole, a+b >= 1, filtered
-    by the support-class predicate.  gen2 has a double and gen3 a triple
-    pole, so the leading pole of the (a, b) monomial is exactly 2a+3b."""
-    members = []
-    pow2: dict[int, QSeries] = {}
-    pow3: dict[int, QSeries] = {}
-
-    def _power(cache, base, k):
-        if k == 0:
-            return None
-        f = cache.get(k)
-        if f is None:
-            prev = _power(cache, base, k - 1)
-            f = base if prev is None else mul(prev, base)
-            cache[k] = f
-        return f
-
-    for b in range(0, max_pole // 3 + 1):
-        for a in range(0, (max_pole - 3 * b) // 2 + 1):
-            if a + b == 0 or not in_class(a, b):
-                continue
-            fa = _power(pow2, gen2, a)
-            fb = _power(pow3, gen3, b)
-            if fa is None:
-                f = fb
-            elif fb is None:
-                f = fa
-            else:
-                f = mul(fa, fb)
-            if f.order != -(2 * a + 3 * b):
-                raise RuntimeError(
-                    f"monomial (a, b) = ({a}, {b}) has leading exponent "
-                    f"{f.order}, not -(2a+3b) = {-(2 * a + 3 * b)}"
-                )
-            members.append(f)
+def _chain(first, step, max_pole):
+    """first * step^j for j = 0, 1, ... while the leading pole stays at most
+    max_pole.  Both factors have unit leading coefficients, so each member's
+    pole is exactly the previous one plus the pole of step, and no product
+    beyond max_pole is formed."""
+    members = [first]
+    while -(members[-1].order + step.order) <= max_pole:
+        f = mul(members[-1], step)
+        if f.order != members[-1].order + step.order:
+            raise RuntimeError(
+                f"monomial with expected leading exponent "
+                f"{members[-1].order + step.order} has {f.order}"
+            )
+        members.append(f)
     return members

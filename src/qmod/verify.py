@@ -1,6 +1,6 @@
 """Verification checks for the catalog: p-adic valuations of the companion
 form coefficients, the p-adic limit property, coefficient congruences, Hecke
-decompositions against the echelonized spans, and structural consistency
+decompositions against the span normal forms, and structural consistency
 checks.  Every check returns a CheckReport with exact integer witnesses."""
 
 from __future__ import annotations
@@ -258,6 +258,7 @@ def check_hecke_decomposition(level: int, p: int, n: int = 1,
     """G|T_2(p^n) = p^n H_(p^n) + C(p^n) g, compared coefficientwise from
     the pole through q^(prec-1)."""
     _at_least("n", n, 1)
+    _at_least("prec", prec, 2)
     _require_27_or_36("span decomposition", level, p)
     pn = p ** n
     store = _cache(cache)
@@ -329,6 +330,7 @@ def check_residue(level: int, p: int, prec: int = 30,
                   cache: FormCache | None = None) -> CheckReport:
     """The constant term of G*psi_p vanishes, and the q-coefficient of
     psi_p is -C(p)."""
+    _at_least("prec", prec, 2)
     _require_27_or_36("residue pairing", level, p)
     store = _cache(cache)
     psi = build_psi(level, p, prec)
@@ -372,6 +374,7 @@ def check_twist_consistency(prec: int = 200,
     equal the character twists of the level 32 and 36 newforms), plus the
     U-twist commutation for the level 32 companion form at the sample
     (p, m) pairs on sample_K coefficients."""
+    _at_least("prec", prec, 2)
     store = _cache(cache)
     mismatches = []
     for src, disc, dst in ((32, 8, 64), (36, 12, 144)):
@@ -419,6 +422,7 @@ def check_support(level: int, prec: int = 500,
     """Support lattices of g and G, and for level 27 the even-power
     degeneration: C(p^(2m)) = 0 and G|T_2(p^(2m)) = p^(2m) H_(p^(2m)) at
     small p^(2m)."""
+    _at_least("prec", prec, 2)
     curve(level)  # an unknown level raises ValueError here
     store = _cache(cache)
     (g_res, g_mod), (G_res, G_mod) = _SUPPORT_CLASSES[level]

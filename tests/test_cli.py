@@ -297,6 +297,19 @@ def test_check_cli_defaults_are_library_defaults(capsys, check_id):
 # ---------------------------------------------------------------------------
 # out-of-range parameters
 
+_SMALL_PREC = [
+    (["check", "residue", "--level", "27", "--p", "5", "--prec", "1"],
+     "prec must be at least 2, got 1"),
+    (["check", "hecke-decomposition", "--level", "27", "--p", "2",
+      "--prec", "0"], "prec must be at least 2, got 0"),
+    (["check", "support", "--level", "27", "--prec", "1"],
+     "prec must be at least 2, got 1"),
+    (["check", "twist", "--prec", "1"], "prec must be at least 2, got 1"),
+    (["build-psi", "--level", "27", "--p", "5", "--prec", "-3"],
+     "prec must be at least 1, got -3"),
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--curve", "27", "--K", "0"],
     ["verify", "--curve", "27", "--primes", "2", "--K", "-3"],
@@ -309,7 +322,7 @@ def test_check_cli_defaults_are_library_defaults(capsys, check_id):
     ["check", "theta-psi", "--level", "27", "--p", "2", "--m-max", "-1"],
     ["check", "hecke-decomposition", "--level", "27", "--p", "2",
      "--n", "-1"],
-], ids="_".join)
+] + [argv for argv, _ in _SMALL_PREC], ids="_".join)
 def test_out_of_range_input_is_usage_error(argv):
     proc = subprocess.run([sys.executable, "-m", "qmod", *argv],
                           capture_output=True, text=True, timeout=60)
@@ -318,6 +331,29 @@ def test_out_of_range_input_is_usage_error(argv):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("argv,message", _SMALL_PREC,
+                         ids=["_".join(a) for a, _ in _SMALL_PREC])
+def test_small_prec_error_names_the_flag(argv, message, capsys):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_smallest_valid_prec_still_runs(capsys):
+    for argv in (["check", "residue", "--level", "27", "--p", "5"],
+                 ["check", "hecke-decomposition", "--level", "27", "--p",
+                  "2"],
+                 ["check", "support", "--level", "27"],
+                 ["check", "twist"]):
+        rc, out, _ = run(capsys, *argv, "--prec", "2")
+        assert rc == 0 and out.startswith("PASS"), argv
+    rc, out, _ = run(capsys, "check", "theta-psi", "--level", "27", "--p",
+                     "5", "--prec", "1")
+    assert rc == 0 and out.startswith("PASS")
+    rc, out, _ = run(capsys, "build-psi", "--level", "27", "--p", "5",
+                     "--prec", "1")
+    assert rc == 0 and out == "-5 1\n"
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from qmod import (
     truncate,
     zero,
 )
-from qmod.qseries import _mul_dense
+import qmod.qseries
+from qmod.qseries import _SCATTER_CAP, _mul_dense
 from _oracles import ref_mul
 
 coeffs = st.integers(min_value=-50, max_value=50)
@@ -399,3 +400,63 @@ def test_div_packed_slot_width_at_its_bound(D, u):
         scalar, packed = _scalar_and_packed_div(f, g)
         assert packed == scalar, a
         assert abs(scalar.coefficient(11 * D)) == (2 ** a - 2) * (2 ** 12 - 1)
+
+
+# ---------------------------------------------------------------------------
+# the scatter / packed dispatch of mul
+
+@st.composite
+def near_crossover_pair(draw):
+    """Two series whose pairwise-product count lies within a few terms of
+    _SCATTER_CAP on either side.  Each is dense on a stride-1..3 lattice or
+    lacunary, with gaps of up to 200 lattice steps between its terms."""
+    nf = draw(st.integers(min_value=1, max_value=64))
+    ng = max(1, _SCATTER_CAP // nf + draw(st.integers(min_value=-1,
+                                                      max_value=2)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    out = []
+    for n in (nf, ng):
+        stride = draw(st.integers(min_value=1, max_value=3))
+        gap = draw(st.sampled_from([1, 1, 4, 200]))
+        lo = draw(st.integers(min_value=-20, max_value=5))
+        ks = sorted(rng.sample(range(n * gap), n))
+        cs = [rng.choice([-1, 1]) * rng.randrange(1, 2 ** 70) for _ in ks]
+        prec = lo + stride * ks[-1] + 1 + draw(st.integers(min_value=0,
+                                                           max_value=50))
+        out.append(QSeries({lo + stride * k: c for k, c in zip(ks, cs)},
+                           prec))
+    return out
+
+
+@given(near_crossover_pair())
+def test_mul_matches_oracle_near_the_crossover(pair):
+    f, g = pair
+    assert mul(f, g) == ref_mul(f, g)
+    assert mul(g, f) == ref_mul(f, g)
+
+
+def test_mul_dispatch_reads_only_input_sizes(monkeypatch):
+    packed = []
+    real = qmod.qseries._mul_dense
+
+    def counting(f, g, P, L=None):
+        packed.append(len(f.items()) * len(g.items()))
+        return real(f, g, P, L)
+
+    monkeypatch.setattr(qmod.qseries, "_mul_dense", counting)
+    n = _SCATTER_CAP // 32
+    dense = QSeries({-2 + 3 * k: k + 1 for k in range(32)}, 96)
+    at_cap = QSeries({1 + 3 * k: k - 99 for k in range(n)}, 3 * n + 1)
+    above = QSeries({1 + 3 * k: k - 99 for k in range(n + 1)}, 3 * n + 4)
+    # a lacunary factor, 40 terms spread over 40,000 exponents, times a
+    # polynomial known to the same precision: 1,280 pairs but about 40,000
+    # output slots, so the product stays on the scatter path
+    wide = QSeries({k * k * 25: (-1) ** k for k in range(40)}, 40_000)
+    poly = QSeries({k: k + 1 for k in range(32)}, 40_000)
+    assert 32 * 40 > _SCATTER_CAP
+    for f, g, expect in ((dense, at_cap, []),
+                         (dense, above, [32 * (n + 1)]),
+                         (poly, wide, [])):
+        packed.clear()
+        assert mul(f, g) == ref_mul(f, g)
+        assert packed == expect

@@ -14,9 +14,16 @@ from qmod import (
     first_difference,
     mul,
     spanning_family,
+    sub,
     truncate,
 )
-from qmod.spans import psi36_generators
+from qmod.spans import (
+    _chain,
+    _normal_form,
+    _reduce,
+    _triangular,
+    psi36_generators,
+)
 
 
 def test_echelonize_two_by_two():
@@ -238,3 +245,113 @@ def test_build_psi_rejects_bad_parameters():
         build_psi(36, 7, 5)   # 7 = 1 mod 6
     with pytest.raises(ValueError):
         build_psi(64, 3, 5)
+
+
+# ---------------------------------------------------------------------------
+# the one-row reductions against full echelonization
+
+_PRIMES_101 = [p for p in range(2, 102)
+               if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+
+
+def _H_poles(level):
+    poles = [-1] + list(range(1, 31)) + [121, 289]
+    if level == 27:
+        return poles
+    return [m for m in poles if m % 2]
+
+
+@pytest.mark.parametrize("level,m", [(level, m) for level in (27, 36)
+                                     for m in _H_poles(level)])
+def test_build_H_matches_full_echelonization(level, m):
+    for prec in ((2 if level == 27 else 3), 30, 60):
+        basis = echelonize(spanning_family(level, max(m, 1), prec))
+        oracle = truncate(basis.row_with_pivot(-m), prec)
+        assert build_H(level, m, prec) == oracle, (level, m, prec)
+
+
+def _full_monomial_family(level, p, prec):
+    """Every in-class monomial gen2^a gen3^b with 0 < 2a+3b <= p, with the
+    generators at the precision build_psi uses."""
+    if level == 27:
+        gen2 = catalog_form("L1", prec + p)
+        gen3 = catalog_form("L2", prec + p)
+    else:
+        gen2, gen3 = psi36_generators(prec + p + 2)
+
+    def in_class(a, b):
+        if level == 27:
+            return a % 3 == (-p) % 3
+        return a % 3 == 1 and b % 2 == 1
+
+    pow2, pow3 = [None, gen2], [None, gen3]
+    while len(pow2) <= p // 2:
+        pow2.append(mul(pow2[-1], gen2))
+    while len(pow3) <= p // 3:
+        pow3.append(mul(pow3[-1], gen3))
+    family = []
+    for b in range(p // 3 + 1):
+        for a in range((p - 3 * b) // 2 + 1):
+            if a + b and in_class(a, b):
+                fa, fb = pow2[a], pow3[b]
+                f = fb if a == 0 else fa if b == 0 else mul(fa, fb)
+                assert f.order == -(2 * a + 3 * b)
+                family.append(f)
+    return family
+
+
+@pytest.mark.parametrize("level,p", [(27, p) for p in _PRIMES_101
+                                     if p % 3 == 2]
+                         + [(36, p) for p in _PRIMES_101 if p % 6 == 5])
+def test_build_psi_matches_full_monomial_family(level, p):
+    for prec in (1, 30, 60):
+        basis = echelonize(_full_monomial_family(level, p, prec))
+        oracle = truncate(basis.row_with_pivot(-p), prec)
+        assert build_psi(level, p, prec) == oracle, (level, p, prec)
+
+
+def test_dropped_same_pole_monomial_reduces_to_zero():
+    # L1^4 and L1*L2^2 share the pole 8 at level 27; psi2^4*psi3 and
+    # psi2*psi3^3 share the pole 11 at level 36.  Each difference reduces
+    # to zero against the kept monomials, one per pole order.
+    prec = 20
+    l1 = catalog_form("L1", prec + 40)
+    l2 = catalog_form("L2", prec + 40)
+    psi2, psi3 = psi36_generators(prec + 40)
+    cases = [
+        (_chain(l1, l2, 14), mul(mul(l1, l1), mul(l1, l1)), -8),
+        (_chain(mul(psi2, psi3), mul(psi3, psi3), 17),
+         mul(mul(mul(psi2, psi2), mul(psi2, psi2)), psi3), -11),
+    ]
+    for kept, dropped, pivot in cases:
+        rows = _triangular(kept, prec)
+        diff = sub(truncate(dropped, prec), rows[pivot])
+        assert diff.order > pivot
+        assert not diff.is_zero
+        assert _reduce(diff, rows).is_zero
+        assert _reduce(diff, rows).prec == prec
+
+
+def test_build_psi_rejects_precision_below_one():
+    for prec in (0, -3):
+        with pytest.raises(ValueError, match="prec must be at least 1"):
+            build_psi(27, 5, prec)
+
+
+def test_normal_form_of_a_small_triangular_family():
+    fam = [QSeries({-3: 1, -1: 2, 0: 5, 2: 1}, 6),
+           QSeries({-1: -1, 0: 3, 4: 2}, 6),
+           QSeries({0: 1, 1: -4, 5: 1}, 7),
+           QSeries({2: 1, 3: 3}, 6)]
+    basis = echelonize(fam)
+    for pivot in (-3, -1, 0, 2):
+        assert _normal_form(fam, pivot, 6) == basis.row_with_pivot(pivot)
+        assert (_normal_form(fam, pivot, 3)
+                == truncate(basis.row_with_pivot(pivot), 3))
+    with pytest.raises(UnconstructibleError):
+        _normal_form(fam, 1, 6)
+    with pytest.raises(EliminationError) as exc:
+        _normal_form(fam + [QSeries({1: 2}, 6)], 0, 6)
+    assert (exc.value.exponent, exc.value.coeff) == (1, 2)
+    with pytest.raises(RuntimeError, match="share the leading exponent"):
+        _normal_form(fam + [QSeries({2: 1}, 6)], 0, 6)
