@@ -9,6 +9,7 @@ arguments: no timestamps, fixed key order, canonical report ordering."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -304,7 +305,11 @@ def _io_flags(sp):
     sp.add_argument("--out", default=None, metavar="FILE")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The qmod argument parser, built on the first call and then reused:
+    it is fixed data, and parse_args returns a new namespace every time
+    without changing the parser."""
     p = argparse.ArgumentParser(
         prog="qmod",
         description="Exact q-series catalog and p-adic verification harness",

@@ -239,7 +239,8 @@ def _class_family(level: int, pole: int, prec: int) -> list[QSeries]:
 def _require_span_prec(level: int, prec: int):
     low = 2 if level == 27 else 3
     if prec < low:
-        raise ValueError(f"level {level} spans need precision >= {low}")
+        raise ValueError(
+            f"prec must be at least {low} at level {level}, got {prec}")
 
 
 def _certified(members: list[QSeries], prec: int) -> list[QSeries]:

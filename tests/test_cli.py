@@ -1,15 +1,21 @@
 """End-to-end tests of the command line front end, driven through main()
 with captured output, plus one real subprocess smoke test."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, reject, strategies as st
 
+import qmod.eta
 import qmod.verify
 from qmod import cli
 from qmod.cli import DEFAULT_PREC_CEILING, main, run_grid
+from qmod.eta import CURVES, FORMS
 from qmod.spans import build_H
 from qmod.verify import (
     FormCache,
@@ -307,6 +313,10 @@ _SMALL_PREC = [
     (["check", "twist", "--prec", "1"], "prec must be at least 2, got 1"),
     (["build-psi", "--level", "27", "--p", "5", "--prec", "-3"],
      "prec must be at least 1, got -3"),
+    (["check", "hecke-decomposition", "--level", "36", "--p", "5",
+      "--prec", "2"], "prec must be at least 3 at level 36, got 2"),
+    (["expand", "--form", "H1@36", "--prec", "2"],
+     "prec must be at least 3 at level 36, got 2"),
 ]
 
 
@@ -354,6 +364,144 @@ def test_smallest_valid_prec_still_runs(capsys):
     rc, out, _ = run(capsys, "build-psi", "--level", "27", "--p", "5",
                      "--prec", "1")
     assert rc == 0 and out == "-5 1\n"
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+def _outcome(argv, out_file=None):
+    """main(argv) as (exit code, stdout, stderr, --out file text or None);
+    an argparse exit counts by its SystemExit code."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        try:
+            rc = main(list(argv))
+        except SystemExit as exc:
+            rc = exc.code
+    written = None
+    if out_file is not None and out_file.exists():
+        written = out_file.read_text()
+        out_file.unlink()
+    return rc, stdout.getvalue(), stderr.getvalue(), written
+
+
+def test_reused_parser_matches_a_fresh_parser(tmp_path, monkeypatch):
+    report = tmp_path / "report.json"
+    sequence = [
+        ["check", "hecke-decomposition", "--level", "27", "--p", "2",
+         "--prec", "12"],
+        # --prec left out: back to the library default 30
+        ["check", "hecke-decomposition", "--level", "27", "--p", "2"],
+        # rejected by main; a namespace kept from this call would carry
+        # p = 9 into the expand below
+        ["check", "residue", "--level", "27", "--p", "9"],
+        ["expand", "--form", "g27", "--prec", "5"],
+        ["check", "frobnicate"],                  # argparse usage error
+        ["check", "congruence", "--level", "27", "--p", "2", "--m", "1"],
+        ["check", "--help"],
+        ["verify", "--curve", "27", "--primes", "2", "--m-max", "0",
+         "--format", "json", "--out", str(report)],
+        ["verify", "--curve", "27", "--primes", "2", "--m-max", "0"],
+    ]
+    parser = cli._build_parser()
+    reused = [_outcome(argv, report) for argv in sequence]
+    assert cli._build_parser() is parser
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [_outcome(argv, report) for argv in sequence]
+    for argv, got, want in zip(sequence, reused, fresh):
+        assert got == want, argv
+    # the sequence reaches every kind of ending
+    assert [r[0] for r in fresh] == [0, 0, 2, 0, 2, 0, 0, 0, 0]
+    assert "prec=12" in fresh[0][1] and "prec=30" in fresh[1][1]
+    assert fresh[6][1].startswith("usage: qmod check")
+    assert fresh[7][1] == "" and json.loads(fresh[7][3])["summary"]
+
+
+_FUZZ_LEVELS = sorted(CURVES) + [0, 99]
+_FUZZ_TERMS = 3 * 10 ** 4
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """A check, expand, build-psi or small verify command line; each flag
+    is given or left out."""
+    def flag(name, values):
+        value = draw(st.none() | values)
+        return [] if value is None else [name, str(value)]
+
+    levels = st.sampled_from(_FUZZ_LEVELS)
+    ps = st.integers(-3, 30)
+    small = st.integers(-1, 2)
+    precs = st.integers(-2, 60)
+    command = draw(st.sampled_from(["check", "expand", "build-psi",
+                                    "verify"]))
+    if command == "check":
+        argv = ["check", draw(st.sampled_from(sorted(cli._CHECKS)))]
+        for name, values in (("--level", levels), ("--p", ps),
+                             ("--m", small), ("--n", small),
+                             ("--m-max", small), ("--K", precs),
+                             ("--prec", precs)):
+            argv += flag(name, values)
+    elif command == "expand":
+        span = f"H{draw(small)}@{draw(levels)}"
+        argv = ["expand", "--form",
+                draw(st.sampled_from(sorted(FORMS) + [span]))]
+        argv += flag("--prec", precs)
+    elif command == "build-psi":
+        argv = ["build-psi", *flag("--level", levels), *flag("--p", ps),
+                *flag("--prec", precs)]
+    else:
+        primes = draw(st.lists(ps, min_size=1, max_size=2))
+        argv = ["verify", "--primes", ",".join(map(str, primes)),
+                "--m-max", str(draw(small)), *flag("--curve", levels),
+                *flag("--K", precs)]
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    return argv
+
+
+class _Oversized(Exception):
+    """An expansion longer than the fuzz test's term budget."""
+
+
+@contextlib.contextmanager
+def _expansion_budget(terms):
+    """Make every eta-quotient expansion longer than terms raise _Oversized
+    before it starts.  All catalog forms, spans and checks expand through
+    eta_quotient_expand, so this bounds the size of any call as it runs,
+    without a model of each check's precision."""
+    real = qmod.eta.eta_quotient_expand
+
+    def bounded(eq, prec):
+        if prec > terms:
+            raise _Oversized(prec)
+        return real(eq, prec)
+
+    with contextlib.ExitStack() as stack:
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "qmod"
+                    and getattr(module, "eta_quotient_expand", None) is real):
+                stack.enter_context(mock.patch.object(
+                    module, "eta_quotient_expand", bounded))
+        yield
+
+
+@given(_fuzz_argv())
+def test_cli_fuzz_ends_in_an_exit_code(argv):
+    """Any exception but SystemExit fails the test; argparse's own usage
+    errors print a usage line before their error line.  Calls that would
+    expand more than _FUZZ_TERMS terms are discarded when they try to."""
+    try:
+        with _expansion_budget(_FUZZ_TERMS):
+            rc, out, err, _ = _outcome(argv)
+    except _Oversized:
+        reject()
+    assert rc in (0, 1, 2), (argv, rc)
+    if rc == 2 and not err.startswith("usage:"):
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert out == ""
 
 
 # ---------------------------------------------------------------------------
