@@ -1,6 +1,5 @@
-"""Command line front end: expand catalog forms and span elements, build
-psi forms, run single identity checks, or run the valuation/limit
-verification grid.
+"""Command line front end: expand catalog forms and span elements, run
+single identity checks, or run the valuation/limit verification grid.
 
 Exit codes: 0 all requested checks passed, 1 at least one check failed,
 2 bad usage or invalid parameters.  Output is deterministic for fixed
@@ -41,9 +40,12 @@ from .verify import (
 
 __all__ = ["run_grid", "main", "main_entry", "DEFAULT_PREC_CEILING"]
 
-_H_FORM = re.compile(r"^H(-?\d+)@(\d+)$")
+_SPAN_FORM = re.compile(r"^(H|psi)(-?\d+)@(\d+)$")
 
 DEFAULT_PREC_CEILING = 10 ** 6
+
+# Every flag of the check subcommand, in --help order.
+_CHECK_FLAGS = ("level", "p", "m", "n", "K", "prec", "m_max")
 
 # check id -> (check function in this module, required flags, optional
 # flags).  Flags are passed on by name only when given, so every default
@@ -203,13 +205,15 @@ def _skip_line(s: dict) -> str:
 # subcommands
 
 def _resolve_form(name: str, prec: int) -> QSeries:
-    mo = _H_FORM.match(name)
+    mo = _SPAN_FORM.match(name)
     if mo:
-        return build_H(int(mo.group(2)), int(mo.group(1)), prec)
+        build = build_H if mo.group(1) == "H" else build_psi
+        return build(int(mo.group(3)), int(mo.group(2)), prec)
     if name not in FORMS:
         raise ValueError(
             f"unknown form {name!r}; catalog forms are "
-            + ", ".join(sorted(FORMS)) + ", plus span elements H<m>@<level>")
+            + ", ".join(sorted(FORMS))
+            + ", plus span elements H<m>@<level> and psi<p>@<level>")
     return DEFAULT_CACHE.series(name, prec)
 
 
@@ -222,13 +226,6 @@ def _given(args, names) -> dict:
 def cmd_expand(args) -> int:
     f = _resolve_form(args.form, args.prec)
     _emit(_series_text(args.form, f, args.format), args.out)
-    return 0
-
-
-def cmd_build_psi(args) -> int:
-    f = build_psi(args.level, args.p, args.prec)
-    _emit(_series_text(f"psi{args.p}@{args.level}", f, args.format),
-          args.out)
     return 0
 
 
@@ -269,7 +266,12 @@ def cmd_check(args) -> int:
     for flag in required:
         if getattr(args, flag) is None:
             raise ValueError(f"check {args.check_id!r} requires --{flag}")
-    r = globals()[name](**_given(args, required + optional))
+    taken = required + optional
+    for flag in _given(args, _CHECK_FLAGS):
+        if flag not in taken:
+            raise ValueError(f"check {args.check_id!r} does not take "
+                             f"--{flag.replace('_', '-')}")
+    r = globals()[name](**_given(args, taken))
     if args.format == "json":
         _emit(json.dumps(r.to_json_dict(), indent=2, sort_keys=True),
               args.out)
@@ -280,7 +282,6 @@ def cmd_check(args) -> int:
 
 _DISPATCH = {
     "expand": cmd_expand,
-    "build-psi": cmd_build_psi,
     "verify": cmd_verify,
     "check": cmd_check,
 }
@@ -319,17 +320,10 @@ def _build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser(
         "expand",
         help="print a catalog form's q-expansion (names like g27, G36, L1, "
-             "or span elements like H2@27)")
+             "or span elements like H2@27 and psi5@27)")
     e.add_argument("--form", required=True)
     e.add_argument("--prec", type=int, default=50)
     _io_flags(e)
-
-    ps = sub.add_parser("build-psi",
-                        help="build the weight-0 form psi_p for a level")
-    ps.add_argument("--level", type=int, required=True)
-    ps.add_argument("--p", type=int, required=True)
-    ps.add_argument("--prec", type=int, default=30)
-    _io_flags(ps)
 
     v = sub.add_parser("verify",
                        help="run the valuation and limit checks over a grid")
@@ -347,9 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check", help="run a single identity check")
     c.add_argument("check_id", choices=_CHECKS)
-    for flag in ("--level", "--p", "--m", "--n", "--K", "--prec"):
-        c.add_argument(flag, type=int)
-    c.add_argument("--m-max", type=int, dest="m_max")
+    for flag in _CHECK_FLAGS:
+        c.add_argument("--" + flag.replace("_", "-"), type=int, dest=flag)
     _io_flags(c)
 
     return p

@@ -147,36 +147,6 @@ class QSeries:
 
     __hash__ = None
 
-    def __add__(self, other):
-        if isinstance(other, QSeries):
-            return add(self, other)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, QSeries):
-            return sub(self, other)
-        return NotImplemented
-
-    def __neg__(self):
-        return scale(self, -1)
-
-    def __mul__(self, other):
-        if isinstance(other, QSeries):
-            return mul(self, other)
-        if isinstance(other, int):
-            return scale(self, other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return scale(self, other)
-        return NotImplemented
-
-    def __pow__(self, k):
-        if isinstance(k, int):
-            return power(self, k)
-        return NotImplemented
-
     def __str__(self):
         if not self._c:
             return f"O(q^{self.prec})"

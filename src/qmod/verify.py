@@ -134,15 +134,13 @@ def _cache(cache) -> FormCache:
 def prime_eligibility(level: int, p: int) -> tuple[bool, str]:
     """Whether the checks run at (level, p), with a reason when they do not.
 
-    Levels 27, 32 and 64 admit every inert prime not dividing the level;
-    levels 36 and 144 additionally require p >= 5."""
+    A prime is eligible when it is inert in the CM field and does not
+    divide the level."""
     spec = curve(level)
     if not is_inert(p, spec.cm_disc):
         return False, f"{p} is not inert in the CM field (disc {spec.cm_disc})"
     if level % p == 0:
         return False, f"{p} divides the level {level}"
-    if level in (36, 144) and p < 5:
-        return False, f"levels 36 and 144 admit only inert p >= 5, got {p}"
     return True, ""
 
 
@@ -370,17 +368,22 @@ def check_twist_consistency(prec: int = 200,
                             samples: tuple = ((3, 0), (7, 0)),
                             sample_K: int = 50,
                             cache: FormCache | None = None) -> CheckReport:
-    """The two newform twist identities (the level 64 and 144 eta products
-    equal the character twists of the level 32 and 36 newforms), plus the
-    U-twist commutation for the level 32 companion form at the sample
-    (p, m) pairs on sample_K coefficients."""
+    """The newform twist identities, one per Twist recipe in FORMS (the
+    level 64 and 144 eta products equal the character twists of the level
+    32 and 36 newforms), plus the U-twist commutation for the level 32
+    companion form at the sample (p, m) pairs on sample_K coefficients."""
     _at_least("prec", prec, 2)
     store = _cache(cache)
     mismatches = []
-    for src, disc, dst in ((32, 8, 64), (36, 12, 144)):
-        direct = eta_quotient_expand(FORMS[f"g{dst}"], prec)
-        twisted = twist(store.series(f"g{src}", prec), disc)
+    compared = []
+    for recipe in FORMS.values():
+        if not isinstance(recipe, Twist):
+            continue
+        dst, src = f"g{recipe.level}", f"g{FORMS[recipe.base].level}"
+        direct = eta_quotient_expand(FORMS[dst], prec)
+        twisted = twist(store.series(src, prec), recipe.disc)
         mismatches.append(first_difference(direct, twisted))
+        compared.append(f"{dst} vs {src} twisted by ({recipe.disc}|.)")
     commute = []
     if samples:
         # one expansion of G32 at the largest precision requested below
@@ -400,11 +403,8 @@ def check_twist_consistency(prec: int = 200,
         passed=ok,
         expected=[None] * (len(mismatches) + len(commute)),
         actual=mismatches + commute,
-        notes=(
-            "first differing exponents: g64 vs g32 twisted by (8|.), "
-            "g144 vs g36 twisted by (12|.), then U-twist commutation on "
-            "G32 at each sample"
-        ),
+        notes=("first differing exponents: " + ", ".join(compared)
+               + ", then U-twist commutation on G32 at each sample"),
     )
 
 

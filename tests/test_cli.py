@@ -11,12 +11,13 @@ from unittest import mock
 import pytest
 from hypothesis import given, reject, strategies as st
 
+import qmod
 import qmod.eta
 import qmod.verify
-from qmod import cli
+from qmod import cli, eta, operators, qseries, spans, verify
 from qmod.cli import DEFAULT_PREC_CEILING, main, run_grid
 from qmod.eta import CURVES, FORMS
-from qmod.spans import build_H
+from qmod.spans import build_H, build_psi
 from qmod.verify import (
     FormCache,
     check_congruence,
@@ -43,7 +44,7 @@ def run(capsys, *argv):
 
 
 # ---------------------------------------------------------------------------
-# expand / build-psi
+# expand
 
 def test_expand_table_examples(capsys):
     rc, out, err = run(capsys, "expand", "--form", "G27", "--prec", "3")
@@ -88,7 +89,7 @@ def test_expand_unknown_form_is_usage_error(capsys):
     rc, out, err = run(capsys, "expand", "--form", "nope", "--prec", "5")
     assert rc == 2 and out == ""
     assert err.startswith("error:")
-    assert "g27" in err and "H<m>@<level>" in err
+    assert "g27" in err and "H<m>@<level>" in err and "psi<p>@<level>" in err
 
 
 def test_expand_requires_form_flag(capsys):
@@ -98,11 +99,10 @@ def test_expand_requires_form_flag(capsys):
 
 
 def test_build_psi_table_and_json(capsys):
-    rc, out, _ = run(capsys, "build-psi", "--level", "27", "--p", "2",
-                     "--prec", "6")
+    rc, out, _ = run(capsys, "expand", "--form", "psi2@27", "--prec", "6")
     assert rc == 0 and out == "-2 1\n1 1\n4 2\n"
-    rc, out, _ = run(capsys, "build-psi", "--level", "36", "--p", "5",
-                     "--prec", "4", "--format", "json")
+    rc, out, _ = run(capsys, "expand", "--form", "psi5@36", "--prec", "4",
+                     "--format", "json")
     assert rc == 0
     payload = json.loads(out)
     assert payload["form"] == "psi5@36"
@@ -111,8 +111,32 @@ def test_build_psi_table_and_json(capsys):
 
 
 def test_build_psi_rejects_composite_p(capsys):
-    rc, _, err = run(capsys, "build-psi", "--level", "27", "--p", "9")
-    assert rc == 2 and "must be prime" in err
+    rc, out, err = run(capsys, "expand", "--form", "psi9@27")
+    assert (rc, out, err) == (2, "", "error: 9 is not prime\n")
+
+
+@pytest.mark.parametrize("level,p", [(27, 2), (27, 5), (27, 11), (36, 5),
+                                     (36, 11)])
+@pytest.mark.parametrize("prec", [1, 6, 30])
+def test_expand_psi_matches_library(capsys, level, p, prec):
+    psi = build_psi(level, p, prec)
+    rc, out, _ = run(capsys, "expand", "--form", f"psi{p}@{level}",
+                     "--prec", str(prec))
+    assert rc == 0
+    assert out == "".join(f"{e} {c}\n" for e, c in psi.items())
+    rc, out, _ = run(capsys, "expand", "--form", f"psi{p}@{level}",
+                     "--prec", str(prec), "--format", "json")
+    assert rc == 0
+    assert json.loads(out) == {
+        "form": f"psi{p}@{level}", "prec": prec,
+        "coeffs": [[e, str(c)] for e, c in psi.items()]}
+
+
+def test_build_psi_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["build-psi", "--level", "27", "--p", "5"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'build-psi'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +268,19 @@ def test_check_requires_level_and_p(capsys):
     assert rc == 2 and "requires --p" in err
 
 
+def test_check_rejects_flags_its_id_does_not_take(capsys):
+    rc, out, err = run(capsys, "check", "congruence", "--level", "27",
+                       "--p", "2", "--prec", "5", "--K", "3", "--n", "2")
+    assert (rc, out, err) == (
+        2, "", "error: check 'congruence' does not take --n\n")
+    rc, out, err = run(capsys, "check", "twist", "--level", "99", "--p", "5")
+    assert (rc, out, err) == (
+        2, "", "error: check 'twist' does not take --level\n")
+    rc, _, err = run(capsys, "check", "residue", "--level", "27", "--p", "5",
+                     "--m-max", "0")
+    assert err == "error: check 'residue' does not take --m-max\n"
+
+
 def test_check_unknown_id_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "frobnicate"])
@@ -311,7 +348,7 @@ _SMALL_PREC = [
     (["check", "support", "--level", "27", "--prec", "1"],
      "prec must be at least 2, got 1"),
     (["check", "twist", "--prec", "1"], "prec must be at least 2, got 1"),
-    (["build-psi", "--level", "27", "--p", "5", "--prec", "-3"],
+    (["expand", "--form", "psi5@27", "--prec", "-3"],
      "prec must be at least 1, got -3"),
     (["check", "hecke-decomposition", "--level", "36", "--p", "5",
       "--prec", "2"], "prec must be at least 3 at level 36, got 2"),
@@ -332,6 +369,9 @@ _SMALL_PREC = [
     ["check", "theta-psi", "--level", "27", "--p", "2", "--m-max", "-1"],
     ["check", "hecke-decomposition", "--level", "27", "--p", "2",
      "--n", "-1"],
+    ["check", "congruence", "--level", "27", "--p", "2", "--prec", "5",
+     "--K", "3", "--n", "2"],
+    ["check", "twist", "--level", "99", "--p", "5"],
 ] + [argv for argv, _ in _SMALL_PREC], ids="_".join)
 def test_out_of_range_input_is_usage_error(argv):
     proc = subprocess.run([sys.executable, "-m", "qmod", *argv],
@@ -361,8 +401,7 @@ def test_smallest_valid_prec_still_runs(capsys):
     rc, out, _ = run(capsys, "check", "theta-psi", "--level", "27", "--p",
                      "5", "--prec", "1")
     assert rc == 0 and out.startswith("PASS")
-    rc, out, _ = run(capsys, "build-psi", "--level", "27", "--p", "5",
-                     "--prec", "1")
+    rc, out, _ = run(capsys, "expand", "--form", "psi5@27", "--prec", "1")
     assert rc == 0 and out == "-5 1\n"
 
 
@@ -424,8 +463,8 @@ _FUZZ_TERMS = 3 * 10 ** 4
 
 @st.composite
 def _fuzz_argv(draw):
-    """A check, expand, build-psi or small verify command line; each flag
-    is given or left out."""
+    """A check, expand or small verify command line; each flag is given or
+    left out."""
     def flag(name, values):
         value = draw(st.none() | values)
         return [] if value is None else [name, str(value)]
@@ -434,8 +473,7 @@ def _fuzz_argv(draw):
     ps = st.integers(-3, 30)
     small = st.integers(-1, 2)
     precs = st.integers(-2, 60)
-    command = draw(st.sampled_from(["check", "expand", "build-psi",
-                                    "verify"]))
+    command = draw(st.sampled_from(["check", "expand", "verify"]))
     if command == "check":
         argv = ["check", draw(st.sampled_from(sorted(cli._CHECKS)))]
         for name, values in (("--level", levels), ("--p", ps),
@@ -444,13 +482,11 @@ def _fuzz_argv(draw):
                              ("--prec", precs)):
             argv += flag(name, values)
     elif command == "expand":
-        span = f"H{draw(small)}@{draw(levels)}"
+        H = f"H{draw(small)}@{draw(levels)}"
+        psi = f"psi{draw(ps)}@{draw(levels)}"
         argv = ["expand", "--form",
-                draw(st.sampled_from(sorted(FORMS) + [span]))]
+                draw(st.sampled_from(sorted(FORMS) + [H, psi]))]
         argv += flag("--prec", precs)
-    elif command == "build-psi":
-        argv = ["build-psi", *flag("--level", levels), *flag("--p", ps),
-                *flag("--prec", precs)]
     else:
         primes = draw(st.lists(ps, min_size=1, max_size=2))
         argv = ["verify", "--primes", ",".join(map(str, primes)),
@@ -557,6 +593,16 @@ def test_run_grid_expands_each_form_once(monkeypatch):
 
 def test_default_ceiling_constant():
     assert DEFAULT_PREC_CEILING == 10 ** 6
+
+
+def test_package_reexports_each_module_all():
+    modules = (qseries, operators, eta, spans, verify, cli)
+    assert qmod.__all__ == [name for module in modules
+                            for name in module.__all__] + ["__version__"]
+    assert len(set(qmod.__all__)) == len(qmod.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(qmod, name) is getattr(module, name), name
 
 
 # ---------------------------------------------------------------------------

@@ -103,8 +103,12 @@ def test_prime_eligibility_examples():
     assert not ok
     ok, reason = prime_eligibility(36, 2)
     assert not ok and "divides the level 36" in reason
-    ok, reason = prime_eligibility(36, 3)
-    assert not ok                                  # 3 divides 36 and splits
+    ok, reason = prime_eligibility(36, 3)          # 3 is ramified
+    assert not ok and "not inert" in reason
+    ok, reason = prime_eligibility(144, 2)
+    assert not ok and "divides the level 144" in reason
+    ok, reason = prime_eligibility(144, 3)
+    assert not ok and "not inert" in reason
     assert prime_eligibility(144, 5) == (True, "")
     assert prime_eligibility(32, 3) == (True, "")
     ok, reason = prime_eligibility(64, 2)
