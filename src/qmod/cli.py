@@ -348,8 +348,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _attach_primes(argv: list) -> list:
+    """argv with each `--primes V` whose V starts with -<digit> written as
+    `--primes=V`: argparse takes a value like -1,5, which is not a plain
+    negative number, for an option string and fails before --primes is
+    checked."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--primes" and re.match(r"-\d", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_attach_primes(argv))
     try:
         p = getattr(args, "p", None)
         if p is not None and not _is_prime(p):

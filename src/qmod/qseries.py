@@ -12,16 +12,21 @@ coefficient beyond it.  For the zero series (no stored entries) the leading
 exponent is reported as P itself, which acts as an order sentinel in the
 precision rules below.
 
-The two hot kernels, the dense product and division, pack many coefficients
-into one Python integer (Kronecker substitution): a list v_0, ..., v_{n-1}
-becomes sum_k v_k 2^(kW) with W = 8B bits per slot.  A slot value v with
+The hot kernels, the dense product, division and the eta-quotient
+product-quotient, pack many coefficients into one Python integer
+(Kronecker substitution): a list v_0, ..., v_{n-1} becomes
+sum_k v_k 2^(kW) with W = 8B bits per slot.  A slot value v with
 |v| < 2^(W-1) is stored as v + 2^(W-1), a B-byte unsigned field, so the
 conversion runs through int.to_bytes/int.from_bytes; subtracting the same
 offset in every slot gives back a signed-digit integer on which big-int
-addition, shifts and small multiples act slotwise.  The digits of such an
-integer are recovered exactly when every slot of the result again lies in
+addition, shifts and small multiples act slotwise.  Widening the slots
+is a strided copy of those bytes.  The digits of such an integer are
+recovered exactly when every slot of the result again lies in
 (-2^(W-1), 2^(W-1)), so each caller derives W from a proven bound on the
 coefficients it will unpack and never from a guess that is checked later.
+Two helpers carry the arithmetic of every kernel: _shift_add multiplies a
+packed integer by a lacunary series, and _solve_rows runs the division
+recurrence on whole packed rows.
 """
 
 from __future__ import annotations
@@ -297,6 +302,117 @@ def _from_slots(buf: bytes, B: int, n: int) -> list[int]:
     return [fb(buf[i:i + B], "little") - half for i in range(0, n * B, B)]
 
 
+def _pack(values, B: int) -> int:
+    """sum_k values[k] 2^(8Bk) as a signed-digit integer."""
+    return (int.from_bytes(_to_slots(values, B), "little")
+            - _slot_offset(len(values), B))
+
+
+def _shift_add(packed: int, terms, W: int) -> int:
+    """sum c * packed << i*W over the terms (i, c): the packed product by
+    sum c q^i.  A term with c = +-1 adds or subtracts without a multiply."""
+    acc = 0
+    for i, c in terms:
+        if c == 1:
+            acc += packed << i * W
+        elif c == -1:
+            acc -= packed << i * W
+        else:
+            acc += c * packed << i * W
+    return acc
+
+
+# Bytes of widened or unpacked slots that _respace and _unpack hold at once.
+_CHUNK = 1 << 20
+
+
+def _respace(packed: int, n: int, B: int, D: int, Bw: int) -> list[int]:
+    """The n slots of B bytes of a packed signed integer as rows of D slots
+    of Bw >= B bytes, the last row padded with zero slots.
+
+    The offset slots (v + 2^(8B-1)) go to bytes once.  A chunk of rows at a
+    time, byte j of every narrow slot is copied to byte j of its wide slot
+    by one strided slice assignment, so the copying is one step per slot
+    byte and no big-int work runs per slot; each wide row then sheds the
+    narrow offset of its D slots.
+    """
+    N = _ceil_div(n, D)
+    narrow = memoryview((packed + _slot_offset(N * D, B)).to_bytes(
+        N * D * B, "little"))
+    row_off = int.from_bytes(
+        ((1 << (8 * B - 1)).to_bytes(B, "little") + bytes(Bw - B)) * D,
+        "little")
+    R = D * Bw
+    step = max(1, _CHUNK // R)
+    rows = []
+    for a in range(0, N, step):
+        m = min(step, N - a) * D
+        src = narrow[a * D * B:a * D * B + m * B]
+        wide = bytearray(m * Bw)
+        for j in range(B):
+            wide[j::Bw] = src[j::B]
+        view = memoryview(wide)
+        rows += [int.from_bytes(view[i:i + R], "little") - row_off
+                 for i in range(0, m * Bw, R)]
+    return rows
+
+
+def _solve_rows(rows: list, steps, u: int) -> None:
+    """Forward substitution in place: for t = 0, 1, ... in turn, rows[t]
+    becomes u * (rows[t] - sum c * rows[t - k]) over the steps (k, c) with
+    k <= t.  The steps have k >= 1 in increasing order.
+
+    The rows between two consecutive step offsets all use the same steps,
+    so each such run loops over a fixed list with no bound check.  A step
+    with c = +-1 adds or subtracts without a multiply."""
+    N = len(rows)
+    ones, minus_ones, others = [], [], []
+    t = 0
+    for m in range(len(steps) + 1):
+        if m:
+            k, c = steps[m - 1]
+            if c == 1:
+                ones.append(k)
+            elif c == -1:
+                minus_ones.append(k)
+            else:
+                others.append((k, c))
+        end = min(steps[m][0], N) if m < len(steps) else N
+        for t in range(t, end):
+            s = rows[t]
+            for k in ones:
+                s -= rows[t - k]
+            for k in minus_ones:
+                s += rows[t - k]
+            for k, c in others:
+                s -= c * rows[t - k]
+            rows[t] = s if u == 1 else -s
+        t = end
+        if t == N:
+            break
+
+
+def _unpack(rows: list, D: int, B: int, n: int) -> list[int]:
+    """The signed values at indices 0 .. n - 1 of packed rows.
+
+    rows[t] holds the values at indices tD .. tD + D - 1, D slots of B
+    bytes each.  Indices at or above n (padding) and slots at or above D
+    (discarded terms of a product) are dropped.  The rows are released a
+    chunk at a time as they are read.
+    """
+    off = _slot_offset(D, B)
+    mask = (1 << 8 * B * D) - 1
+    step = max(1, _CHUNK // (D * B))
+    out = []
+    for a in range(0, len(rows), step):
+        b = min(a + step, len(rows))
+        buf = b"".join([((rows[t] + off) & mask).to_bytes(D * B, "little")
+                        for t in range(a, b)])
+        rows[a:b] = [None] * (b - a)
+        out += _from_slots(buf, B, min(b * D, n) - a * D)
+    return out
+
+
 def _mul_dense(f: QSeries, g: QSeries, P: int, L: int | None = None
                ) -> QSeries:
     """The packed product at precision P; L is the common exponent lattice
@@ -327,20 +443,113 @@ def _mul_dense(f: QSeries, g: QSeries, P: int, L: int | None = None
     # |out_k| <= sum|c| * max|dense| < 2^(bits(sum|c|) + bits(max|dense|)).
     B = _slot_bytes(max(map(abs, dense)).bit_length()
                     + sum(abs(c) for _, c in driver).bit_length())
-    W = 8 * B
-    packed = int.from_bytes(_to_slots(dense, B), "little")
-    packed -= _slot_offset(n_fol, B)
+    packed = _pack(dense, B)
     del dense
-    acc = 0
-    for i, c in driver:
-        acc += c * packed << i * W
+    acc = _shift_add(packed, driver, 8 * B)
     del packed
-    # slots at or above n_out hold discarded terms; the mask drops them
-    acc = (acc + _slot_offset(n_out, B)) & ((1 << n_out * W) - 1)
-    out = _from_slots(acc.to_bytes(n_out * B, "little"), B, n_out)
+    # slots at or above n_out hold discarded terms; _unpack drops them
+    out = _unpack([acc], n_out, B, n_out)
     del acc
     d = {w + L * k: v for k, v in enumerate(out) if v}
     return QSeries._trusted(d, P)
+
+
+def _product_quotient(factors: list[QSeries], divisor: QSeries | None,
+                      inverse_bits: int, P: int, s: int) -> QSeries:
+    """q^s * prod(factors) / divisor, certified to precision P + s;
+    divisor None means the product alone.
+
+    Every factor and the divisor has constant term 1, no negative
+    exponents and precision at least P.  inverse_bits is an integer b such
+    that the coefficients of 1/divisor below q^P have absolute value
+    below 2^b.
+
+    All series are compressed onto the lattice L of their exponents, and
+    the product lives on n = ceil(P / L) slots.  The factors with the most
+    terms are multiplied first, by pairwise scatter into a list a of exact
+    integers, while that takes at most _PAIRS_PER_SLOT pairs per slot (the
+    rule of mul).  If factors remain, a is packed into one integer, and
+    each remaining factor adds a _shift_add and a truncation to n slots.
+
+    The slot width is proven.  For series f and g, every coefficient of
+    f*g is a sum of products of one coefficient of each, so
+    max|fg| <= max|f| * ||g||_1 and ||fg||_1 <= ||f||_1 * ||g||_1, and
+    truncation raises neither norm.  With R the product of the 1-norms of
+    the packed factors (each truncated below q^P), every slot of every
+    partial product is at most max|a| * R, below 2^bits(max|a| * R), and
+    the width adds a sign bit; the numerator f has ||f||_1 <= ||a||_1 * R.
+    Both bounds are at most prod ||factor||_1.
+
+    The divisor's offsets are multiples of L*D for the stride D of its
+    compressed offsets, so the D interleaved residue classes of the
+    quotient solve the same recurrence, as in div.  The product goes into
+    rows of D slots (by _respace from the packed integer, or packed row by
+    row from a), _solve_rows runs the recurrence on whole rows, and
+    _unpack reads every coefficient once.  The row slots get div's proven
+    width, bits(||a||_1 * R) + b plus a sign bit: each quotient
+    coefficient is a sum of (coefficient of f) * (coefficient of
+    1/divisor), so its absolute value is below ||f||_1 * 2^b, and the
+    padding slots of the last row read offsets of 1/divisor no larger
+    than those of that row's first slot.  When D = 1 there is nothing to
+    pack, and the recurrence runs on the coefficients as exact integers,
+    each only as long as it needs to be.
+    """
+    L = 0
+    for g in factors + ([divisor] if divisor is not None else []):
+        for e in g._c:
+            L = math.gcd(L, e)
+    L = L or 1
+    n = _ceil_div(P, L)
+    terms = sorted((sorted((e // L, c) for e, c in g._c.items() if e < P)
+                    for g in factors), key=len)
+    # the widest factors first, by pairwise scatter while that is cheaper
+    # than a pass over the packed integer per term (the rule of mul)
+    dense = [1] + [0] * (n - 1)
+    while terms and (n - dense.count(0)) * len(terms[-1]) <= (
+            _PAIRS_PER_SLOT * n):
+        out = [0] * n
+        t = terms.pop()
+        for i, a in enumerate(dense):
+            if a:
+                for j, c in t:
+                    if i + j >= n:
+                        break
+                    out[i + j] += a * c
+        dense = out
+    rest = 1
+    for t in terms:
+        rest *= sum(abs(c) for _, c in t)
+    norm = sum(map(abs, dense)) * rest
+    B = _slot_bytes((max(map(abs, dense)) * rest).bit_length())
+    packed = None
+    if terms:
+        packed = _pack(dense, B)
+        dense = None
+        off, mask = _slot_offset(n, B), (1 << 8 * B * n) - 1
+        for t in terms:
+            packed = ((_shift_add(packed, t, 8 * B) + off) & mask) - off
+    steps = sorted((e // L, c) for e, c in divisor._c.items()
+                   if 0 < e < P) if divisor is not None else []
+    D = 0
+    for k, _ in steps:
+        D = math.gcd(D, k)
+    if D > 1:
+        Bw = _slot_bytes(norm.bit_length() + inverse_bits)
+        if dense is None:
+            rows = _respace(packed, n, B, D, Bw)
+        else:
+            rows = [_pack(dense[i:i + D], Bw) for i in range(0, n, D)]
+        dense = packed = None
+        _solve_rows(rows, [(k // D, c) for k, c in steps], 1)
+        dense = _unpack(rows, D, Bw, n)
+    else:
+        if dense is None:
+            dense = _unpack([packed], n, B, n)
+            packed = None
+        if D:
+            _solve_rows(dense, steps, 1)
+    return QSeries._trusted({s + L * k: v for k, v in enumerate(dense) if v},
+                            P + s)
 
 
 def mul(f: QSeries, g: QSeries) -> QSeries:
@@ -438,33 +647,16 @@ def div(f: QSeries, g: QSeries, inverse_bits: int | None = None) -> QSeries:
         D = math.gcd(D, k)
     if inverse_bits is None or D < 2:
         D = 1
-    N = _ceil_div(n, D)
+    steps = [(k // D, c) for k, c in g_items]
     if D > 1:
         B = _slot_bytes(sum(map(abs, F)).bit_length() + inverse_bits)
-        off = _slot_offset(D, B)
-        F += [0] * (N * D - n)
-        rows = [int.from_bytes(_to_slots(F[i:i + D], B), "little") - off
-                for i in range(0, N * D, D)]
+        rows = [_pack(F[i:i + D], B) for i in range(0, n, D)]
         del F
+        _solve_rows(rows, steps, u)
+        H = _unpack(rows, D, B, n)
     else:
-        rows = F
-    # rows[t] is read once, at step t, then holds the solved row t
-    steps = [(k // D, c) for k, c in g_items]
-    for t in range(N):
-        s = rows[t]
-        for k, c in steps:
-            if k > t:
-                break
-            s -= c * rows[t - k]
-        rows[t] = s if u == 1 else -s
-    if D > 1:
-        H = []
-        for t in range(N):
-            H += _from_slots((rows[t] + off).to_bytes(D * B, "little"), B, D)
-            rows[t] = None
-        del H[n:]
-    else:
-        H = rows
+        _solve_rows(F, steps, u)
+        H = F
     d = {w0 + L * j: v for j, v in enumerate(H) if v}
     return QSeries._trusted(d, Pout)
 

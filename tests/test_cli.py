@@ -193,6 +193,16 @@ def test_verify_rejects_composite_primes(capsys):
     assert rc == 2 and "must be prime" in err
 
 
+@pytest.mark.parametrize("primes", [["--primes", "-1,5"], ["--primes=-1,5"],
+                                    ["--primes", "-1"]])
+def test_verify_negative_primes_entry_names_it(primes, capsys):
+    # a list that starts with a negative entry is a --primes value, not an
+    # option string
+    rc, out, err = run(capsys, "verify", "--curve", "27", *primes)
+    assert (rc, out, err) == (
+        2, "", "error: --primes entries must be prime, got -1\n")
+
+
 def test_verify_bad_primes_value(capsys):
     rc, _, err = run(capsys, "verify", "--curve", "27", "--primes", "2;5")
     assert rc == 2 and err.startswith("error:")
@@ -363,6 +373,7 @@ _SMALL_PREC = [
     ["verify", "--m-max", "-1"],
     ["verify", "--all", "--primes", "auto:-5"],
     ["verify", "--curve", "27", "--primes", "auto:1"],
+    ["verify", "--curve", "27", "--primes", "-1,5"],
     ["check", "congruence", "--level", "27", "--p", "2", "--m", "-1"],
     ["check", "support", "--level", "99"],
     ["check", "nondivisibility", "--level", "99", "--p", "5"],

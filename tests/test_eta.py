@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qmod import (
     CURVES,
@@ -8,6 +10,7 @@ from qmod import (
     EtaQuotient,
     LevelMismatchError,
     PrecisionError,
+    QSeries,
     ShiftError,
     Twist,
     catalog_form,
@@ -17,8 +20,8 @@ from qmod import (
     first_difference,
     truncate,
 )
-from qmod.eta import _euler_factor, _euler_inverse_bits, curve
-from _oracles import naive_euler_product, naive_eta_quotient
+from qmod.eta import _ATOMS, _euler_factor, _euler_inverse_bits, _plan, curve
+from _oracles import naive_euler_product, naive_eta_quotient, ref_mul
 
 ETA_NAMES = sorted(n for n, r in FORMS.items() if isinstance(r, EtaQuotient))
 
@@ -257,3 +260,92 @@ def test_euler_inverse_width_lemma():
     for r, coeffs in ((1, p), (3, p3)):
         for m, c in enumerate(coeffs):
             assert 0 <= c < 2 ** _euler_inverse_bits(r, m), (r, m)
+
+
+# ---------------------------------------------------------------------------
+# the expansion plan
+
+@st.composite
+def eta_quotients(draw):
+    """Eta quotients over the divisors of 48 with exponents in [-6, 8] and
+    an integral q-shift, with a precision from one to 120 terms past the
+    shift.  delta = 1 and 2 settle the shift: r_1 + 2 r_2 takes every
+    residue mod 24 on [-6, 8]^2."""
+    free = draw(st.lists(st.sampled_from((3, 4, 6, 8, 12, 16, 24, 48)),
+                         unique=True, max_size=4))
+    r = {d: draw(st.integers(-6, 8)) for d in free}
+    rho = sum(d * e for d, e in r.items()) % 24
+    r[1], r[2] = draw(st.sampled_from(
+        [(a, b) for a in range(-6, 9) for b in range(-6, 9)
+         if (a + 2 * b + rho) % 24 == 0]))
+    eq = EtaQuotient(tuple((d, e) for d, e in sorted(r.items()) if e), 48)
+    return eq, int(eq.shift) + draw(st.integers(1, 120))
+
+
+@given(eta_quotients())
+def test_random_eta_quotient_matches_naive_product(case):
+    eq, prec = case
+    assert eta_quotient_expand(eq, prec) == naive_eta_quotient(eq.factors,
+                                                               prec)
+
+
+def test_theta_atoms_match_their_eta_forms():
+    # E(-q) E(q) E(q^4) = E(q^2)^3 and phi(-q) E(q^2) = E(q)^2, checked
+    # against sequential Euler products
+    def euler(delta, prec, k=1):
+        f = QSeries(naive_euler_product(delta, prec), prec)
+        out = f
+        for _ in range(k - 1):
+            out = ref_mul(out, f)
+        return out
+
+    for delta, prec in ((1, 300), (4, 200)):
+        assert ref_mul(ref_mul(_ATOMS["E(-q)"](delta, prec),
+                               euler(delta, prec)),
+                       euler(4 * delta, prec)) == euler(2 * delta, prec, 3)
+        assert ref_mul(_ATOMS["phi(-q)"](delta, prec),
+                       euler(2 * delta, prec)) == euler(delta, prec, 2)
+    assert _ATOMS["E^3"](1, 300) == euler(1, 300, 3)
+
+
+def _euler_split(factors):
+    """Divisors before any rewriting: a cube per three of -r, then single
+    Euler factors."""
+    return sorted(a for d, r in factors if r < 0
+                  for a in [("E^3", d)] * (-r // 3) + [("E", d)] * (-r % 3))
+
+
+def test_catalog_division_plans():
+    plans = {name: _plan(FORMS[name].factors) for name in ETA_NAMES}
+    assert {n: den for n, (_, den) in plans.items()} == {
+        "g27": (), "g32": (), "g36": (), "g64": (), "g144": (),
+        "G27": (("E^3", 27),), "L2": (("E^3", 27),),
+        "L1": (("E", 3), ("E^3", 27)), "L36": (("E", 3), ("E^3", 18)),
+        "G36": (("E^3", 36),), "G32": (("E", 32),),
+    }
+    assert sorted(plans["G32"][0]) == (
+        [("E", 4)] * 2 + [("phi(-q)", 16)] * 3)
+    assert sorted(plans["g64"][0]) == [("E", 8)] * 2 + [("E(-q)", 4)] * 2
+    assert plans["g144"][0] == (("E(-q)", 6),) * 4
+    # every form without a theta atom keeps its plain Euler split
+    for name in set(ETA_NAMES) - {"G32", "g64", "g144"}:
+        factors = FORMS[name].factors
+        assert sorted(plans[name][1]) == _euler_split(factors), name
+        assert not any(k in ("E(-q)", "phi(-q)") for k, _ in plans[name][0])
+
+
+@pytest.mark.parametrize("name", ETA_NAMES)
+def test_numerator_width_lemma(name):
+    # the packed product's slot bound: every coefficient of the product of
+    # the numerator atoms is below 2^bits(prod ||atom||_1)
+    pw = 3001
+    num, _ = _plan(FORMS[name].factors)
+    prod = QSeries({0: 1}, pw)
+    norm = 1
+    for kind, delta in num:
+        atom = _ATOMS[kind](delta, pw)
+        norm *= sum(abs(c) for _, c in atom.items())
+        prod = ref_mul(prod, atom)
+    assert prod.prec == pw
+    bound = 1 << norm.bit_length()
+    assert all(abs(c) < bound for _, c in prod.items())
