@@ -348,14 +348,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# The option strings argparse resolves to verify's --primes: the flag and
+# its unique prefixes.
+_PRIMES_FLAGS = {"--primes"[:k] for k in range(3, 9)}
+
+
 def _attach_primes(argv: list) -> list:
-    """argv with each `--primes V` whose V starts with -<digit> written as
-    `--primes=V`: argparse takes a value like -1,5, which is not a plain
-    negative number, for an option string and fails before --primes is
-    checked."""
+    """argv with each verify `--primes V` whose V starts with -<digit>
+    written as `--primes=V`, and the same for each abbreviation from --p to
+    --prime: argparse takes a value like -1,5, which is not a plain negative
+    number, for an option string and fails before --primes is checked.
+    Other subcommands are left alone; check has a --p of its own."""
+    if next((t for t in argv if not t.startswith("-")), None) != "verify":
+        return argv
     out = []
     for tok in argv:
-        if out and out[-1] == "--primes" and re.match(r"-\d", tok):
+        if out and out[-1] in _PRIMES_FLAGS and re.match(r"-\d", tok):
             out[-1] += "=" + tok
         else:
             out.append(tok)

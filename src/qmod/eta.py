@@ -58,7 +58,8 @@ from functools import cache
 from itertools import count
 from math import gcd, isqrt
 
-from .qseries import PrecisionError, QSeries, _product_quotient, div
+from .qseries import (PrecisionError, QSeries, _lattice, _product_quotient,
+                      div, one)
 from .operators import twist as _twist_op
 
 __all__ = [
@@ -340,10 +341,12 @@ def eta_quotient_expand(eq: EtaQuotient, prec: int) -> QSeries:
         return _euler_inverse_bits(3 if kind == "E^3" else 1,
                                    (pw - 1) // delta)
 
-    first = den[0] if den else None
-    f = _product_quotient([atom(*a) for a in num],
-                          atom(*first) if first else None,
-                          inverse_bits(*first) if first else 0, pw, s)
+    factors = [atom(*a) for a in num] or [one(pw)]
+    first = [atom(*a) for a in den[:1]]
+    f = _product_quotient(factors, first[0] if den else None,
+                          inverse_bits(*den[0]) if den else None, s, pw,
+                          _lattice(*factors, *first))
+    del factors, first  # let the atoms go before a second division
     for a in den[1:]:
         f = div(f, atom(*a), inverse_bits=inverse_bits(*a))
     if f.prec != prec:

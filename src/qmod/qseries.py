@@ -12,8 +12,8 @@ coefficient beyond it.  For the zero series (no stored entries) the leading
 exponent is reported as P itself, which acts as an order sentinel in the
 precision rules below.
 
-The hot kernels, the dense product, division and the eta-quotient
-product-quotient, pack many coefficients into one Python integer
+One kernel, _product_quotient, runs mul's packed branch, div and the
+eta-quotient expansion.  It packs many coefficients into one Python integer
 (Kronecker substitution): a list v_0, ..., v_{n-1} becomes
 sum_k v_k 2^(kW) with W = 8B bits per slot.  A slot value v with
 |v| < 2^(W-1) is stored as v + 2^(W-1), a B-byte unsigned field, so the
@@ -22,11 +22,11 @@ offset in every slot gives back a signed-digit integer on which big-int
 addition, shifts and small multiples act slotwise.  Widening the slots
 is a strided copy of those bytes.  The digits of such an integer are
 recovered exactly when every slot of the result again lies in
-(-2^(W-1), 2^(W-1)), so each caller derives W from a proven bound on the
+(-2^(W-1), 2^(W-1)), so the kernel derives W from a proven bound on the
 coefficients it will unpack and never from a guess that is checked later.
-Two helpers carry the arithmetic of every kernel: _shift_add multiplies a
-packed integer by a lacunary series, and _solve_rows runs the division
-recurrence on whole packed rows.
+Two helpers carry its arithmetic: _shift_add multiplies a packed integer
+by a lacunary series, and _solve_rows runs the division recurrence on
+whole packed rows.
 """
 
 from __future__ import annotations
@@ -258,19 +258,14 @@ _SCATTER_CAP = 1 << 9
 _PAIRS_PER_SLOT = 4
 
 
-def _lattice(f: QSeries, g: QSeries | None = None) -> int:
-    """gcd of exponent offsets from the leading exponent, over one or two
-    series.  The supports lie in order + L*Z for the returned L (L=1 when no
-    common stride exists)."""
+def _lattice(*series: QSeries) -> int:
+    """gcd of the exponent offsets of the series from their own leading
+    exponents: each support lies in order + L*Z for the returned L (L = 1
+    when no common stride exists)."""
     L = 0
-    w = f._order
-    for e in f._c:
-        L = math.gcd(L, e - w)
-        if L == 1:
-            return 1
-    if g is not None:
-        w = g._order
-        for e in g._c:
+    for f in series:
+        w = f._order
+        for e in f._c:
             L = math.gcd(L, e - w)
             if L == 1:
                 return 1
@@ -413,99 +408,62 @@ def _unpack(rows: list, D: int, B: int, n: int) -> list[int]:
     return out
 
 
-def _mul_dense(f: QSeries, g: QSeries, P: int, L: int | None = None
-               ) -> QSeries:
-    """The packed product at precision P; L is the common exponent lattice
-    of f and g when the caller has computed it already."""
-    wf, wg = f._order, g._order
-    w = wf + wg
-    if P <= w:
-        return QSeries._trusted({}, P)
-    if L is None:
-        L = _lattice(f, g)
-    n_out = _ceil_div(P - w, L)
-    bound_f = min(f.prec, P - wg)
-    bound_g = min(g.prec, P - wf)
-    # every compressed index below is < n_out, because e < P - (other order)
-    items_f = [((e - wf) // L, c) for e, c in f._c.items() if e < bound_f]
-    items_g = [((e - wg) // L, c) for e, c in g._c.items() if e < bound_g]
-    if not items_f or not items_g:
-        return QSeries._trusted({}, P)
-    if len(items_f) <= len(items_g):
-        driver, follower = items_f, items_g
-    else:
-        driver, follower = items_g, items_f
-    n_fol = max(i for i, _ in follower) + 1
-    dense = [0] * n_fol
-    for i, c in follower:
-        dense[i] = c
-    # Each output slot is a sum of c * dense[k] over driver terms c*q^i, so
-    # |out_k| <= sum|c| * max|dense| < 2^(bits(sum|c|) + bits(max|dense|)).
-    B = _slot_bytes(max(map(abs, dense)).bit_length()
-                    + sum(abs(c) for _, c in driver).bit_length())
-    packed = _pack(dense, B)
-    del dense
-    acc = _shift_add(packed, driver, 8 * B)
-    del packed
-    # slots at or above n_out hold discarded terms; _unpack drops them
-    out = _unpack([acc], n_out, B, n_out)
-    del acc
-    d = {w + L * k: v for k, v in enumerate(out) if v}
-    return QSeries._trusted(d, P)
-
-
 def _product_quotient(factors: list[QSeries], divisor: QSeries | None,
-                      inverse_bits: int, P: int, s: int) -> QSeries:
-    """q^s * prod(factors) / divisor, certified to precision P + s;
-    divisor None means the product alone.
+                      inverse_bits: int | None, w: int, P: int, L: int
+                      ) -> QSeries:
+    """q^w * prod(factors) / divisor at precision w + P, each series read
+    relative to its own order (f / q^order(f)); divisor None means the
+    product alone.
 
-    Every factor and the divisor has constant term 1, no negative
-    exponents and precision at least P.  inverse_bits is an integer b such
-    that the coefficients of 1/divisor below q^P have absolute value
-    below 2^b.
+    Requires P >= 1, at least one factor, every series certified at least
+    P exponents past its order, and every exponent offset a multiple of L
+    (see _lattice).  The divisor's leading coefficient u is +-1.
+    inverse_bits is None or an integer b such that the coefficients of
+    1/divisor at its first P offsets have absolute value below 2^b.
 
-    All series are compressed onto the lattice L of their exponents, and
-    the product lives on n = ceil(P / L) slots.  The factors with the most
-    terms are multiplied first, by pairwise scatter into a list a of exact
-    integers, while that takes at most _PAIRS_PER_SLOT pairs per slot (the
-    rule of mul).  If factors remain, a is packed into one integer, and
+    The result lives on n = ceil(P / L) slots of the compressed lattice.
+    The factor with the most stored terms is laid out as a list a of exact
+    integers, the others as terms (i, c) with compressed offset i < n.
+    Those with the most terms are multiplied into a first, by pairwise
+    scatter, while that takes fewer than _PAIRS_PER_SLOT pairs per slot
+    (the rule of mul).  If factors remain, a is packed into one integer, and
     each remaining factor adds a _shift_add and a truncation to n slots.
 
-    The slot width is proven.  For series f and g, every coefficient of
-    f*g is a sum of products of one coefficient of each, so
-    max|fg| <= max|f| * ||g||_1 and ||fg||_1 <= ||f||_1 * ||g||_1, and
-    truncation raises neither norm.  With R the product of the 1-norms of
-    the packed factors (each truncated below q^P), every slot of every
-    partial product is at most max|a| * R, below 2^bits(max|a| * R), and
-    the width adds a sign bit; the numerator f has ||f||_1 <= ||a||_1 * R.
-    Both bounds are at most prod ||factor||_1.
+    Product width.  Every coefficient of f*g is a sum of products of one
+    coefficient of f and one of g, so max|fg| <= max|f| * ||g||_1 and
+    ||fg||_1 <= ||f||_1 * ||g||_1, and truncation raises neither norm.
+    With R the product of the 1-norms of the shift-added factors, every
+    slot of every partial product is at most max|a| * R, so the slots take
+    bits(max|a| * R) plus a sign bit, never more than bits(max|a|) +
+    bits(R) plus a sign bit.  The numerator N has ||N||_1 <= ||a||_1 * R.
 
-    The divisor's offsets are multiples of L*D for the stride D of its
-    compressed offsets, so the D interleaved residue classes of the
-    quotient solve the same recurrence, as in div.  The product goes into
-    rows of D slots (by _respace from the packed integer, or packed row by
-    row from a), _solve_rows runs the recurrence on whole rows, and
-    _unpack reads every coefficient once.  The row slots get div's proven
-    width, bits(||a||_1 * R) + b plus a sign bit: each quotient
-    coefficient is a sum of (coefficient of f) * (coefficient of
-    1/divisor), so its absolute value is below ||f||_1 * 2^b, and the
-    padding slots of the last row read offsets of 1/divisor no larger
-    than those of that row's first slot.  When D = 1 there is nothing to
-    pack, and the recurrence runs on the coefficients as exact integers,
-    each only as long as it needs to be.
+    Quotient width.  Let D be the gcd of the divisor's compressed offsets.
+    The D interleaved residue classes of the quotient solve the same
+    recurrence, so when inverse_bits is given and D > 1, N goes into rows
+    of D slots (by _respace from the packed integer, or packed row by row
+    from a), _solve_rows runs the recurrence on whole rows, and _unpack
+    reads every coefficient once.  Each quotient coefficient is a sum of
+    (coefficient of N) * (coefficient of 1/divisor), so its absolute value
+    is below ||N||_1 * 2^b, and the row slots take bits(||a||_1 * R) + b
+    plus a sign bit.  The padding slots of the last row read offsets of
+    1/divisor no larger than those of that row's first slot, so they obey
+    the same bound.  Otherwise nothing is packed for the division: the
+    recurrence runs on the coefficients as exact integers, each only as
+    long as it needs to be, and multiplies by u even with no steps.
     """
-    L = 0
-    for g in factors + ([divisor] if divisor is not None else []):
-        for e in g._c:
-            L = math.gcd(L, e)
-    L = L or 1
     n = _ceil_div(P, L)
-    terms = sorted((sorted((e // L, c) for e, c in g._c.items() if e < P)
-                    for g in factors), key=len)
+    factors = sorted(factors, key=lambda g: len(g._c))
+    f = factors.pop()
+    wf, bound = f._order, f._order + P
+    dense = [0] * n
+    for e, c in f._c.items():
+        if e < bound:
+            dense[(e - wf) // L] = c
+    terms = [sorted(((e - g._order) // L, c) for e, c in g._c.items()
+                    if e - g._order < P) for g in factors]
     # the widest factors first, by pairwise scatter while that is cheaper
     # than a pass over the packed integer per term (the rule of mul)
-    dense = [1] + [0] * (n - 1)
-    while terms and (n - dense.count(0)) * len(terms[-1]) <= (
+    while terms and (n - dense.count(0)) * len(terms[-1]) < (
             _PAIRS_PER_SLOT * n):
         out = [0] * n
         t = terms.pop()
@@ -516,57 +474,58 @@ def _product_quotient(factors: list[QSeries], divisor: QSeries | None,
                         break
                     out[i + j] += a * c
         dense = out
+    steps, D = [], 0
+    if divisor is not None:
+        wd = divisor._order
+        u = divisor._c[wd]
+        steps = sorted(((e - wd) // L, c) for e, c in divisor._c.items()
+                       if 0 < e - wd < P)
+        for k, _ in steps:
+            D = math.gcd(D, k)
     rest = 1
     for t in terms:
         rest *= sum(abs(c) for _, c in t)
-    norm = sum(map(abs, dense)) * rest
-    B = _slot_bytes((max(map(abs, dense)) * rest).bit_length())
-    packed = None
+    if inverse_bits is not None and D > 1:
+        Bw = _slot_bytes((sum(map(abs, dense)) * rest).bit_length()
+                         + inverse_bits)
+    else:
+        D = 1
     if terms:
+        B = _slot_bytes((max(map(abs, dense)) * rest).bit_length())
         packed = _pack(dense, B)
         dense = None
         off, mask = _slot_offset(n, B), (1 << 8 * B * n) - 1
         for t in terms:
             packed = ((_shift_add(packed, t, 8 * B) + off) & mask) - off
-    steps = sorted((e // L, c) for e, c in divisor._c.items()
-                   if 0 < e < P) if divisor is not None else []
-    D = 0
-    for k, _ in steps:
-        D = math.gcd(D, k)
     if D > 1:
-        Bw = _slot_bytes(norm.bit_length() + inverse_bits)
         if dense is None:
             rows = _respace(packed, n, B, D, Bw)
         else:
             rows = [_pack(dense[i:i + D], Bw) for i in range(0, n, D)]
         dense = packed = None
-        _solve_rows(rows, [(k // D, c) for k, c in steps], 1)
+        _solve_rows(rows, [(k // D, c) for k, c in steps], u)
         dense = _unpack(rows, D, Bw, n)
     else:
         if dense is None:
-            dense = _unpack([packed], n, B, n)
-            packed = None
-        if D:
-            _solve_rows(dense, steps, 1)
-    return QSeries._trusted({s + L * k: v for k, v in enumerate(dense) if v},
-                            P + s)
+            rows, packed = [packed], None
+            dense = _unpack(rows, n, B, n)
+        if divisor is not None:
+            _solve_rows(dense, steps, u)
+    return QSeries._trusted({w + L * k: v for k, v in enumerate(dense) if v},
+                            w + P)
 
 
 def mul(f: QSeries, g: QSeries) -> QSeries:
     """Product at precision min(f.prec + order(g), g.prec + order(f)).
 
     The zero-series order sentinel (order = prec) makes the rule correct when
-    either factor has no certified nonzero term.  Internally small products
-    use pairwise scatter.  Large ones compress both factors onto their common
-    exponent lattice, pack the factor with more terms (the dense one) into
-    one integer, and add one shifted multiple c * packed << i*W per term
-    c*q^i of the other factor, a single big-int operation each.  A product
-    takes the packed path when it has more than _SCATTER_CAP pairwise terms
-    and at least _PAIRS_PER_SLOT of them per slot of the packed output, so
-    the choice depends only on the sizes of the inputs.  The slot
-    width W is proven wide enough: every output coefficient is a sum of
-    c * (dense coefficient) over those terms, so its absolute value is below
-    2^(bits(sum |c|) + bits(max |dense|)), and W adds a sign bit to that.
+    either factor has no certified nonzero term.  Small products use
+    pairwise scatter.  A product with more than _SCATTER_CAP pairwise terms
+    and at least _PAIRS_PER_SLOT of them per slot of the output lattice
+    runs in _product_quotient, which packs one factor into an integer and
+    adds one shifted multiple of it per term of the other (its docstring
+    proves the slot width).  The choice depends only on the sizes of the
+    inputs.
     """
     P = min(f.prec + g._order, g.prec + f._order)
     if not f._c or not g._c:
@@ -574,9 +533,9 @@ def mul(f: QSeries, g: QSeries) -> QSeries:
     pairs = len(f._c) * len(g._c)
     if pairs > _SCATTER_CAP:
         L = _lattice(f, g)
-        slots = _ceil_div(P - f._order - g._order, L)
-        if _PAIRS_PER_SLOT * slots <= pairs:
-            return _mul_dense(f, g, P, L)
+        w = f._order + g._order
+        if _PAIRS_PER_SLOT * _ceil_div(P - w, L) <= pairs:
+            return _product_quotient([f, g], None, None, w, P - w, L)
     d: dict[int, int] = {}
     gi = g._c.items()
     for e1, c1 in f._c.items():
@@ -601,20 +560,12 @@ def div(f: QSeries, g: QSeries, inverse_bits: int | None = None) -> QSeries:
     matching mul(f, invert(g)).  Cost is (number of stored terms of g) times
     the output length, so division by a lacunary series is cheap.
 
-    On the lattice both series share, let D be the stride common to the
-    offsets of g from its leading term.  The D interleaved residue classes
-    of h then satisfy the same recurrence, and when the caller supplies
-    inverse_bits they are solved together: one packed row of D slots per
-    step, so the Python-level work drops by a factor of D.  inverse_bits
-    must be an integer b such that the coefficients of 1/g at its leading
-    exponent and the next (result precision - order(h) - 1) exponents all
-    have absolute value below 2^b.  Each coefficient of h is a sum of
-    (coefficient of f) * (coefficient of 1/g) over that window, so its
-    absolute value is below ||f||_1 * 2^b, and the slot width adds a sign
-    bit to bits(||f||_1) + b.  The zero-padded slots past the end of the
-    last row obey the same bound: their offsets into 1/g are multiples of D
-    no larger than those of that row's first slot.  Without inverse_bits,
-    or when D = 1, each row is a single coefficient and nothing is packed.
+    inverse_bits, if given, must be an integer b such that the coefficients
+    of 1/g at its leading exponent and the next (result precision -
+    order(h) - 1) exponents all have absolute value below 2^b.  It lets
+    _product_quotient solve the residue classes of h that the stride of g
+    separates together, in packed rows whose width its docstring proves.
+    Without it every coefficient is solved on its own.
     """
     if not g._c:
         raise NotInvertibleError("division by a zero series")
@@ -624,41 +575,11 @@ def div(f: QSeries, g: QSeries, inverse_bits: int | None = None) -> QSeries:
         raise NotInvertibleError(
             f"leading coefficient {u} of the divisor is not a unit"
         )
-    Pout = min(f.prec - wg, g.prec - 2 * wg + f._order)
+    P = min(f.prec - wg, g.prec - 2 * wg + f._order)
     if not f._c:
-        return QSeries._trusted({}, Pout)
-    wf = f._order
-    w0 = wf - wg
-    if Pout <= w0:
-        return QSeries._trusted({}, Pout)
-    L = _lattice(f, g)
-    n = _ceil_div(Pout - w0, L)
-    F = [0] * n
-    for e, c in f._c.items():
-        i = (e - wf) // L
-        if i < n:
-            F[i] = c
-    g_items = sorted(
-        ((e - wg) // L, c) for e, c in g._c.items() if e != wg
-    )
-    g_items = [(k, c) for k, c in g_items if k < n]
-    D = 0
-    for k, _ in g_items:
-        D = math.gcd(D, k)
-    if inverse_bits is None or D < 2:
-        D = 1
-    steps = [(k // D, c) for k, c in g_items]
-    if D > 1:
-        B = _slot_bytes(sum(map(abs, F)).bit_length() + inverse_bits)
-        rows = [_pack(F[i:i + D], B) for i in range(0, n, D)]
-        del F
-        _solve_rows(rows, steps, u)
-        H = _unpack(rows, D, B, n)
-    else:
-        _solve_rows(F, steps, u)
-        H = F
-    d = {w0 + L * j: v for j, v in enumerate(H) if v}
-    return QSeries._trusted(d, Pout)
+        return QSeries._trusted({}, P)
+    w = f._order - wg
+    return _product_quotient([f], g, inverse_bits, w, P - w, _lattice(f, g))
 
 
 def invert(f: QSeries) -> QSeries:

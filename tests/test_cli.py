@@ -1,11 +1,13 @@
 """End-to-end tests of the command line front end, driven through main()
 with captured output, plus one real subprocess smoke test."""
 
+import ast
 import contextlib
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -194,10 +196,11 @@ def test_verify_rejects_composite_primes(capsys):
 
 
 @pytest.mark.parametrize("primes", [["--primes", "-1,5"], ["--primes=-1,5"],
-                                    ["--primes", "-1"]])
+                                    ["--primes", "-1"], ["--prim", "-1,5"],
+                                    ["--p", "-1,5"], ["--prime=-1,5"]])
 def test_verify_negative_primes_entry_names_it(primes, capsys):
     # a list that starts with a negative entry is a --primes value, not an
-    # option string
+    # option string, also after an abbreviation of --primes
     rc, out, err = run(capsys, "verify", "--curve", "27", *primes)
     assert (rc, out, err) == (
         2, "", "error: --primes entries must be prime, got -1\n")
@@ -640,3 +643,16 @@ def test_cli_imports_no_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.stdout == "0 False\n", proc.stderr
+
+
+def test_package_has_no_assert_statement():
+    # invalid input must end in exit code 2 with a message, and an assert
+    # would end in a traceback instead, or vanish under python -O
+    paths = sorted(Path(qmod.__file__).parent.glob("*.py"))
+    assert "qseries.py" in [path.name for path in paths]
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

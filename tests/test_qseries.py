@@ -26,7 +26,12 @@ from qmod import (
     zero,
 )
 import qmod.qseries
-from qmod.qseries import _SCATTER_CAP, _mul_dense
+from qmod.qseries import (
+    _PAIRS_PER_SLOT,
+    _SCATTER_CAP,
+    _lattice,
+    _product_quotient,
+)
 from _oracles import ref_mul
 
 coeffs = st.integers(min_value=-50, max_value=50)
@@ -292,10 +297,17 @@ def lattice_series(draw, max_terms=80):
     return QSeries({lo + stride * k: c for k, c in enumerate(cs)}, prec)
 
 
+def _packed_mul(f, g):
+    """mul's packed branch for any sizes of f and g."""
+    w, P = f.order + g.order, min(f.prec + g.order, g.prec + f.order)
+    if P <= w:
+        return zero(P)
+    return _product_quotient([f, g], None, None, w, P - w, _lattice(f, g))
+
+
 @given(lattice_series(), lattice_series())
 def test_mul_dense_path_matches_oracle_on_wide_coefficients(f, g):
-    P = min(f.prec + g.order, g.prec + f.order)
-    assert _mul_dense(f, g, P) == ref_mul(f, g)
+    assert _packed_mul(f, g) == ref_mul(f, g)
 
 
 def test_mul_dense_path_with_one_wide_outlier():
@@ -304,9 +316,8 @@ def test_mul_dense_path_with_one_wide_outlier():
     a = QSeries({-4 + 2 * k: rng.randint(-5, 5) for k in range(400)}, 800)
     a = add(a, QSeries({300: -(2 ** 400) + 1}, 800))
     b = QSeries({k * k: (-1) ** k * (2 * k + 1) for k in range(25)}, 700)
-    P = min(a.prec + b.order, b.prec + a.order)
-    assert _mul_dense(a, b, P) == ref_mul(a, b)
-    assert _mul_dense(b, a, P) == ref_mul(a, b)
+    assert _packed_mul(a, b) == ref_mul(a, b)
+    assert _packed_mul(b, a) == ref_mul(a, b)
 
 
 def _scalar_and_packed_div(f, g):
@@ -376,16 +387,22 @@ def test_truncate_short_window_of_long_series():
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_mul_dense_slot_width_at_its_bound(sign):
-    # out_k = c * M with M = 2^a - 1 and c = 2^b - 1 reaches the proven
-    # bound 2^(a+b) from below; a + b takes every residue mod 8
+    # with M = 2^a - 1 and c = 2^b - 1, the largest output coefficient is
+    # max|dense| * ||lac||_1, the proven bound itself, and its bit length
+    # takes every residue mod 8.  The 2-term factor (80 pairs on 40 slots)
+    # is scattered; the 5-term one (200 pairs) is shift-added into the
+    # packed dense factor.
+    assert 40 * 2 < _PAIRS_PER_SLOT * 40 <= 40 * 5
     for a in range(1, 12):
         for b in range(1, 10):
             M, c = sign * (2 ** a - 1), 2 ** b - 1
             dense = QSeries({k: M if k % 3 else -M for k in range(40)}, 40)
-            lac = QSeries({0: c, 7: -c}, 40)
-            got = _mul_dense(lac, dense, 40)
-            assert got == ref_mul(lac, dense), (a, b)
-            assert max(abs(v) for _, v in got.items()) == 2 * c * (2 ** a - 1)
+            for lac in (QSeries({0: c, 7: -c}, 40),
+                        QSeries({3 * j: c for j in range(5)}, 40)):
+                got = _packed_mul(lac, dense)
+                assert got == ref_mul(lac, dense), (a, b)
+                assert max(abs(v) for _, v in got.items()) == (
+                    len(lac.items()) * c * (2 ** a - 1))
 
 
 @pytest.mark.parametrize("D", [2, 5, 9])
@@ -437,13 +454,14 @@ def test_mul_matches_oracle_near_the_crossover(pair):
 
 def test_mul_dispatch_reads_only_input_sizes(monkeypatch):
     packed = []
-    real = qmod.qseries._mul_dense
+    real = qmod.qseries._product_quotient
 
-    def counting(f, g, P, L=None):
-        packed.append(len(f.items()) * len(g.items()))
-        return real(f, g, P, L)
+    def counting(factors, divisor, inverse_bits, w, P, L):
+        if len(factors) == 2 and divisor is None:
+            packed.append(len(factors[0].items()) * len(factors[1].items()))
+        return real(factors, divisor, inverse_bits, w, P, L)
 
-    monkeypatch.setattr(qmod.qseries, "_mul_dense", counting)
+    monkeypatch.setattr(qmod.qseries, "_product_quotient", counting)
     n = _SCATTER_CAP // 32
     dense = QSeries({-2 + 3 * k: k + 1 for k in range(32)}, 96)
     at_cap = QSeries({1 + 3 * k: k - 99 for k in range(n)}, 3 * n + 1)
@@ -460,3 +478,61 @@ def test_mul_dispatch_reads_only_input_sizes(monkeypatch):
         packed.clear()
         assert mul(f, g) == ref_mul(f, g)
         assert packed == expect
+
+
+def test_mul_at_exactly_the_pairs_per_slot_rule():
+    # 32 x 32 = 1,024 pairs on 256 slots: the dispatch sends the product
+    # to the kernel, and one slot fewer keeps it on the scatter path
+    calls = []
+    real = qmod.qseries._product_quotient
+
+    def counting(*args):
+        calls.append(args[4])
+        return real(*args)
+
+    f = QSeries({k: 3 * k - 50 for k in range(32)}, 256)
+    for P, expect in ((256, [256]), (257, [])):
+        g = QSeries({k: (-1) ** k * (k + 1) for k in range(32)}, P)
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qmod.qseries, "_product_quotient", counting)
+            got = mul(QSeries(dict(f.items()), P), g)
+        assert 32 * 32 > _SCATTER_CAP
+        assert calls == expect
+        assert got == ref_mul(QSeries(dict(f.items()), P), g)
+
+
+def test_packed_mul_of_factor_with_terms_beyond_the_precision():
+    # a 600-term polynomial known below q^600 times 3 + (terms at q^600 and
+    # beyond): every other term of the second factor is truncated away,
+    # whether it is the factor laid out (700 terms) or the term list
+    f = QSeries({k: k % 7 - 3 for k in range(600)}, 600)
+    g = QSeries({0: 3, **{600 + k: k + 1 for k in range(700)}}, 5000)
+    assert mul(f, g) == ref_mul(f, g) == scale(f, 3)
+    assert mul(g, f) == scale(f, 3)
+    g = QSeries({0: 3, **{600 + k: k + 1 for k in range(10)}}, 5000)
+    assert mul(f, g) == mul(g, f) == scale(f, 3)
+
+
+@pytest.mark.parametrize("bits", [None, 1, 9])
+def test_div_by_minus_one_negates(bits):
+    # a lone -1, and a -1 whose other terms lie beyond the result's
+    # precision, leave the recurrence no steps; it must still negate
+    f = QSeries({-3: 5, 0: -2 ** 200, 7: 1, 40: 11}, 50)
+    for g in (QSeries({0: -1}, 60), QSeries({0: -1, 53: 4, 106: 1}, 200)):
+        assert div(f, g, inverse_bits=bits) == neg(f)
+    g = QSeries({0: -1, 600: 5, 1200: 1}, 5000)
+    f = QSeries({k: k % 5 - 2 for k in range(600)}, 600)
+    assert div(f, g, inverse_bits=bits) == neg(f)
+
+
+def test_zero_operand_returns_zero_at_the_precision():
+    # a zero operand gives a precision at or below the leading exponent
+    # w of the result, and mul and div return O(q^P) without the kernel
+    f = QSeries({-2: 1, 3: 7}, 10)
+    g = QSeries({1: -1, 4: 2}, 12)
+    for z in (zero(6), zero(-4)):
+        assert mul(f, z) == mul(z, f) == zero(min(10 + z.prec, z.prec - 2))
+        h = div(z, g)
+        assert h.prec <= z.order - g.order
+        assert h == zero(min(z.prec - 1, 12 - 2 + z.prec))
