@@ -284,23 +284,12 @@ def _slot_offset(n: int, B: int) -> int:
                           "little")
 
 
-def _to_slots(values, B: int) -> bytes:
-    """The offset slots of values, lowest first; each |v| < 2^(8B-1)."""
-    half = 1 << (8 * B - 1)
-    return b"".join([(v + half).to_bytes(B, "little") for v in values])
-
-
-def _from_slots(buf: bytes, B: int, n: int) -> list[int]:
-    """The first n signed values stored by _to_slots in buf."""
-    half = 1 << (8 * B - 1)
-    fb = int.from_bytes
-    return [fb(buf[i:i + B], "little") - half for i in range(0, n * B, B)]
-
-
 def _pack(values, B: int) -> int:
-    """sum_k values[k] 2^(8Bk) as a signed-digit integer."""
-    return (int.from_bytes(_to_slots(values, B), "little")
-            - _slot_offset(len(values), B))
+    """sum_k values[k] 2^(8Bk) as a signed-digit integer; each |v| <
+    2^(8B-1) goes to bytes as the offset slot v + 2^(8B-1)."""
+    half = 1 << (8 * B - 1)
+    buf = b"".join([(v + half).to_bytes(B, "little") for v in values])
+    return int.from_bytes(buf, "little") - _slot_offset(len(values), B)
 
 
 def _shift_add(packed: int, terms, W: int) -> int:
@@ -395,8 +384,8 @@ def _unpack(rows: list, D: int, B: int, n: int) -> list[int]:
     (discarded terms of a product) are dropped.  The rows are released a
     chunk at a time as they are read.
     """
-    off = _slot_offset(D, B)
-    mask = (1 << 8 * B * D) - 1
+    off, half = _slot_offset(D, B), 1 << (8 * B - 1)
+    mask, fb = (1 << 8 * B * D) - 1, int.from_bytes
     step = max(1, _CHUNK // (D * B))
     out = []
     for a in range(0, len(rows), step):
@@ -404,7 +393,8 @@ def _unpack(rows: list, D: int, B: int, n: int) -> list[int]:
         buf = b"".join([((rows[t] + off) & mask).to_bytes(D * B, "little")
                         for t in range(a, b)])
         rows[a:b] = [None] * (b - a)
-        out += _from_slots(buf, B, min(b * D, n) - a * D)
+        out += [fb(buf[i:i + B], "little") - half
+                for i in range(0, (min(b * D, n) - a * D) * B, B)]
     return out
 
 
@@ -426,8 +416,9 @@ def _product_quotient(factors: list[QSeries], divisor: QSeries | None,
     integers, the others as terms (i, c) with compressed offset i < n.
     Those with the most terms are multiplied into a first, by pairwise
     scatter, while that takes fewer than _PAIRS_PER_SLOT pairs per slot
-    (the rule of mul).  If factors remain, a is packed into one integer, and
-    each remaining factor adds a _shift_add and a truncation to n slots.
+    (the rule of mul).  If factors remain or rows are solved (below), a is
+    packed into one integer, and each remaining factor adds a _shift_add
+    and a truncation to n slots.
 
     Product width.  Every coefficient of f*g is a sum of products of one
     coefficient of f and one of g, so max|fg| <= max|f| * ||g||_1 and
@@ -439,17 +430,17 @@ def _product_quotient(factors: list[QSeries], divisor: QSeries | None,
 
     Quotient width.  Let D be the gcd of the divisor's compressed offsets.
     The D interleaved residue classes of the quotient solve the same
-    recurrence, so when inverse_bits is given and D > 1, N goes into rows
-    of D slots (by _respace from the packed integer, or packed row by row
-    from a), _solve_rows runs the recurrence on whole rows, and _unpack
-    reads every coefficient once.  Each quotient coefficient is a sum of
-    (coefficient of N) * (coefficient of 1/divisor), so its absolute value
-    is below ||N||_1 * 2^b, and the row slots take bits(||a||_1 * R) + b
-    plus a sign bit.  The padding slots of the last row read offsets of
-    1/divisor no larger than those of that row's first slot, so they obey
-    the same bound.  Otherwise nothing is packed for the division: the
-    recurrence runs on the coefficients as exact integers, each only as
-    long as it needs to be, and multiplies by u even with no steps.
+    recurrence, so when inverse_bits is given and D > 1, _respace widens the
+    packed N into rows of D slots, _solve_rows runs the recurrence on whole
+    rows, and _unpack reads every coefficient once.  Each quotient
+    coefficient is a sum of (coefficient of N) * (coefficient of
+    1/divisor), so its absolute value is below ||N||_1 * 2^b, and the row
+    slots take bits(||a||_1 * R) + b plus a sign bit.  The padding slots
+    of the last row read offsets of 1/divisor no larger than those of that
+    row's first slot, so they obey the same bound.  Otherwise nothing is
+    packed for the division: the recurrence runs on the coefficients as
+    exact integers, each only as long as it needs to be, and multiplies by
+    u even with no steps.
     """
     n = _ceil_div(P, L)
     factors = sorted(factors, key=lambda g: len(g._c))
@@ -490,19 +481,15 @@ def _product_quotient(factors: list[QSeries], divisor: QSeries | None,
                          + inverse_bits)
     else:
         D = 1
-    if terms:
+    if terms or D > 1:
         B = _slot_bytes((max(map(abs, dense)) * rest).bit_length())
-        packed = _pack(dense, B)
-        dense = None
+        packed, dense = _pack(dense, B), None
+    if terms:
         off, mask = _slot_offset(n, B), (1 << 8 * B * n) - 1
         for t in terms:
             packed = ((_shift_add(packed, t, 8 * B) + off) & mask) - off
     if D > 1:
-        if dense is None:
-            rows = _respace(packed, n, B, D, Bw)
-        else:
-            rows = [_pack(dense[i:i + D], Bw) for i in range(0, n, D)]
-        dense = packed = None
+        rows, packed = _respace(packed, n, B, D, Bw), None
         _solve_rows(rows, [(k // D, c) for k, c in steps], u)
         dense = _unpack(rows, D, Bw, n)
     else:

@@ -9,9 +9,7 @@ generator L(2z), hitting every odd leading exponent <= 1 and giving
 H_m = q^-m + O(q^3) for odd m.  Every member is supported on one residue
 class (mod 3 at level 27, mod 6 at level 36), and so is H_m, on the class
 of -m.  A member of another class has no term at any exponent of that
-class, so it never enters the reduction below, and build_H forms only the
-members in the class of -m: a third of the family, one cube of L1 or
-L(2z) apart.
+class, so it never enters the reduction below.
 
 The weight-0 functions psi_p = q^-p + O(q) come from monomials in the pole
 generators, constrained to the support class of q^-p: at level 27 the
@@ -28,31 +26,22 @@ elsewhere, so a constant; the class excludes the exponent 0, so that
 constant is 0, and every in-class monomial lies in the integer span of the
 kept ones.
 
-Both kinds of family are triangular: their leading exponents are distinct
-and every leading coefficient is 1, because g27, g36, L1, L2, L(2z), psi2
-and psi3 are all monic.  So the normal form with pivot e needs no echelon
-basis of the whole family.  Take the member with leading exponent e and
-walk the other leading exponents upwards, subtracting c*f_e' whenever the
-current coefficient c at e' is nonzero.  A subtraction at e' changes only exponents
->= e', so the exponents already cleared stay clear, and the cost is one
-pass over the family instead of a full elimination.  The result is the row
-with pivot e of echelonize(family), which the tests use as the oracle.
+So every H_m and psi_p is the normal form of one chain start*step^j
+(_chain, _class_family) whose poles step by 3 at level 27 and by 6 at
+level 36.  A chain is triangular: its leading exponents are distinct and
+its leading coefficients 1, as g27, g36, L1, L2, L(2z), psi2 and psi3 are
+monic.  So the row with pivot e of echelonize(chain) is the member f_e
+minus c*f_e' for each other leading exponent e' in increasing order, c its
+current coefficient at e'; each step changes only exponents >= e', so those
+already cleared stay clear.  The tests check it against full families.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qseries import (
-    QSeries,
-    _is_prime,
-    coefficient,
-    mul,
-    one,
-    scale,
-    sub,
-    truncate,
-)
+from .qseries import (QSeries, _is_prime, coefficient, mul, one, scale, sub,
+                      truncate)
 from .eta import FORMS, eta_quotient_expand
 from .operators import apply_V
 
@@ -144,10 +133,14 @@ def echelonize(family) -> EchelonBasis:
 # ---------------------------------------------------------------------------
 # spanning families
 
-def _pole_generators_27(prec: int):
-    l1 = eta_quotient_expand(FORMS["L1"], prec)
-    l2 = eta_quotient_expand(FORMS["L2"], prec)
-    return l1, l2
+# Each span level's weight-2 newform, then its weight-0 pole generators.
+_GENERATORS = {27: ("g27", "L1", "L2"), 36: ("g36", "L36")}
+
+
+def _generators(names, prec: int) -> list[QSeries]:
+    """The named span generators to precision >= prec, L36 as L(2z)."""
+    return [apply_V(eta_quotient_expand(FORMS[n], prec), 2) if n == "L36"
+            else eta_quotient_expand(FORMS[n], prec) for n in names]
 
 
 def psi36_generators(prec: int):
@@ -171,68 +164,24 @@ def spanning_family(level: int, max_pole: int, prec: int) -> list[QSeries]:
     """
     if max_pole < 1:
         raise ValueError("max_pole must be at least 1")
+    if level not in _GENERATORS:
+        raise ValueError(f"no spanning family at level {level}")
+    _require_span_prec(level, prec)
+    chain, *gens = _generators(_GENERATORS[level], prec + max_pole + 4)
+    members = []
     if level == 27:
-        _require_span_prec(level, prec)
-        inner = prec + max_pole + 4
-        g = eta_quotient_expand(FORMS["g27"], inner)
-        l1, l2 = _pole_generators_27(inner)
-        members = []
-        chain = g
+        l1, l2 = gens
         while True:
-            took = False
-            if chain.order >= -max_pole:
-                members.append(chain)
-                took = True
-            with_l2 = mul(chain, l2)
-            if with_l2.order >= -max_pole:
-                members.append(with_l2)
-                took = True
-            if not took:
+            row = [f for f in (chain, mul(chain, l2))
+                   if f.order >= -max_pole]
+            if not row:
                 break
+            members += row
             chain = mul(chain, l1)
-    elif level == 36:
-        _require_span_prec(level, prec)
-        inner = prec + max_pole + 4
-        g = eta_quotient_expand(FORMS["g36"], inner)
-        lv = apply_V(eta_quotient_expand(FORMS["L36"], inner), 2)
-        members = []
-        chain = g
+    else:
         while chain.order >= -max_pole:
             members.append(chain)
-            chain = mul(chain, lv)
-    else:
-        raise ValueError(f"no spanning family at level {level}")
-    return _certified(members, prec)
-
-
-def _class_family(level: int, pole: int, prec: int) -> list[QSeries]:
-    """The members of spanning_family(level, max(pole, 1), prec) whose
-    exponents lie in the residue class of -pole (mod 3 at level 27, mod 6
-    at level 36), for level 27 or 36.
-
-    Each member lives in one class.  At level 27, g27*L1^d and g27*L1^d*L2
-    (poles 2d-1 and 2d+2) lie in the class 1+d mod 3, which is that of
-    -pole exactly when d = 2*pole + 2 mod 3.  At level 36, g36*L(2z)^d
-    (pole 2d-1) lies in 1+4d mod 6, that of -pole when d = (pole+1)/2
-    mod 3.  So the chain starts at that d and steps by the cube of L1 or
-    L(2z).  That start has the smallest pole in the class, at most pole.
-    """
-    _require_span_prec(level, prec)
-    inner = prec + max(pole, 1) + 4
-    if level == 27:
-        start = eta_quotient_expand(FORMS["g27"], inner)
-        gen, l2 = _pole_generators_27(inner)
-        d0 = (2 * pole + 2) % 3
-    else:
-        start = eta_quotient_expand(FORMS["g36"], inner)
-        gen = apply_V(eta_quotient_expand(FORMS["L36"], inner), 2)
-        d0 = (pole + 1) // 2 % 3
-    for _ in range(d0):
-        start = mul(start, gen)
-    members = _chain(start, mul(mul(gen, gen), gen), pole)
-    if level == 27:
-        members += [mul(f, l2) for f in members
-                    if -(f.order + l2.order) <= pole]
+            chain = mul(chain, gens[0])
     return _certified(members, prec)
 
 
@@ -248,8 +197,7 @@ def _certified(members: list[QSeries], prec: int) -> list[QSeries]:
         if f.prec < prec:
             raise RuntimeError(
                 f"spanning family member certified only to precision "
-                f"{f.prec}, below the requested {prec}"
-            )
+                f"{f.prec}, below the requested {prec}")
     return members
 
 
@@ -310,52 +258,78 @@ def build_H(level: int, m: int, prec: int) -> QSeries:
     m >= -1.  Raises UnconstructibleError otherwise.
     """
     if level == 27:
-        if m < -1 or m == 0:
-            raise UnconstructibleError(
-                f"level 27 span has no normal form with pole {m}"
-            )
+        ok = m == -1 or m >= 1
     elif level == 36:
-        if m < -1 or m % 2 == 0:
-            raise UnconstructibleError(
-                f"level 36 span has no normal form with pole {m}"
-            )
+        ok = m >= -1 and m % 2 == 1
     else:
         raise ValueError(f"no span construction at level {level}")
+    if not ok:
+        raise UnconstructibleError(
+            f"level {level} span has no normal form with pole {m}")
     return _normal_form(_class_family(level, m, prec), -m, prec)
+
+
+def _class_family(level: int, pole: int, prec: int) -> list[QSeries]:
+    """The weight-2 chain with one member per pole of the class of -pole
+    (mod 3 at level 27, mod 6 at level 36) up to pole, certified to prec.
+
+    g27*L1^d lies in the class 1+d mod 3 and g36*L(2z)^d in 1+4d mod 6,
+    both with pole 2d-1, so the class of -pole has d = d0 = 2*pole+2 mod 3
+    at level 27 and d0 = (pole+1)/2 mod 3 at level 36.  The chain
+    g36*L(2z)^(d0+3j) is the part of spanning_family in the class.  At
+    level 27 that part is g27*L1^(d0+3k) and g27*L1^(d0+3k)*L2, and the
+    chain g27*L1^d0*L2^j has the same normal form:
+    - Both are triangular, with unit leads and the same pivots: every
+      pole = 2*d0-1 mod 3 from 2*d0-1 up to pole.
+    - Each member of one is a Z-combination of members of the other with
+      at most its pole.  The module docstring's weight-0 argument on
+      L1^3 - L2^2 (class 0 mod 3, pole below 6) leaves a constant, as this
+      class contains the exponent 0: L1^3 = L2^2 + 9*L2 + 27.  Times g27
+      (d0 = 0), that constant is a multiple of the chain's first member.
+      Times g27*L1^d0, the identity rewrites g27*L1^(d0+3k)*L2^e in the
+      chain and, by induction on j, g27*L1^d0*L2^j in the other family.
+    - A nonzero Z-combination of a triangular family leads at a pivot, so
+      the normal form with pivot e is the only series in the span with
+      lead q^e and zeros at the other pivots.
+    """
+    _require_span_prec(level, prec)
+    start, gen, *l2 = _generators(_GENERATORS[level], prec + max(pole, 1) + 4)
+    if level == 27:
+        d0, step = (2 * pole + 2) % 3, l2[0]
+    else:
+        d0, step = (pole + 1) // 2 % 3, mul(mul(gen, gen), gen)
+    for _ in range(d0):
+        start = mul(start, gen)
+    return _certified(_chain(start, step, pole), prec)
 
 
 def build_psi(level: int, p: int, prec: int) -> QSeries:
     """The weight-0 function q^-p + C_p q + O(q^4) (level 27, p = 2 mod 3)
     or q^-p + C q + O(q^7) (level 36, p = 5 mod 6), to precision prec >= 1.
 
-    It is the normal form with pivot -p in the family of one in-class
-    monomial per pole order k <= p: L1*L2^b at level 27 and psi2*psi3^b,
-    b odd, at level 36, with k = 2+3b.  The module docstring shows that
-    these span every in-class monomial, so the result equals the one from
-    the full monomial family.
+    It is the normal form with pivot -p of the chain L1*L2^b or
+    psi2*psi3^b, b odd, which the module docstring shows to span every
+    in-class monomial with pole at most p.
     """
     if not _is_prime(p):
         raise UnconstructibleError(f"{p} is not prime")
     if level == 27:
-        if p % 3 != 2:
-            raise UnconstructibleError(
-                f"level 27 psi needs p = 2 mod 3, got {p}"
-            )
+        _require_psi(p % 3 == 2, "p = 2 mod 3", level, p, prec)
+        first, step = _generators(("L1", "L2"), prec + p)
     elif level == 36:
-        if p % 6 != 5:
-            raise UnconstructibleError(
-                f"level 36 psi needs p = 5 mod 6, got {p}"
-            )
-    else:
-        raise ValueError(f"no psi construction at level {level}")
-    if prec < 1:
-        raise ValueError(f"prec must be at least 1, got {prec}")
-    if level == 27:
-        first, step = _pole_generators_27(prec + p)
-    else:
+        _require_psi(p % 6 == 5, "p = 5 mod 6", level, p, prec)
         psi2, psi3 = psi36_generators(prec + p + 2)
         first, step = mul(psi2, psi3), mul(psi3, psi3)
+    else:
+        raise ValueError(f"no psi construction at level {level}")
     return _normal_form(_chain(first, step, p), -p, prec)
+
+
+def _require_psi(in_class: bool, rule: str, level: int, p: int, prec: int):
+    if not in_class:
+        raise UnconstructibleError(f"level {level} psi needs {rule}, got {p}")
+    if prec < 1:
+        raise ValueError(f"prec must be at least 1, got {prec}")
 
 
 def _chain(first, step, max_pole):

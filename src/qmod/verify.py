@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .qseries import (
     QSeries,
+    _is_prime,
     add,
     coefficient,
     first_difference,
@@ -145,8 +146,6 @@ def prime_eligibility(level: int, p: int) -> tuple[bool, str]:
 
 
 def eligible_inert_primes(level: int, bound: int) -> list[int]:
-    from .qseries import _is_prime
-
     return [
         p for p in range(2, bound + 1)
         if _is_prime(p) and prime_eligibility(level, p)[0]

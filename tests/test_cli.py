@@ -656,3 +656,53 @@ def test_package_has_no_assert_statement():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_package_has_no_unused_private_name_or_import():
+    # a private module-level name that nothing references outside its own
+    # definition, or an import its module never reads, is left over from a
+    # removed path
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in Path(qmod.__file__).parent.glob("*.py")}
+
+    def read(node):
+        # loaded names, attribute names and strings (cli looks its check
+        # functions up by name)
+        out = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                out.add(sub.value)
+        return out
+
+    refs = {(name, i): read(stmt) for name, tree in trees.items()
+            for i, stmt in enumerate(tree.body)}
+    unused = []
+    for name, tree in trees.items():
+        for i, stmt in enumerate(tree.body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined = [stmt.name]
+            elif isinstance(stmt, ast.Assign):
+                defined = [t.id for t in stmt.targets
+                           if isinstance(t, ast.Name)]
+            else:
+                continue
+            for d in defined:
+                if d.startswith("_") and not d.startswith("__") and not any(
+                        d in r for key, r in refs.items() if key != (name, i)):
+                    unused.append(f"{name}: {d}")
+        if name == "__init__.py":
+            continue
+        loaded = read(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in loaded:
+                        unused.append(f"{name}: import {bound}")
+    assert "qseries.py" in trees
+    assert unused == []

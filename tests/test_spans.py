@@ -6,6 +6,7 @@ from qmod import (
     EliminationError,
     QSeries,
     UnconstructibleError,
+    add,
     build_H,
     build_psi,
     catalog_form,
@@ -13,12 +14,15 @@ from qmod import (
     echelonize,
     first_difference,
     mul,
+    one,
+    scale,
     spanning_family,
     sub,
     truncate,
 )
 from qmod.spans import (
     _chain,
+    _class_family,
     _normal_form,
     _reduce,
     _triangular,
@@ -126,6 +130,29 @@ def test_spanning_family_validation():
         spanning_family(36, 2, 2)
     with pytest.raises(ValueError):
         spanning_family(32, 2, 10)
+
+
+@pytest.mark.parametrize("level,modulus", [(27, 3), (36, 6)])
+def test_class_family_is_one_chain(level, modulus):
+    # one member per pole of the class of -pole, from the smallest up to
+    # pole, so the leading exponents step by the class modulus
+    for pole in range(-1, 40, 1 if level == 27 else 2):
+        if pole == 0:
+            continue
+        fam = _class_family(level, pole, 10)
+        assert [-f.order for f in fam] == [
+            k for k in range(-1, pole + 1) if k and (k - pole) % modulus == 0]
+        assert all(a.order - b.order == modulus for a, b in zip(fam, fam[1:]))
+        assert all(coefficient(f, f.order) == 1 and f.prec >= 10 for f in fam)
+
+
+def test_L1_cubed_is_a_polynomial_in_L2():
+    # the relation that puts the level-27 class members in the span of the
+    # chain g27*L1^d0*L2^j and back (see spans._class_family)
+    l1, l2 = catalog_form("L1", 80), catalog_form("L2", 80)
+    rhs = add(mul(l2, l2), add(scale(l2, 9), scale(one(80), 27)))
+    diff = sub(mul(mul(l1, l1), l1), rhs)
+    assert diff.is_zero and diff.prec >= 70
 
 
 def test_build_H_27_examples():
