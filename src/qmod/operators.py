@@ -28,14 +28,21 @@ def apply_U(f: QSeries, m: int) -> QSeries:
     """U_m: the coefficient at q^n of the result is a(m*n).
 
     Exponents not divisible by m are discarded; negative exponents take part
-    on the same footing.  Result precision is ceil(f.prec / m).
+    on the same footing.  Result precision is ceil(f.prec / m).  When the
+    result has fewer exponents than f has stored terms, they are looked up,
+    as in truncate, so a large m costs the result, not the series.
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"U index must be a positive integer, got {m}")
     if m == 1:
         return f
-    d = {e // m: c for e, c in f._c.items() if e % m == 0}
-    return QSeries._trusted(d, _ceil_div(f.prec, m))
+    c, prec = f._c, _ceil_div(f.prec, m)
+    low = _ceil_div(f.order, m)
+    if prec - low < len(c):
+        d = {n: c[n * m] for n in range(low, prec) if n * m in c}
+    else:
+        d = {e // m: v for e, v in c.items() if e % m == 0}
+    return QSeries._trusted(d, prec)
 
 
 def apply_V(f: QSeries, m: int) -> QSeries:

@@ -34,10 +34,34 @@ monic.  So the row with pivot e of echelonize(chain) is the member f_e
 minus c*f_e' for each other leading exponent e' in increasing order, c its
 current coefficient at e'; each step changes only exponents >= e', so those
 already cleared stay clear.  The tests check it against full families.
+
+Every chain is memoized per process (_CHAINS), keyed by (level, d0) for the
+class chains and (level, "psi") for the psi chains: all H_m of one class
+and all psi_p of one level are normal forms of the same chain.  An entry
+keeps the longest chain built so far, certified to the highest precision
+requested.  It covers a request (pole, prec) when the chain reaches pole
+and its members up to pole are certified to prec, which is FormCache's
+rule applied to each member; members of small pole carry precision to
+spare, as the generators are expanded for the whole chain.  A covered
+request gets those members and forms no product.  Any other request
+rebuilds the chain at the larger pole and the larger precision, after
+dropping the old entry, so that memory never holds both.  A memo hit
+returns what a fresh build returns, digit for digit and with the same
+precision:
+- _triangular truncates every member to prec, and truncation commutes with
+  exact products, so a member certified beyond prec gives the same row.
+- The normal form with pivot e reads only the members with pivots above e,
+  and every chain that reaches e holds those members: start*step^j does
+  not depend on where the chain stops.
+Requests are validated before the memo is read, and a chain that fails the
+leading-exponent check of _chain or the precision check of _certified
+raises before it is stored.  A lock serializes the memo, as FormCache's
+lock does its store.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 from .qseries import (QSeries, _is_prime, coefficient, mul, one, scale, sub,
@@ -138,9 +162,12 @@ _GENERATORS = {27: ("g27", "L1", "L2"), 36: ("g36", "L36")}
 
 
 def _generators(names, prec: int) -> list[QSeries]:
-    """The named span generators to precision >= prec, L36 as L(2z)."""
-    return [apply_V(eta_quotient_expand(FORMS[n], prec), 2) if n == "L36"
-            else eta_quotient_expand(FORMS[n], prec) for n in names]
+    """The named span generators to precision >= prec, L36 as L(2z).
+
+    L36 is expanded to (prec+2)//2, which V_2 certifies to at least prec."""
+    return [apply_V(eta_quotient_expand(FORMS[n], (prec + 2) // 2), 2)
+            if n == "L36" else eta_quotient_expand(FORMS[n], prec)
+            for n in names]
 
 
 def psi36_generators(prec: int):
@@ -293,14 +320,17 @@ def _class_family(level: int, pole: int, prec: int) -> list[QSeries]:
       lead q^e and zeros at the other pivots.
     """
     _require_span_prec(level, prec)
-    start, gen, *l2 = _generators(_GENERATORS[level], prec + max(pole, 1) + 4)
-    if level == 27:
-        d0, step = (2 * pole + 2) % 3, l2[0]
-    else:
-        d0, step = (pole + 1) // 2 % 3, mul(mul(gen, gen), gen)
-    for _ in range(d0):
-        start = mul(start, gen)
-    return _certified(_chain(start, step, pole), prec)
+    d0 = (2 * pole + 2) % 3 if level == 27 else (pole + 1) // 2 % 3
+
+    def build(pole, prec):
+        start, gen, *l2 = _generators(_GENERATORS[level],
+                                      prec + max(pole, 1) + 4)
+        step = l2[0] if level == 27 else mul(mul(gen, gen), gen)
+        for _ in range(d0):
+            start = mul(start, gen)
+        return _chain(start, step, pole)
+
+    return _memo_chain((level, d0), pole, prec, build)
 
 
 def build_psi(level: int, p: int, prec: int) -> QSeries:
@@ -315,14 +345,18 @@ def build_psi(level: int, p: int, prec: int) -> QSeries:
         raise UnconstructibleError(f"{p} is not prime")
     if level == 27:
         _require_psi(p % 3 == 2, "p = 2 mod 3", level, p, prec)
-        first, step = _generators(("L1", "L2"), prec + p)
+
+        def build(pole, prec):
+            return _chain(*_generators(("L1", "L2"), prec + pole), pole)
     elif level == 36:
         _require_psi(p % 6 == 5, "p = 5 mod 6", level, p, prec)
-        psi2, psi3 = psi36_generators(prec + p + 2)
-        first, step = mul(psi2, psi3), mul(psi3, psi3)
+
+        def build(pole, prec):
+            psi2, psi3 = psi36_generators(prec + pole + 2)
+            return _chain(mul(psi2, psi3), mul(psi3, psi3), pole)
     else:
         raise ValueError(f"no psi construction at level {level}")
-    return _normal_form(_chain(first, step, p), -p, prec)
+    return _normal_form(_memo_chain((level, "psi"), p, prec, build), -p, prec)
 
 
 def _require_psi(in_class: bool, rule: str, level: int, p: int, prec: int):
@@ -330,6 +364,27 @@ def _require_psi(in_class: bool, rule: str, level: int, p: int, prec: int):
         raise UnconstructibleError(f"level {level} psi needs {rule}, got {p}")
     if prec < 1:
         raise ValueError(f"prec must be at least 1, got {prec}")
+
+
+# chain key -> (pole, prec, members): see the module docstring
+_CHAINS: dict[tuple, tuple[int, int, list[QSeries]]] = {}
+_CHAINS_LOCK = threading.Lock()
+
+
+def _memo_chain(key, pole: int, prec: int, build) -> list[QSeries]:
+    """The members with pole at most pole of the chain key, certified to
+    prec: from the memo when its entry covers (pole, prec), and otherwise
+    from build(pole', prec') at the larger pole and precision."""
+    with _CHAINS_LOCK:
+        top, best, chain = _CHAINS.get(key, (pole, prec, []))
+        if top < pole or not chain or any(
+                f.prec < prec for f in chain if -f.order <= pole):
+            top, best = max(pole, top), max(prec, best)
+            _CHAINS.pop(key, None)
+            del chain  # hold one chain at a time
+            chain = _certified(build(top, best), best)
+            _CHAINS[key] = top, best, chain
+    return [f for f in chain if -f.order <= pole]
 
 
 def _chain(first, step, max_pole):

@@ -58,6 +58,65 @@ def test_U_drops_off_lattice_terms():
     assert apply_U(QSeries({1: 1, 5: 2}, 6), 3).is_zero
 
 
+def _scan_U(f, m):
+    return QSeries({e // m: c for e, c in f.items() if e % m == 0},
+                   -(-f.prec // m))
+
+
+class _ScanSpy(dict):
+    """A term dict that records whether its items were scanned."""
+
+    scanned = False
+
+    def items(self):
+        self.scanned = True
+        return super().items()
+
+
+def _U_looks_up(f, m):
+    # apply_U's branch rule: fewer result exponents than stored terms
+    return -(-f.prec // m) - -(-f.order // m) < len(f.items())
+
+
+@given(st.one_of(series(max_prec=60),
+                 st.builds(lambda lo, cs: QSeries(
+                     {lo + k: c for k, c in enumerate(cs)}, lo + len(cs)),
+                     st.integers(min_value=-20, max_value=20),
+                     st.lists(coeffs, max_size=60))),
+       st.integers(min_value=2, max_value=70))
+def test_U_lookup_and_scan_agree(f, m):
+    assert apply_U(f, m) == _scan_U(f, m)
+
+
+@pytest.mark.parametrize("f,m,lookup", [
+    # dense with negative exponents: lookup, also for m above the precision
+    (QSeries({e: e or 5 for e in range(-7, 40)}, 40), 5, True),
+    (QSeries({e: e or 5 for e in range(-7, 40)}, 40), 45, True),
+    # lacunary: a scan, unless m leaves a single exponent
+    (QSeries({-9: 1, 0: 2, 30: -3, 1000: 4}, 1001), 3, False),
+    (QSeries({-9: 1, 0: 2, 30: -3, 1000: 4}, 1001), 2000, True),
+    # only negative exponents, so a negative precision
+    (QSeries({-10: 1, -8: 2, -6: 3, -4: 4}, -3), 2, False),
+    (QSeries({-10: 1, -8: 2, -6: 3, -4: 4}, -3), 4, True),
+    # the zero series
+    (zero(10), 3, False),
+    (zero(10), 20, False),
+])
+def test_U_branches_on_fixed_series(f, m, lookup):
+    assert _U_looks_up(f, m) is lookup
+    spy = QSeries._trusted(_ScanSpy(f._c), f.prec)
+    assert apply_U(spy, m) == _scan_U(f, m)
+    assert spy._c.scanned is not lookup
+
+
+def test_U_lookup_of_a_long_series():
+    f = QSeries({-3 + 3 * k: k + 1 for k in range(5000)}, 15000)
+    for m in (9, 27, 243, 20000):
+        assert _U_looks_up(f, m)
+        assert apply_U(f, m) == _scan_U(f, m)
+    assert apply_U(f, 243).items()[:2] == [(0, 2), (1, 83)]
+
+
 def test_UV_validate_index():
     with pytest.raises(ValueError):
         apply_U(one(3), 0)

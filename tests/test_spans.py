@@ -1,6 +1,10 @@
+import functools
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmod import (
     EliminationError,
@@ -20,6 +24,7 @@ from qmod import (
     sub,
     truncate,
 )
+from qmod import spans
 from qmod.spans import (
     _chain,
     _class_family,
@@ -382,3 +387,151 @@ def test_normal_form_of_a_small_triangular_family():
     assert (exc.value.exponent, exc.value.coeff) == (1, 2)
     with pytest.raises(RuntimeError, match="share the leading exponent"):
         _normal_form(fam + [QSeries({2: 1}, 6)], 0, 6)
+
+
+# ---------------------------------------------------------------------------
+# the per-process chain memo
+
+def _build(kind):
+    return build_H if kind == "H" else build_psi
+
+
+@functools.lru_cache(maxsize=None)
+def _fresh(kind, level, m, prec):
+    spans._CHAINS.clear()
+    return _build(kind)(level, m, prec)
+
+
+@functools.lru_cache(maxsize=None)
+def _echelon_row(kind, level, m, prec):
+    if kind == "H":
+        family = spanning_family(level, max(m, 1), prec)
+    else:
+        family = _full_monomial_family(level, m, prec)
+    return truncate(echelonize(family).row_with_pivot(-m), prec)
+
+
+# (kind, level, pole, least precision) of every request the memo test draws
+_MEMO_TARGETS = (
+    [("H", 27, m, 2) for m in [-1] + list(range(1, 31))]
+    + [("H", 36, m, 3) for m in range(-1, 31, 2)]
+    + [("psi", 27, p, 1) for p in _PRIMES_101 if p % 3 == 2 and p < 50]
+    + [("psi", 36, p, 1) for p in _PRIMES_101 if p % 6 == 5 and p < 50])
+
+_memo_requests = st.lists(
+    st.tuples(st.sampled_from(_MEMO_TARGETS),
+              st.sampled_from([0, 1, 7, 20, 38])).map(
+        lambda t: (*t[0][:3], t[0][3] + t[1])),
+    min_size=1, max_size=12)
+
+
+@settings(max_examples=40)
+@given(_memo_requests)
+def test_memo_matches_fresh_builds_and_the_echelon_oracle(requests):
+    # every answer, precision included, is what a build from an empty memo
+    # gives, whatever requests came before it
+    expected = [_fresh(*r) for r in requests]
+    spans._CHAINS.clear()
+    for (kind, level, m, prec), want in zip(requests, expected):
+        got = _build(kind)(level, m, prec)
+        assert got == want and got.prec == prec, (kind, level, m, prec)
+        assert got == _echelon_row(kind, level, m, prec)
+
+
+def test_memo_keeps_the_longest_chain_at_the_highest_precision():
+    want = _fresh("H", 27, 4, 41)   # clears the memo
+    spans._CHAINS.clear()
+    build_H(27, 10, 40)
+    build_H(27, 40, 10)   # the class of 10: a rebuild at pole 40, prec 40
+    assert spans._CHAINS[(27, 1)][:2] == (40, 40)
+    # a covered request gets the members up to its own pole
+    assert [-f.order for f in _class_family(27, 10, 10)] == [1, 4, 7, 10]
+    # the members up to pole 4 are certified far beyond 41: no rebuild
+    entry = spans._CHAINS[(27, 1)]
+    assert build_H(27, 4, 41) == want
+    assert spans._CHAINS[(27, 1)] is entry
+    spans._CHAINS.clear()
+    build_psi(36, 23, 5)
+    build_psi(36, 5, 50)
+    assert spans._CHAINS[(36, "psi")][:2] == (23, 50)
+    assert list(spans._CHAINS) == [(36, "psi")]
+
+
+def test_covered_request_forms_no_product(monkeypatch):
+    spans._CHAINS.clear()
+    for m in (38, 39, 40):   # one chain per class
+        build_H(27, m, 30)
+    build_psi(27, 47, 30)
+    calls = []
+
+    def counted(f):
+        def wrapper(*args):
+            calls.append(f.__name__)
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(spans, "mul", counted(spans.mul))
+    monkeypatch.setattr(spans, "eta_quotient_expand",
+                        counted(spans.eta_quotient_expand))
+    for m in (-1, 1, 2, 3, 13, 40):
+        build_H(27, m, 12)
+    for p in (2, 5, 11, 47):
+        build_psi(27, p, 30)
+    assert calls == []
+    build_H(27, 41, 12)   # past the chain: one rebuild
+    assert "eta_quotient_expand" in calls
+
+
+def test_rejected_request_leaves_the_memo_unchanged():
+    spans._CHAINS.clear()
+    for level, m, p in ((27, 4, 5), (36, 5, 11)):
+        build_H(level, m, 10)
+        build_psi(level, p, 10)
+    before = dict(spans._CHAINS)
+    rejected = [
+        (build_H, 27, 0, 100),      # no pole 0 at level 27
+        (build_H, 36, 50, 100),     # even pole at level 36
+        (build_H, 27, 200, 1),      # prec below 2
+        (build_H, 36, 201, 2),      # prec below 3
+        (build_H, 32, 1, 10),       # no span at level 32
+        (build_psi, 27, 125, 100),  # 125 = 2 mod 3 is not prime
+        (build_psi, 27, 7, 100),    # 7 = 1 mod 3
+        (build_psi, 36, 11, 0),     # prec below 1
+        (build_psi, 36, 7, 100),    # 7 = 1 mod 6
+        (build_psi, 64, 3, 5),      # no psi at level 64
+    ]
+    for build, level, m, prec in rejected:
+        with pytest.raises(ValueError):
+            build(level, m, prec)
+        assert spans._CHAINS.keys() == before.keys()
+        assert all(spans._CHAINS[k] is before[k] for k in before)
+
+
+def test_uncertified_chain_never_enters_the_memo():
+    spans._CHAINS.clear()
+    with pytest.raises(RuntimeError, match="certified only to precision 5"):
+        spans._memo_chain((27, "test"), 3, 10,
+                          lambda pole, prec: [QSeries({-1: 1}, 5)])
+    assert spans._CHAINS == {}
+
+
+def test_memo_is_thread_safe():
+    requests = [("H", 27, m, prec) for m in (2, 5, 29) for prec in (5, 30)]
+    requests += [("psi", 36, p, prec) for p in (5, 29) for prec in (3, 40)]
+    want = [_fresh(*r) for r in requests * 3]
+    spans._CHAINS.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            got = list(ex.map(lambda r: _build(r[0])(*r[1:]), requests * 3,
+                              timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    # no update was lost: the entries cover every request, so asking again
+    # rebuilds nothing
+    entries = dict(spans._CHAINS)
+    for kind, level, m, prec in requests:
+        _build(kind)(level, m, prec)
+    assert all(spans._CHAINS[k] is v for k, v in entries.items())
