@@ -35,28 +35,25 @@ minus c*f_e' for each other leading exponent e' in increasing order, c its
 current coefficient at e'; each step changes only exponents >= e', so those
 already cleared stay clear.  The tests check it against full families.
 
-Every chain is memoized per process (_CHAINS), keyed by (level, d0) for the
-class chains and (level, "psi") for the psi chains: all H_m of one class
-and all psi_p of one level are normal forms of the same chain.  An entry
-keeps the longest chain built so far, certified to the highest precision
-requested.  It covers a request (pole, prec) when the chain reaches pole
-and its members up to pole are certified to prec, which is FormCache's
-rule applied to each member; members of small pole carry precision to
-spare, as the generators are expanded for the whole chain.  A covered
-request gets those members and forms no product.  Any other request
-rebuilds the chain at the larger pole and the larger precision, after
-dropping the old entry, so that memory never holds both.  A memo hit
-returns what a fresh build returns, digit for digit and with the same
-precision:
-- _triangular truncates every member to prec, and truncation commutes with
-  exact products, so a member certified beyond prec gives the same row.
-- The normal form with pivot e reads only the members with pivots above e,
-  and every chain that reaches e holds those members: start*step^j does
-  not depend on where the chain stops.
-Requests are validated before the memo is read, and a chain that fails the
-leading-exponent check of _chain or the precision check of _certified
-raises before it is stored.  A lock serializes the memo, as FormCache's
-lock does its store.
+Two per-process memos keep what the builds share, by FormCache's rule: an
+entry is kept at the highest precision requested so far, and a request at
+or below it gets the entry truncated.  _NORMAL_FORMS holds each H_m and
+psi_p built, keyed by (kind, level, pole), and _EXPANSIONS the expansions
+of the generators g27, L1, L2, g36 and L36, keyed by name.  A truncated
+entry is what a fresh build returns, digit for digit and with the same
+precision: the expansions are exact, so truncation commutes with every
+product and sum built from them; each pivot lies below the least admitted
+precision, so _triangular keeps the same members at every admitted prec;
+and the reduction reads its multipliers at the pivots.
+
+No chain is kept.  One chain per class would serve every shorter H_m or
+psi_p from the longest built so far, but then what a call costs depends
+on the calls before it: the same pool of requests in another order does
+different work in different calls.  Here a request whose normal form is
+not held forms the same products whatever came before it; the memos save
+only the expansions it does not extend and the normal forms it repeats.
+Requests are validated before a memo is read, a build that raises stores
+nothing, and one lock serializes both memos.
 """
 
 from __future__ import annotations
@@ -165,9 +162,8 @@ def _generators(names, prec: int) -> list[QSeries]:
     """The named span generators to precision >= prec, L36 as L(2z).
 
     L36 is expanded to (prec+2)//2, which V_2 certifies to at least prec."""
-    return [apply_V(eta_quotient_expand(FORMS[n], (prec + 2) // 2), 2)
-            if n == "L36" else eta_quotient_expand(FORMS[n], prec)
-            for n in names]
+    return [apply_V(_expansion(n, (prec + 2) // 2), 2) if n == "L36"
+            else _expansion(n, prec) for n in names]
 
 
 def psi36_generators(prec: int):
@@ -175,7 +171,7 @@ def psi36_generators(prec: int):
     supported on exponents 4 mod 6, and psi3 = L(z)L(2z) - 1 = q^-3 + O(q^3)
     supported on 3 mod 6.  Both returned with precision >= prec."""
     inner = max(prec + 2, 4)
-    l = eta_quotient_expand(FORMS["L36"], inner)
+    l = _expansion("L36", inner)
     psi2 = apply_V(l, 2)
     prod = mul(l, psi2)
     psi3 = sub(prod, one(prod.prec))
@@ -256,12 +252,20 @@ def _triangular(family, prec: int) -> dict[int, QSeries]:
 
 def _reduce(f: QSeries, rows: dict[int, QSeries]) -> QSeries:
     """f minus the multiples of rows that clear its coefficient at every
-    leading exponent of rows, walked upwards (see the module docstring)."""
+    leading exponent of rows, walked upwards (see the module docstring).
+    f and the rows share one precision, as _triangular leaves them, and the
+    result is accumulated in one dict."""
+    d = dict(f._c)
     for e in sorted(rows):
-        c = coefficient(f, e)
+        c = d.get(e)
         if c:
-            f = sub(f, scale(rows[e], c))
-    return f
+            for k, v in rows[e]._c.items():
+                s = d.get(k, 0) - c * v
+                if s:
+                    d[k] = s
+                else:
+                    del d[k]
+    return QSeries._trusted(d, f.prec)
 
 
 def _normal_form(family, pivot: int, prec: int) -> QSeries:
@@ -293,7 +297,9 @@ def build_H(level: int, m: int, prec: int) -> QSeries:
     if not ok:
         raise UnconstructibleError(
             f"level {level} span has no normal form with pole {m}")
-    return _normal_form(_class_family(level, m, prec), -m, prec)
+    _require_span_prec(level, prec)
+    return _memo(_NORMAL_FORMS, ("H", level, m), prec,
+                 lambda: _normal_form(_class_family(level, m, prec), -m, prec))
 
 
 def _class_family(level: int, pole: int, prec: int) -> list[QSeries]:
@@ -320,17 +326,14 @@ def _class_family(level: int, pole: int, prec: int) -> list[QSeries]:
       lead q^e and zeros at the other pivots.
     """
     _require_span_prec(level, prec)
-    d0 = (2 * pole + 2) % 3 if level == 27 else (pole + 1) // 2 % 3
-
-    def build(pole, prec):
-        start, gen, *l2 = _generators(_GENERATORS[level],
-                                      prec + max(pole, 1) + 4)
-        step = l2[0] if level == 27 else mul(mul(gen, gen), gen)
-        for _ in range(d0):
-            start = mul(start, gen)
-        return _chain(start, step, pole)
-
-    return _memo_chain((level, d0), pole, prec, build)
+    start, gen, *l2 = _generators(_GENERATORS[level], prec + max(pole, 1) + 4)
+    if level == 27:
+        d0, step = (2 * pole + 2) % 3, l2[0]
+    else:
+        d0, step = (pole + 1) // 2 % 3, mul(mul(gen, gen), gen)
+    for _ in range(d0):
+        start = mul(start, gen)
+    return _certified(_chain(start, step, pole), prec)
 
 
 def build_psi(level: int, p: int, prec: int) -> QSeries:
@@ -345,18 +348,23 @@ def build_psi(level: int, p: int, prec: int) -> QSeries:
         raise UnconstructibleError(f"{p} is not prime")
     if level == 27:
         _require_psi(p % 3 == 2, "p = 2 mod 3", level, p, prec)
-
-        def build(pole, prec):
-            return _chain(*_generators(("L1", "L2"), prec + pole), pole)
     elif level == 36:
         _require_psi(p % 6 == 5, "p = 5 mod 6", level, p, prec)
-
-        def build(pole, prec):
-            psi2, psi3 = psi36_generators(prec + pole + 2)
-            return _chain(mul(psi2, psi3), mul(psi3, psi3), pole)
     else:
         raise ValueError(f"no psi construction at level {level}")
-    return _normal_form(_memo_chain((level, "psi"), p, prec, build), -p, prec)
+    return _memo(_NORMAL_FORMS, ("psi", level, p), prec,
+                 lambda: _psi(level, p, prec))
+
+
+def _psi(level: int, p: int, prec: int) -> QSeries:
+    """psi_p from its chain; build_psi validates the request first."""
+    if level == 27:
+        first, step = _generators(("L1", "L2"), prec + p)
+    else:
+        psi2, psi3 = psi36_generators(prec + p + 2)
+        first, step = mul(psi2, psi3), mul(psi3, psi3)
+    chain = _certified(_chain(first, step, p), prec)
+    return _normal_form(chain, -p, prec)
 
 
 def _require_psi(in_class: bool, rule: str, level: int, p: int, prec: int):
@@ -366,25 +374,27 @@ def _require_psi(in_class: bool, rule: str, level: int, p: int, prec: int):
         raise ValueError(f"prec must be at least 1, got {prec}")
 
 
-# chain key -> (pole, prec, members): see the module docstring
-_CHAINS: dict[tuple, tuple[int, int, list[QSeries]]] = {}
-_CHAINS_LOCK = threading.Lock()
+# The per-process memos of the module docstring: (kind, level, pole) ->
+# that normal form, and catalog name -> that generator's expansion, each at
+# the highest precision requested so far.  One lock serializes both.
+_NORMAL_FORMS: dict[tuple, QSeries] = {}
+_EXPANSIONS: dict[str, QSeries] = {}
+_MEMO_LOCK = threading.RLock()
 
 
-def _memo_chain(key, pole: int, prec: int, build) -> list[QSeries]:
-    """The members with pole at most pole of the chain key, certified to
-    prec: from the memo when its entry covers (pole, prec), and otherwise
-    from build(pole', prec') at the larger pole and precision."""
-    with _CHAINS_LOCK:
-        top, best, chain = _CHAINS.get(key, (pole, prec, []))
-        if top < pole or not chain or any(
-                f.prec < prec for f in chain if -f.order <= pole):
-            top, best = max(pole, top), max(prec, best)
-            _CHAINS.pop(key, None)
-            del chain  # hold one chain at a time
-            chain = _certified(build(top, best), best)
-            _CHAINS[key] = top, best, chain
-    return [f for f in chain if -f.order <= pole]
+def _memo(store: dict, key, prec: int, build) -> QSeries:
+    """The entry key of store to precision prec: the entry truncated when
+    it is certified that far, and otherwise build(), which replaces it."""
+    with _MEMO_LOCK:
+        f = store.get(key)
+        if f is None or f.prec < prec:
+            f = store[key] = build()
+    return truncate(f, prec)
+
+
+def _expansion(name: str, prec: int) -> QSeries:
+    return _memo(_EXPANSIONS, name, prec,
+                 lambda: eta_quotient_expand(FORMS[name], prec))
 
 
 def _chain(first, step, max_pole):

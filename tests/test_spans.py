@@ -390,15 +390,24 @@ def test_normal_form_of_a_small_triangular_family():
 
 
 # ---------------------------------------------------------------------------
-# the per-process chain memo
+# the per-process memos of normal forms and generator expansions
 
 def _build(kind):
     return build_H if kind == "H" else build_psi
 
 
+def _clear_memos():
+    spans._NORMAL_FORMS.clear()
+    spans._EXPANSIONS.clear()
+
+
+def _memo_state():
+    return dict(spans._NORMAL_FORMS), dict(spans._EXPANSIONS)
+
+
 @functools.lru_cache(maxsize=None)
 def _fresh(kind, level, m, prec):
-    spans._CHAINS.clear()
+    _clear_memos()
     return _build(kind)(level, m, prec)
 
 
@@ -411,7 +420,7 @@ def _echelon_row(kind, level, m, prec):
     return truncate(echelonize(family).row_with_pivot(-m), prec)
 
 
-# (kind, level, pole, least precision) of every request the memo test draws
+# (kind, level, pole, least precision) of every request the memo tests draw
 _MEMO_TARGETS = (
     [("H", 27, m, 2) for m in [-1] + list(range(1, 31))]
     + [("H", 36, m, 3) for m in range(-1, 31, 2)]
@@ -428,74 +437,115 @@ _memo_requests = st.lists(
 @settings(max_examples=40)
 @given(_memo_requests)
 def test_memo_matches_fresh_builds_and_the_echelon_oracle(requests):
-    # every answer, precision included, is what a build from an empty memo
+    # every answer, precision included, is what a build from empty memos
     # gives, whatever requests came before it
     expected = [_fresh(*r) for r in requests]
-    spans._CHAINS.clear()
+    _clear_memos()
     for (kind, level, m, prec), want in zip(requests, expected):
         got = _build(kind)(level, m, prec)
         assert got == want and got.prec == prec, (kind, level, m, prec)
         assert got == _echelon_row(kind, level, m, prec)
 
 
-def test_memo_keeps_the_longest_chain_at_the_highest_precision():
-    want = _fresh("H", 27, 4, 41)   # clears the memo
-    spans._CHAINS.clear()
-    build_H(27, 10, 40)
-    build_H(27, 40, 10)   # the class of 10: a rebuild at pole 40, prec 40
-    assert spans._CHAINS[(27, 1)][:2] == (40, 40)
-    # a covered request gets the members up to its own pole
-    assert [-f.order for f in _class_family(27, 10, 10)] == [1, 4, 7, 10]
-    # the members up to pole 4 are certified far beyond 41: no rebuild
-    entry = spans._CHAINS[(27, 1)]
-    assert build_H(27, 4, 41) == want
-    assert spans._CHAINS[(27, 1)] is entry
-    spans._CHAINS.clear()
-    build_psi(36, 23, 5)
-    build_psi(36, 5, 50)
-    assert spans._CHAINS[(36, "psi")][:2] == (23, 50)
-    assert list(spans._CHAINS) == [(36, "psi")]
+def _counting(names):
+    """Wrap the named spans bindings; returns the list of calls and a
+    function that restores them."""
+    calls, saved = [], {n: getattr(spans, n) for n in names}
 
-
-def test_covered_request_forms_no_product(monkeypatch):
-    spans._CHAINS.clear()
-    for m in (38, 39, 40):   # one chain per class
-        build_H(27, m, 30)
-    build_psi(27, 47, 30)
-    calls = []
-
-    def counted(f):
+    def counted(name, f):
         def wrapper(*args):
-            calls.append(f.__name__)
+            calls.append(name)
             return f(*args)
         return wrapper
 
-    monkeypatch.setattr(spans, "mul", counted(spans.mul))
-    monkeypatch.setattr(spans, "eta_quotient_expand",
-                        counted(spans.eta_quotient_expand))
-    for m in (-1, 1, 2, 3, 13, 40):
-        build_H(27, m, 12)
-    for p in (2, 5, 11, 47):
-        build_psi(27, p, 30)
-    assert calls == []
-    build_H(27, 41, 12)   # past the chain: one rebuild
-    assert "eta_quotient_expand" in calls
+    for name, f in saved.items():
+        setattr(spans, name, counted(name, f))
+    return calls, lambda: [setattr(spans, n, f) for n, f in saved.items()]
+
+
+@settings(max_examples=25, deadline=None)
+@given(_memo_requests, st.sampled_from(_MEMO_TARGETS))
+def test_products_of_a_request_do_not_depend_on_earlier_requests(
+        before, target):
+    # a normal form the memo does not hold forms the same products whatever
+    # was requested before it: no chain is shared between two requests
+    kind, level, m, prec = target
+    before = [r for r in before if r[:3] != target[:3]]
+    counts = []
+    for history in (before, []):
+        _clear_memos()
+        for r in history:
+            _build(r[0])(*r[1:])
+        calls, restore = _counting(["mul"])
+        try:
+            _build(kind)(level, m, prec)
+        finally:
+            restore()
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_memo_keeps_each_form_at_the_highest_precision():
+    want = _fresh("H", 27, 10, 12)   # clears the memos
+    build_H(27, 10, 40)
+    entry = spans._NORMAL_FORMS[("H", 27, 10)]
+    assert entry.prec == 40
+    # a request at a lower precision is the entry truncated: no rebuild
+    assert build_H(27, 10, 12) == want
+    assert spans._NORMAL_FORMS[("H", 27, 10)] is entry
+    # a higher precision replaces the entry
+    build_H(27, 10, 41)
+    assert spans._NORMAL_FORMS[("H", 27, 10)].prec == 41
+    # the generators stay at the longest expansion so far: 41 + 10 + 4
+    build_H(27, 4, 12)
+    assert {n: f.prec for n, f in spans._EXPANSIONS.items()} == {
+        "g27": 55, "L1": 55, "L2": 55}
+    # and are handed out truncated to the precision asked for
+    assert [f.prec for f in spans._generators(("g27", "L1"), 20)] == [20, 20]
+    _clear_memos()
+    build_psi(36, 23, 5)
+    build_psi(36, 5, 50)
+    assert {k: f.prec for k, f in spans._NORMAL_FORMS.items()} == {
+        ("psi", 36, 23): 5, ("psi", 36, 5): 50}
+    assert {n: f.prec for n, f in spans._EXPANSIONS.items()} == {"L36": 59}
+
+
+def test_held_form_and_generators_form_no_product_or_expansion():
+    _clear_memos()
+    for m in (38, 39, 40):   # one chain per class
+        build_H(27, m, 30)
+    build_psi(27, 47, 30)
+    calls, restore = _counting(["mul", "eta_quotient_expand"])
+    try:
+        for m in (38, 39, 40):
+            build_H(27, m, 12)
+        build_psi(27, 47, 30)
+        assert calls == []
+        build_psi(27, 5, 30)   # a new form from held generators
+        assert "mul" in calls and "eta_quotient_expand" not in calls
+        build_H(27, 41, 40)    # past the held generators: an expansion
+        assert "eta_quotient_expand" in calls
+    finally:
+        restore()
 
 
 def test_rejected_request_leaves_the_memo_unchanged():
-    spans._CHAINS.clear()
+    _clear_memos()
     for level, m, p in ((27, 4, 5), (36, 5, 11)):
         build_H(level, m, 10)
         build_psi(level, p, 10)
-    before = dict(spans._CHAINS)
+    before = _memo_state()
     rejected = [
         (build_H, 27, 0, 100),      # no pole 0 at level 27
         (build_H, 36, 50, 100),     # even pole at level 36
         (build_H, 27, 200, 1),      # prec below 2
+        (build_H, 27, 4, 1),        # prec below 2, form held
         (build_H, 36, 201, 2),      # prec below 3
+        (build_H, 36, 5, 2),        # prec below 3, form held
         (build_H, 32, 1, 10),       # no span at level 32
         (build_psi, 27, 125, 100),  # 125 = 2 mod 3 is not prime
         (build_psi, 27, 7, 100),    # 7 = 1 mod 3
+        (build_psi, 27, 5, 0),      # prec below 1, form held
         (build_psi, 36, 11, 0),     # prec below 1
         (build_psi, 36, 7, 100),    # 7 = 1 mod 6
         (build_psi, 64, 3, 5),      # no psi at level 64
@@ -503,23 +553,25 @@ def test_rejected_request_leaves_the_memo_unchanged():
     for build, level, m, prec in rejected:
         with pytest.raises(ValueError):
             build(level, m, prec)
-        assert spans._CHAINS.keys() == before.keys()
-        assert all(spans._CHAINS[k] is before[k] for k in before)
+        for memo, held in zip(_memo_state(), before):
+            assert memo.keys() == held.keys()
+            assert all(memo[k] is held[k] for k in held)
 
 
-def test_uncertified_chain_never_enters_the_memo():
-    spans._CHAINS.clear()
+def test_failed_build_never_enters_the_memo():
+    _clear_memos()
+    uncertified = [QSeries({-1: 1}, 5)]
     with pytest.raises(RuntimeError, match="certified only to precision 5"):
-        spans._memo_chain((27, "test"), 3, 10,
-                          lambda pole, prec: [QSeries({-1: 1}, 5)])
-    assert spans._CHAINS == {}
+        spans._memo(spans._NORMAL_FORMS, ("H", 27, 1), 10,
+                    lambda: spans._certified(uncertified, 10))
+    assert spans._NORMAL_FORMS == {}
 
 
 def test_memo_is_thread_safe():
     requests = [("H", 27, m, prec) for m in (2, 5, 29) for prec in (5, 30)]
     requests += [("psi", 36, p, prec) for p in (5, 29) for prec in (3, 40)]
     want = [_fresh(*r) for r in requests * 3]
-    spans._CHAINS.clear()
+    _clear_memos()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -530,8 +582,9 @@ def test_memo_is_thread_safe():
         sys.setswitchinterval(interval)
     assert got == want
     # no update was lost: the entries cover every request, so asking again
-    # rebuilds nothing
-    entries = dict(spans._CHAINS)
+    # replaces nothing
+    forms, expansions = _memo_state()
     for kind, level, m, prec in requests:
         _build(kind)(level, m, prec)
-    assert all(spans._CHAINS[k] is v for k, v in entries.items())
+    assert all(spans._NORMAL_FORMS[k] is v for k, v in forms.items())
+    assert all(spans._EXPANSIONS[k] is v for k, v in expansions.items())
