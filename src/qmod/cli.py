@@ -139,8 +139,9 @@ def run_grid(levels: tuple[int, ...] = tuple(CURVES),
                     continue
             jobs.extend((level, p, m) for m in range(top + 1))
     # Expand each form once, at the largest precision any job needs; the
-    # checks below then only truncate.  Twin levels (32 and 64, 36 and 144)
-    # admit the same primes, so a twisted G never needs more than its base.
+    # checks below then only read or truncate it.  Twin levels (32 and 64,
+    # 36 and 144) admit the same primes, so a twisted G never needs more
+    # than its base.
     need: dict[str, int] = {}
     for level, p, m in jobs:
         need[f"G{level}"] = max(need.get(f"G{level}", 0),
@@ -148,7 +149,7 @@ def run_grid(levels: tuple[int, ...] = tuple(CURVES),
         need[f"g{level}"] = K + 1
     store = _cache(cache)
     for name, prec in need.items():
-        store.series(name, prec)
+        store.expansion(name, prec)
     reports: list[CheckReport] = []
     for level, p, m in jobs:
         reports.append(check_valuation(level, p, m, store))
@@ -307,10 +308,10 @@ def _io_flags(sp):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The qmod argument parser, built on the first call and then reused:
-    it is fixed data, and parse_args returns a new namespace every time
-    without changing the parser."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The qmod argument parser and its subcommand parsers by name, built
+    on the first call and then reused: they are fixed data, and parsing
+    returns a new namespace every time without changing a parser."""
     p = argparse.ArgumentParser(
         prog="qmod",
         description="Exact q-series catalog and p-adic verification harness",
@@ -345,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
         c.add_argument("--" + flag.replace("_", "-"), type=int, dest=flag)
     _io_flags(c)
 
-    return p
+    return p, {"expand": e, "verify": v, "check": c}
 
 
 # The option strings argparse resolves to verify's --primes: the flag and
@@ -370,9 +371,28 @@ def _attach_primes(argv: list) -> list:
     return out
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """argv parsed as the top-level parser parses it.  When argv starts
+    with a subcommand name, the rest goes straight to that subcommand's
+    parser, the object the top-level parser would hand it to; leftovers
+    end in the top-level parser's error, as in parse_args.  This skips
+    the top-level scan of argv, about as costly as the subcommand's own
+    parse.  Any other argv (no command, -h, an unknown command) goes
+    through the top-level parser."""
+    parser, commands = _build_parser()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser().parse_args(_attach_primes(argv))
+    args = _parse(_attach_primes(argv))
     try:
         p = getattr(args, "p", None)
         if p is not None and not _is_prime(p):

@@ -555,6 +555,90 @@ def test_cli_fuzz_ends_in_an_exit_code(argv):
 
 
 # ---------------------------------------------------------------------------
+# subcommand dispatch
+
+# Command lines whose parse main may route straight to a subcommand's
+# parser, or must leave to the top-level parser, ending every way argparse
+# can end: a namespace, help, a usage error from either parser.
+_DISPATCH_CORPUS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["check", "-h"],
+    ["check", "residue", "--help"],
+    ["expand", "-h"],
+    ["verify", "--help"],
+    ["check", "residue", "--lev", "27", "--p", "5"],
+    ["check", "residue", "--le", "27", "--p", "5", "--for", "json"],
+    ["verify", "--curve", "27", "--prim", "2", "--m-max", "0"],
+    ["verify", "--curve", "27", "--prim", "-1,5", "--m-max", "0"],
+    ["check", "nondivisibility", "--level=27", "--p=2"],
+    ["check", "--", "residue", "--level", "27", "--p", "5"],
+    ["check", "residue", "--", "--level", "27", "--p", "5"],
+    ["check", "residue", "--level", "27", "--p", "5", "--"],
+    ["--", "check", "residue", "--level", "27", "--p", "5"],
+    ["check", "residue", "stray", "--level", "27", "--p", "5"],
+    ["check", "residue", "--level", "27", "--p", "5", "stray"],
+    ["check", "residue", "--level", "27", "--p", "5", "--bogus"],
+    ["check", "residue", "--bogus", "1", "--level", "27", "--p", "5"],
+    ["chec", "residue", "--level", "27", "--p", "5"],
+    ["-x", "check", "residue", "--level", "27", "--p", "5"],
+    ["check", "residue", "--level", "27", "--p", "4", "--p", "5"],
+    ["check", "congruence", "--level", "27", "--p", "2", "--m", "-1"],
+    ["check", "frobnicate"],
+    ["check"],
+    ["check", "twist", "--prec", "x"],
+    ["expand", "--form", "g27", "--prec", "5", "extra"],
+    ["expand", "--form", "g27", "--prec", "5", "--format=json"],
+    ["expand"],
+    ["verify", "--curve", "27", "--primes=-1,5"],
+    ["verify", "--curve", "27", "--all"],
+    ["verify", "--curve", "27", "--primes", "2", "--m-max", "0",
+     "--format", "json"],
+]
+
+
+def _full_parse_outcome(argv):
+    """_outcome(argv) with every argv parsed by the top-level parser."""
+    parser, _ = cli._build_parser()
+    with mock.patch.object(cli, "_build_parser", lambda: (parser, {})):
+        return _outcome(argv)
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_CORPUS, ids=" ".join)
+def test_dispatch_matches_the_top_level_parser(argv):
+    assert _outcome(argv) == _full_parse_outcome(argv)
+
+
+def test_dispatch_corpus_reaches_both_parsers_and_every_ending():
+    # the corpus keeps the test above meaningful: it has command lines that
+    # main routes past the top-level parser and ones it must not, and they
+    # end in a report, help, and usage errors from each parser
+    outcomes = [_outcome(argv) for argv in _DISPATCH_CORPUS]
+    routed = [argv[0] in cli._build_parser()[1] if argv else False
+              for argv in _DISPATCH_CORPUS]
+    assert any(routed) and not all(routed)
+    assert {rc for rc, *_ in outcomes} == {0, 2}
+    errors = [err.splitlines()[-1] for rc, out, err, _ in outcomes if err]
+    assert "qmod: error: unrecognized arguments: --bogus" in errors
+    assert "qmod: error: unrecognized arguments: stray" in errors
+    assert any(e.startswith("qmod check: error:") for e in errors)
+    assert any(out.startswith("usage: qmod check")
+               for rc, out, *_ in outcomes)
+
+
+@given(_fuzz_argv())
+def test_dispatch_matches_the_top_level_parser_fuzz(argv):
+    try:
+        with _expansion_budget(_FUZZ_TERMS):
+            routed = _outcome(argv)
+            full = _full_parse_outcome(argv)
+    except _Oversized:
+        reject()
+    assert routed == full, argv
+
+
+# ---------------------------------------------------------------------------
 # library calls
 
 def test_run_config_validation():

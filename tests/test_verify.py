@@ -25,7 +25,7 @@ from qmod.verify import (
     prime_eligibility,
     report_sort_key,
 )
-from qmod.eta import catalog_form
+from qmod.eta import FORMS, catalog_form
 from qmod.qseries import coefficient, truncate
 
 
@@ -179,6 +179,83 @@ def test_cache_is_thread_safe():
     assert all(r == expected for r in results)
 
 
+def test_cache_coefficient_equals_the_truncated_series():
+    # every catalog name, the twisted G64 and G144 included: a miss on an
+    # empty cache, a hit, a miss that grows the held expansion, a hit at
+    # exactly its precision, a hit below it, and the leading coefficient
+    for name in FORMS:
+        cache = FormCache()
+        lead = catalog_form(name, 5).order
+        for e in (6, 2, 15, 15, 9, lead):
+            want = FormCache().series(name, e + 1).coefficient(e)
+            assert cache.coefficient(name, e) == want, (name, e)
+        assert cache.expansion(name, 16).prec == 16
+
+
+def test_cache_hit_copies_and_expands_nothing(monkeypatch):
+    cache = FormCache()
+    held = {name: cache.expansion(name, 200) for name in ("G27", "G64")}
+    want = {name: [f.coefficient(e) for e in range(-1, 200)]
+            for name, f in held.items()}
+
+    def forbidden(*args):
+        raise RuntimeError("a cache hit copied or expanded a form")
+
+    for name in ("truncate", "catalog_form", "twist"):
+        monkeypatch.setattr(qmod.verify, name, forbidden)
+    for name, f in held.items():
+        assert cache.expansion(name, 200) is f
+        assert cache.expansion(name, 7) is f
+        assert [cache.coefficient(name, e)
+                for e in range(-1, 200)] == want[name]
+    assert check_valuation(27, 5, 1, cache=cache).passed
+    assert check_congruence(27, 5, 1, cache=cache).passed
+    assert check_nondivisibility(64, 3, cache=cache).passed
+
+
+def test_cold_cache_expands_only_inside_series(monkeypatch):
+    """series is the one method that expands, so a wrapper on it sees every
+    expansion: on an empty cache the first request of a coefficient read, a
+    warm-up or a check enters through series, and each expansion runs
+    inside it."""
+    events = []
+    depth = [0]
+    real_series = FormCache.series
+    real_catalog = qmod.verify.catalog_form
+
+    def series(self, name, prec):
+        events.append(("series", depth[0]))
+        depth[0] += 1
+        try:
+            return real_series(self, name, prec)
+        finally:
+            depth[0] -= 1
+
+    def catalog(name, prec):
+        events.append(("catalog_form", depth[0]))
+        return real_catalog(name, prec)
+
+    monkeypatch.setattr(FormCache, "series", series)
+    monkeypatch.setattr(qmod.verify, "catalog_form", catalog)
+    requests = [
+        lambda c: c.coefficient("G27", 125),
+        lambda c: c.coefficient("G144", 30),
+        lambda c: c.expansion("G64", 40),
+        lambda c: check_valuation(27, 5, 1, cache=c),
+        lambda c: check_congruence(36, 5, 1, cache=c),
+        lambda c: check_nondivisibility(32, 3, cache=c),
+        lambda c: check_theta_psi(27, 5, cache=c),
+        lambda c: check_support(27, prec=100, cache=c),
+        lambda c: check_twist_consistency(prec=40, cache=c),
+    ]
+    for request in requests:
+        events.clear()
+        request(FormCache())
+        assert events[0] == ("series", 0), events
+        expansions = [d for kind, d in events if kind == "catalog_form"]
+        assert expansions and min(expansions) > 0, events
+
+
 # ---------------------------------------------------------------------------
 # small instances of each check
 
@@ -291,19 +368,44 @@ def expansions(monkeypatch):
     return names
 
 
-def test_theta_psi_expands_G_once(expansions):
-    # G27 is needed at 5 * 30 = 150 and at 20 * 5^3 + 1 = 2501
-    assert check_theta_psi(27, 5, cache=FormCache()).passed
+@pytest.fixture
+def held(monkeypatch):
+    """(name, prec) of each FormCache.expansion request, in call order: a
+    warm-up, whose answer is thrown away, asks for the held expansion
+    rather than a truncated copy."""
+    requests = []
+    real = FormCache.expansion
+
+    def recording(self, name, prec):
+        requests.append((name, prec))
+        return real(self, name, prec)
+
+    monkeypatch.setattr(FormCache, "expansion", recording)
+    return requests
+
+
+def test_congruence_expands_G_once(expansions):
+    # C(5) and C(5^3) come from one expansion of G27 to 126 terms
+    assert check_congruence(27, 5, 1, cache=FormCache()).passed
     assert expansions == ["G27"]
 
 
-def test_support_expands_G_once(expansions):
+def test_theta_psi_expands_G_once(expansions, held):
+    # G27 is needed at 5 * 30 = 150 and at 20 * 5^3 + 1 = 2501
+    assert check_theta_psi(27, 5, cache=FormCache()).passed
+    assert expansions == ["G27"]
+    assert held == [("G27", 2501)]
+
+
+def test_support_expands_G_once(expansions, held):
     # G27 is needed at 500 and at 31 * 25 = 775
     assert check_support(27, prec=500, cache=FormCache()).passed
     assert expansions == ["g27", "G27"]
+    assert held == [("G27", 775)]
 
 
-def test_twist_consistency_expands_G32_once(expansions):
+def test_twist_consistency_expands_G32_once(expansions, held):
     # G32 is needed at 50 * 3 + 1 = 151 and at 50 * 7 + 1 = 351
     assert check_twist_consistency(prec=40, cache=FormCache()).passed
     assert expansions == ["g32", "g36", "G32"]
+    assert held == [("G32", 351)]
