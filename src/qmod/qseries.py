@@ -37,19 +37,13 @@ __all__ = [
     "QSeries",
     "PrecisionError",
     "NotInvertibleError",
-    "zero",
     "one",
     "add",
     "sub",
-    "neg",
     "scale",
     "mul",
     "div",
-    "invert",
-    "power",
-    "coefficient",
     "truncate",
-    "shift",
     "first_difference",
     "padic_valuation",
     "padic_valuation_range",
@@ -173,17 +167,8 @@ class QSeries:
         return f"QSeries({self.items()}, prec={self.prec})"
 
 
-def zero(prec: int) -> QSeries:
-    return QSeries._trusted({}, prec)
-
-
 def one(prec: int) -> QSeries:
     return QSeries._trusted({0: 1} if prec > 0 else {}, prec)
-
-
-def coefficient(f: QSeries, e: int) -> int:
-    """Certified coefficient of q^e.  Raises PrecisionError for e >= prec."""
-    return f.coefficient(e)
 
 
 def add(f: QSeries, g: QSeries) -> QSeries:
@@ -203,12 +188,8 @@ def add(f: QSeries, g: QSeries) -> QSeries:
     return QSeries._trusted(d, P)
 
 
-def neg(f: QSeries) -> QSeries:
-    return QSeries._trusted({e: -c for e, c in f._c.items()}, f.prec)
-
-
 def sub(f: QSeries, g: QSeries) -> QSeries:
-    return add(f, neg(g))
+    return add(f, scale(g, -1))
 
 
 def scale(f: QSeries, c: int) -> QSeries:
@@ -235,11 +216,6 @@ def truncate(f: QSeries, prec: int) -> QSeries:
     else:
         d = {e: v for e, v in c.items() if e < prec}
     return QSeries._trusted(d, prec)
-
-
-def shift(f: QSeries, k: int) -> QSeries:
-    """Multiply by q^k exactly: exponents and precision both move by k."""
-    return QSeries._trusted({e + k: c for e, c in f._c.items()}, f.prec + k)
 
 
 # ---------------------------------------------------------------------------
@@ -537,15 +513,16 @@ def mul(f: QSeries, g: QSeries) -> QSeries:
 
 
 # ---------------------------------------------------------------------------
-# division and inversion
+# division
 
 def div(f: QSeries, g: QSeries, inverse_bits: int | None = None) -> QSeries:
     """Solve g*h = f for h by forward substitution.
 
     Requires g nonzero with leading coefficient +-1.  The result is certified
     to precision min(f.prec - order(g), g.prec - 2*order(g) + order(f)),
-    matching mul(f, invert(g)).  Cost is (number of stored terms of g) times
-    the output length, so division by a lacunary series is cheap.
+    the precision of mul(f, 1/g) with 1/g certified to g.prec - 2*order(g).
+    Cost is (number of stored terms of g) times the output length, so
+    division by a lacunary series is cheap.
 
     inverse_bits, if given, must be an integer b such that the coefficients
     of 1/g at its leading exponent and the next (result precision -
@@ -567,45 +544,6 @@ def div(f: QSeries, g: QSeries, inverse_bits: int | None = None) -> QSeries:
         return QSeries._trusted({}, P)
     w = f._order - wg
     return _product_quotient([f], g, inverse_bits, w, P - w, _lattice(f, g))
-
-
-def invert(f: QSeries) -> QSeries:
-    """Multiplicative inverse; certified to precision f.prec - 2*order(f).
-
-    Requires a nonzero series whose leading coefficient is +-1.
-    """
-    if not f._c:
-        raise NotInvertibleError("cannot invert a zero series")
-    return div(one(f.prec - f._order), f)
-
-
-def power(f: QSeries, k: int) -> QSeries:
-    """f**k by repeated squaring, with the mul/invert precision rules.
-
-    Convention for k == 0: the result is the constant series 1 at precision
-    f.prec - 2*order(f), the precision an invert-based chain f^k * f^(-k)
-    supports.  (For a zero input that precision is negative and the returned
-    object certifies nothing.)
-    """
-    if not isinstance(k, int):
-        raise ValueError("exponent must be an integer")
-    if k == 0:
-        return one(f.prec - 2 * f._order)
-    if k < 0:
-        return _power_positive(invert(f), -k)
-    return _power_positive(f, k)
-
-
-def _power_positive(f: QSeries, k: int) -> QSeries:
-    result = None
-    sq = f
-    while k:
-        if k & 1:
-            result = sq if result is None else mul(result, sq)
-        k >>= 1
-        if k:
-            sq = mul(sq, sq)
-    return result
 
 
 # ---------------------------------------------------------------------------

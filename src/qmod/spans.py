@@ -61,8 +61,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .qseries import (QSeries, _is_prime, coefficient, mul, one, scale, sub,
-                      truncate)
+from .qseries import QSeries, _is_prime, mul, one, scale, sub, truncate
 from .eta import FORMS, eta_quotient_expand
 from .operators import apply_V
 
@@ -128,10 +127,10 @@ def echelonize(family) -> EchelonBasis:
     by_pivot: dict[int, QSeries] = {}
     for f in rows:
         while not f.is_zero and f.order in by_pivot:
-            f = sub(f, scale(by_pivot[f.order], coefficient(f, f.order)))
+            f = sub(f, scale(by_pivot[f.order], f.coefficient(f.order)))
         if f.is_zero:
             continue
-        lead = coefficient(f, f.order)
+        lead = f.coefficient(f.order)
         if lead not in (1, -1):
             raise EliminationError(f.order, lead)
         if lead == -1:
@@ -144,7 +143,7 @@ def echelonize(family) -> EchelonBasis:
     for e in sorted(by_pivot, reverse=True):
         f = by_pivot[e]
         for e2 in sorted(k for k in reduced if k > e):
-            c = coefficient(f, e2)
+            c = f.coefficient(e2)
             if c:
                 f = sub(f, scale(reduced[e2], c))
         reduced[e] = f
@@ -239,7 +238,7 @@ def _triangular(family, prec: int) -> dict[int, QSeries]:
         f = truncate(f, prec)
         if f.is_zero:
             continue
-        lead = coefficient(f, f.order)
+        lead = f.coefficient(f.order)
         if lead not in (1, -1):
             raise EliminationError(f.order, lead)
         if f.order in rows:

@@ -13,7 +13,6 @@ from .qseries import (
     QSeries,
     _is_prime,
     add,
-    coefficient,
     first_difference,
     mul,
     padic_valuation,
@@ -22,7 +21,7 @@ from .qseries import (
     sub,
     truncate,
 )
-from .eta import FORMS, Twist, catalog_form, curve, eta_quotient_expand
+from .eta import FORMS, Twist, catalog_form, curve
 from .operators import apply_U, hecke, is_inert, kronecker, theta, twist
 from .spans import build_H, build_psi
 
@@ -120,13 +119,12 @@ class FormCache:
             f = self._data.get(name)
             if f is not None and f.prec >= prec:
                 return truncate(f, prec)
-            need = prec if f is None else max(prec, f.prec)
             recipe = FORMS.get(name)
             if isinstance(recipe, Twist):
                 # reuse the cached base expansion instead of expanding it
-                g = twist(self.series(recipe.base, need), recipe.disc)
+                g = twist(self.series(recipe.base, prec), recipe.disc)
             else:
-                g = catalog_form(name, need)
+                g = catalog_form(name, prec)
             self._data[name] = g
             return truncate(g, prec)
 
@@ -229,7 +227,7 @@ def check_limit(level: int, p: int, m: int, K: int = 20,
     store = _cache(cache)
     G = store.series(f"G{level}", limit_prec(K, p, m))
     GU = apply_U(G, pe)
-    C = coefficient(G, pe)
+    C = G.coefficient(pe)
     g = store.series(f"g{level}", K + 1)
     D = sub(GU, scale(g, C))
     e_lo = min(D.order, 1)
@@ -282,7 +280,7 @@ def check_hecke_decomposition(level: int, p: int, n: int = 1,
     store = _cache(cache)
     G = store.series(f"G{level}", prec * pn)
     lhs = hecke(G, 2, p, n)
-    C = coefficient(G, pn)
+    C = G.coefficient(pn)
     H = build_H(level, pn, prec)
     rhs = add(scale(H, pn), scale(store.series(f"g{level}", prec), C))
     bad = first_difference(lhs, rhs)
@@ -354,9 +352,9 @@ def check_residue(level: int, p: int, prec: int = 30,
     psi = build_psi(level, p, prec)
     G = store.series(f"G{level}", prec + p)
     prod = mul(G, psi)
-    const = coefficient(prod, 0)
-    Cp = coefficient(G, p)
-    cpsi = coefficient(psi, 1)
+    const = prod.coefficient(0)
+    Cp = G.coefficient(p)
+    cpsi = psi.coefficient(1)
     return CheckReport(
         check_id="residue",
         params={"level": level, "p": p, "prec": prec},
@@ -399,7 +397,7 @@ def check_twist_consistency(prec: int = 200,
         if not isinstance(recipe, Twist):
             continue
         dst, src = f"g{recipe.level}", f"g{FORMS[recipe.base].level}"
-        direct = eta_quotient_expand(FORMS[dst], prec)
+        direct = store.series(dst, prec)
         twisted = twist(store.series(src, prec), recipe.disc)
         mismatches.append(first_difference(direct, twisted))
         compared.append(f"{dst} vs {src} twisted by ({recipe.disc}|.)")
@@ -457,7 +455,7 @@ def check_support(level: int, prec: int = 500,
     for p, m in even:
         pe = p ** (2 * m)
         Gbig = store.series("G27", 31 * pe)
-        Ce = coefficient(Gbig, pe)
+        Ce = Gbig.coefficient(pe)
         lhs = hecke(Gbig, 2, p, 2 * m)
         rhs = scale(build_H(27, pe, 31), pe)
         extras.append([Ce, first_difference(lhs, rhs)])

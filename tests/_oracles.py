@@ -20,6 +20,20 @@ def ref_mul(f: QSeries, g: QSeries) -> QSeries:
     return QSeries(d, P)
 
 
+def ref_invert(f: QSeries) -> QSeries:
+    """1/f for f with leading coefficient +-1, at the precision
+    f.prec - 2*order(f), by the schoolbook recurrence on exact integers."""
+    w = f.order
+    a = dict(f.items())
+    u = a[w]
+    assert u in (1, -1)
+    b = [u]
+    for k in range(1, f.prec - w):
+        s = sum(c * b[k - (e - w)] for e, c in a.items() if 0 < e - w <= k)
+        b.append(-u * s)
+    return QSeries({k - w: c for k, c in enumerate(b)}, f.prec - 2 * w)
+
+
 def _poly_mul(a: dict, b: dict, pw: int) -> dict:
     out = {}
     for e1, c1 in a.items():

@@ -3,6 +3,7 @@ with captured output, plus one real subprocess smoke test."""
 
 import ast
 import contextlib
+import doctest
 import io
 import json
 import subprocess
@@ -790,3 +791,72 @@ def test_package_has_no_unused_private_name_or_import():
                         unused.append(f"{name}: import {bound}")
     assert "qseries.py" in trees
     assert unused == []
+
+
+_REPO = Path(__file__).resolve().parent.parent
+
+# Public names that neither src/qmod nor scripts/ read, each kept for a
+# reason outside both.
+_UNREAD_PUBLIC = {
+    "cusp_orders": "Ligozat cusp orders for the valence-bound certificates "
+                   "the ROADMAP plans",
+    "echelonize": "perfbench's tracer binds it by name",
+    "spanning_family": "perfbench's tracer binds it by name",
+}
+
+
+def test_every_public_name_is_read_by_the_package_or_scripts():
+    # an __all__ name that only tests call is a second path to maintain;
+    # its own definition and the __all__ lists do not count as reads, and
+    # an attribute counts only on a module name (qseries.mul), so an
+    # instance attribute such as EtaQuotient.shift reads no function
+    modules = [qseries, operators, eta, spans, verify, cli]
+    module_names = {m.__name__.rpartition(".")[2] for m in modules}
+    module_names.add("qmod")
+    paths = [*Path(qmod.__file__).parent.glob("*.py"),
+             *(_REPO / "scripts").glob("*.py")]
+    stmts = [stmt for path in paths
+             for stmt in ast.parse(path.read_text(), str(path)).body]
+    assert _REPO / "scripts" / "dump_catalog.py" in paths
+
+    def defined(stmt):
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            return {stmt.name}
+        if isinstance(stmt, ast.Assign):
+            return {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+        return set()
+
+    def read(stmt):
+        out = set()
+        for sub in ast.walk(stmt):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                out.add(sub.id)
+            elif (isinstance(sub, ast.Attribute)
+                  and isinstance(sub.value, ast.Name)
+                  and sub.value.id in module_names):
+                out.add(sub.attr)
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                out.add(sub.value)
+        return out
+
+    reads = set()
+    for stmt in stmts:
+        names = defined(stmt)
+        if "__all__" not in names:
+            reads |= {r for r in read(stmt) if r not in names}
+    unread = {name for m in modules for name in m.__all__} - reads
+    assert unread == set(_UNREAD_PUBLIC)
+
+
+def test_readme_library_example_runs():
+    # the fenced block alone: doctest.testfile would read the closing
+    # fence as expected output
+    readme = _REPO / "README.md"
+    section = readme.read_text().split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    test = doctest.DocTestParser().get_doctest(
+        block, {}, "README ## Library", str(readme), 0)
+    runner = doctest.DocTestRunner(optionflags=doctest.ELLIPSIS)
+    out = []
+    result = runner.run(test, out=out.append)
+    assert (result.failed, result.attempted) == (0, 5), "".join(out)

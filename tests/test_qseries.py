@@ -9,21 +9,15 @@ from qmod import (
     PrecisionError,
     QSeries,
     add,
-    coefficient,
     div,
     first_difference,
-    invert,
     mul,
-    neg,
     one,
     padic_valuation,
     padic_valuation_range,
-    power,
     scale,
-    shift,
     sub,
     truncate,
-    zero,
 )
 import qmod.qseries
 from qmod.qseries import (
@@ -32,7 +26,7 @@ from qmod.qseries import (
     _lattice,
     _product_quotient,
 )
-from _oracles import ref_mul
+from _oracles import ref_invert, ref_mul
 
 coeffs = st.integers(min_value=-50, max_value=50)
 
@@ -73,15 +67,15 @@ def test_make_series_rejects_non_integer_entries():
 
 def test_coefficient_beyond_precision_raises():
     f = QSeries({1: 2}, 3)
-    assert coefficient(f, 2) == 0
+    assert f.coefficient(2) == 0
     with pytest.raises(PrecisionError):
-        coefficient(f, 3)
+        f.coefficient(3)
 
 
 def test_str_formatting():
     assert str(QSeries({-1: 1, 2: -1}, 3)) == "q^-1 - q^2 + O(q^3)"
     assert str(QSeries({0: -3, 6: 5}, 7)) == "-3 + 5*q^6 + O(q^7)"
-    assert str(zero(4)) == "O(q^4)"
+    assert str(QSeries({}, 4)) == "O(q^4)"
 
 
 @given(series(), series())
@@ -90,13 +84,13 @@ def test_add_precision_and_commutativity(f, g):
     assert s.prec == min(f.prec, g.prec)
     assert s == add(g, f)
     for e in s.support():
-        assert coefficient(s, e) == coefficient(f, e) + coefficient(g, e)
+        assert s.coefficient(e) == f.coefficient(e) + g.coefficient(e)
 
 
 @given(series())
 def test_additive_inverse(f):
     assert sub(f, f).is_zero
-    assert add(f, neg(f)).is_zero
+    assert add(f, scale(f, -1)).is_zero
 
 
 @given(series(), series())
@@ -146,7 +140,7 @@ def test_mul_precision_rule_with_poles():
 
 def test_mul_by_zero_series_keeps_sentinel_precision():
     f = QSeries({-2: 1}, 10)
-    z = zero(6)
+    z = QSeries({}, 6)
     # order sentinel of the zero series is its precision
     assert mul(f, z).prec == min(10 + 6, 6 - 2)
     assert mul(f, z).is_zero
@@ -154,8 +148,9 @@ def test_mul_by_zero_series_keeps_sentinel_precision():
 
 @given(series(unit_lead=True))
 def test_invert_round_trip(f):
-    g = invert(f)
+    g = div(one(f.prec - f.order), f)
     assert g.prec == f.prec - 2 * f.order
+    assert g == ref_invert(f)
     p = mul(f, g)
     assert first_difference(p, one(p.prec)) is None
 
@@ -171,43 +166,14 @@ def test_div_round_trip(f, g):
 def test_div_matches_mul_by_inverse(f):
     num = QSeries({0: 1, 1: -2, 3: 1},
                       max(f.prec + abs(f.order) + 2, 5))
-    assert first_difference(div(num, f), mul(num, invert(f))) is None
+    assert first_difference(div(num, f), mul(num, ref_invert(f))) is None
 
 
 def test_div_rejects_non_unit_lead():
     with pytest.raises(NotInvertibleError):
         div(one(5), QSeries({0: 2, 1: 1}, 5))
     with pytest.raises(NotInvertibleError):
-        invert(zero(5))
-
-
-@given(series(unit_lead=True), st.integers(min_value=0, max_value=4))
-def test_power_matches_repeated_mul(f, k):
-    expected = None
-    for _ in range(k):
-        expected = f if expected is None else mul(expected, f)
-    got = power(f, k)
-    if k == 0:
-        assert got == one(f.prec - 2 * f.order)
-    else:
-        assert got == expected
-
-
-@given(series(unit_lead=True))
-def test_negative_power(f):
-    assert power(f, -2) == invert(mul(f, f))
-
-
-def test_power_rejects_non_integer():
-    with pytest.raises(ValueError):
-        power(one(3), 1.5)
-
-
-@given(series(), st.integers(min_value=-6, max_value=6))
-def test_shift_round_trip(f, k):
-    g = shift(f, k)
-    assert g.prec == f.prec + k
-    assert shift(g, -k) == f
+        div(one(5), QSeries({}, 5))
 
 
 @given(series())
@@ -270,7 +236,7 @@ def test_padic_valuation_range_matches_brute_minimum(f, p):
     else:
         lo = f.order
     got = padic_valuation_range(f, p, lo, f.prec)
-    vals = [padic_valuation(coefficient(f, e), p)
+    vals = [padic_valuation(f.coefficient(e), p)
             for e in range(lo, f.prec)]
     assert got == (min(vals) if vals else math.inf)
 
@@ -301,7 +267,7 @@ def _packed_mul(f, g):
     """mul's packed branch for any sizes of f and g."""
     w, P = f.order + g.order, min(f.prec + g.order, g.prec + f.order)
     if P <= w:
-        return zero(P)
+        return QSeries({}, P)
     return _product_quotient([f, g], None, None, w, P - w, _lattice(f, g))
 
 
@@ -321,7 +287,7 @@ def test_mul_dense_path_with_one_wide_outlier():
 
 
 def _scalar_and_packed_div(f, g):
-    inverse = invert(g)
+    inverse = ref_invert(g)
     bits = max(abs(c) for _, c in inverse.items()).bit_length()
     return div(f, g), div(f, g, inverse_bits=bits)
 
@@ -520,10 +486,10 @@ def test_div_by_minus_one_negates(bits):
     # precision, leave the recurrence no steps; it must still negate
     f = QSeries({-3: 5, 0: -2 ** 200, 7: 1, 40: 11}, 50)
     for g in (QSeries({0: -1}, 60), QSeries({0: -1, 53: 4, 106: 1}, 200)):
-        assert div(f, g, inverse_bits=bits) == neg(f)
+        assert div(f, g, inverse_bits=bits) == scale(f, -1)
     g = QSeries({0: -1, 600: 5, 1200: 1}, 5000)
     f = QSeries({k: k % 5 - 2 for k in range(600)}, 600)
-    assert div(f, g, inverse_bits=bits) == neg(f)
+    assert div(f, g, inverse_bits=bits) == scale(f, -1)
 
 
 def test_zero_operand_returns_zero_at_the_precision():
@@ -531,8 +497,9 @@ def test_zero_operand_returns_zero_at_the_precision():
     # w of the result, and mul and div return O(q^P) without the kernel
     f = QSeries({-2: 1, 3: 7}, 10)
     g = QSeries({1: -1, 4: 2}, 12)
-    for z in (zero(6), zero(-4)):
-        assert mul(f, z) == mul(z, f) == zero(min(10 + z.prec, z.prec - 2))
+    for z in (QSeries({}, 6), QSeries({}, -4)):
+        P = min(10 + z.prec, z.prec - 2)
+        assert mul(f, z) == mul(z, f) == QSeries({}, P)
         h = div(z, g)
         assert h.prec <= z.order - g.order
-        assert h == zero(min(z.prec - 1, 12 - 2 + z.prec))
+        assert h == QSeries({}, min(z.prec - 1, 12 - 2 + z.prec))

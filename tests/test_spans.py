@@ -14,7 +14,6 @@ from qmod import (
     build_H,
     build_psi,
     catalog_form,
-    coefficient,
     echelonize,
     first_difference,
     mul,
@@ -116,7 +115,7 @@ def test_spanning_family_27_leading_exponents():
     assert sorted(f.order for f in fam) == [-3, -2, -1, 1]
     assert all(f.prec >= 10 for f in fam)
     # leading coefficients are all units
-    assert all(coefficient(f, f.order) == 1 for f in fam)
+    assert all(f.coefficient(f.order) == 1 for f in fam)
 
 
 def test_spanning_family_36_leading_exponents():
@@ -148,7 +147,7 @@ def test_class_family_is_one_chain(level, modulus):
         assert [-f.order for f in fam] == [
             k for k in range(-1, pole + 1) if k and (k - pole) % modulus == 0]
         assert all(a.order - b.order == modulus for a, b in zip(fam, fam[1:]))
-        assert all(coefficient(f, f.order) == 1 and f.prec >= 10 for f in fam)
+        assert all(f.coefficient(f.order) == 1 and f.prec >= 10 for f in fam)
 
 
 def test_L1_cubed_is_a_polynomial_in_L2():
@@ -177,10 +176,10 @@ def test_build_H_reproduces_catalog_forms():
 def test_build_H_27_normal_form(m):
     h = build_H(27, m, 12)
     assert h.order == -m
-    assert coefficient(h, h.order) == 1
+    assert h.coefficient(h.order) == 1
     # zeros strictly between the pole and q^2
     for e in range(-m + 1, 2):
-        assert coefficient(h, e) == 0
+        assert h.coefficient(e) == 0
     # support stays in the residue class of -m mod 3
     assert all(e % 3 == (-m) % 3 for e in h.support())
 
@@ -189,9 +188,9 @@ def test_build_H_27_normal_form(m):
 def test_build_H_36_normal_form(m):
     h = build_H(36, m, 12)
     assert h.order == -m
-    assert coefficient(h, h.order) == 1
+    assert h.coefficient(h.order) == 1
     for e in range(-m + 1, 3):
-        assert coefficient(h, e) == 0
+        assert h.coefficient(e) == 0
     assert all(e % 6 == (-m) % 6 for e in h.support())
 
 
@@ -199,7 +198,7 @@ def test_build_H_constant_term_vanishes_for_m3():
     # the m = 3 row lives in the class 0 mod 3, so a constant term is
     # possible a priori; elimination must remove it
     h = build_H(27, 3, 10)
-    assert coefficient(h, 0) == 0
+    assert h.coefficient(0) == 0
     assert all(e % 3 == 0 for e in h.support())
 
 
@@ -234,10 +233,10 @@ def test_build_psi_27_p2_is_L1():
 def test_build_psi_27_p5():
     psi = build_psi(27, 5, 4)
     assert psi.order == -5
-    assert coefficient(psi, 0) == 0
+    assert psi.coefficient(0) == 0
     assert all(e % 3 == 1 for e in psi.support())
     # q-coefficient is -C27(5) = 1
-    assert coefficient(psi, 1) == 1
+    assert psi.coefficient(1) == 1
 
 
 def test_build_psi_27_p11_normal_form():
@@ -245,7 +244,7 @@ def test_build_psi_27_p11_normal_form():
     assert psi.order == -11
     # every intermediate pole the monomial family can reach is cleared
     for e in (-8, -5, -2, 0):
-        assert coefficient(psi, e) == 0
+        assert psi.coefficient(e) == 0
     assert all(e % 3 == 1 for e in psi.support())
 
 
@@ -255,7 +254,7 @@ def test_build_psi_36_p5():
     direct = mul(psi2, psi3)
     assert first_difference(psi, direct) is None
     # q-coefficient is -C36(5) = 3
-    assert coefficient(psi, 1) == 3
+    assert psi.coefficient(1) == 3
     assert all(e % 6 == 1 for e in psi.support())
 
 

@@ -26,7 +26,7 @@ from qmod.verify import (
     report_sort_key,
 )
 from qmod.eta import FORMS, catalog_form
-from qmod.qseries import coefficient, truncate
+from qmod.qseries import truncate
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +319,7 @@ def test_residue_small_cases():
     assert r.passed
     # the q-coefficient witness equals -C(p)
     G = DEFAULT_CACHE.series("G36", 20)
-    assert r.actual[1] == -coefficient(G, 5)
+    assert r.actual[1] == -G.coefficient(5)
 
 
 def test_nondivisibility_small_cases():
@@ -405,7 +405,8 @@ def test_support_expands_G_once(expansions, held):
 
 
 def test_twist_consistency_expands_G32_once(expansions, held):
-    # G32 is needed at 50 * 3 + 1 = 151 and at 50 * 7 + 1 = 351
+    # G32 is needed at 50 * 3 + 1 = 151 and at 50 * 7 + 1 = 351; g64 and
+    # g144 are read through the cache like every other catalog form
     assert check_twist_consistency(prec=40, cache=FormCache()).passed
-    assert expansions == ["g32", "g36", "G32"]
+    assert expansions == ["g64", "g32", "g144", "g36", "G32"]
     assert held == [("G32", 351)]
