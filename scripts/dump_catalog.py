@@ -3,6 +3,7 @@
 coefficients; optionally the q-expansions themselves."""
 
 import argparse
+import os
 import sys
 
 from qmod.eta import catalog_form, catalog_manifest
@@ -24,4 +25,11 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`| head`); quiet the flush at exit too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -1,9 +1,11 @@
 """Command line front end: expand catalog forms and span elements, run
 single identity checks, or run the valuation/limit verification grid.
 
-Exit codes: 0 all requested checks passed, 1 at least one check failed,
-2 bad usage or invalid parameters.  Output is deterministic for fixed
-arguments: no timestamps, fixed key order, canonical report ordering."""
+Exit codes: 0 all requested checks passed, 1 at least one check failed
+or stdout was closed before the output was written (as by `| head`), 2
+bad usage, invalid parameters or an --out file that cannot be written.
+Output is deterministic for fixed arguments: no timestamps, fixed key
+order, canonical report ordering."""
 
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ from .verify import (
     DEFAULT_CACHE,
     CheckReport,
     _at_least,
-    _cache,
     check_congruence,
     check_hecke_decomposition,
     check_limit,
@@ -86,8 +87,8 @@ def _default_depth(K: int, p: int, ceiling: int) -> int:
 def run_grid(levels: tuple[int, ...] = tuple(CURVES),
              primes: tuple[int, ...] | None = None, prime_bound: int = 12,
              m_max: int | None = None, K: int = 20,
-             ceiling: int = DEFAULT_PREC_CEILING,
-             cache=None) -> tuple[list[CheckReport], list[dict]]:
+             ceiling: int = DEFAULT_PREC_CEILING
+             ) -> tuple[list[CheckReport], list[dict]]:
     """Run the valuation and limit checks over a grid of levels, primes
     and depths.  Returns (reports, skipped): reports in canonical order,
     skipped as dicts with a reason each.
@@ -147,13 +148,12 @@ def run_grid(levels: tuple[int, ...] = tuple(CURVES),
         need[f"G{level}"] = max(need.get(f"G{level}", 0),
                                 limit_prec(K, p, m))
         need[f"g{level}"] = K + 1
-    store = _cache(cache)
     for name, prec in need.items():
-        store.expansion(name, prec)
+        DEFAULT_CACHE.expansion(name, prec)
     reports: list[CheckReport] = []
     for level, p, m in jobs:
-        reports.append(check_valuation(level, p, m, store))
-        reports.append(check_limit(level, p, m, K, store))
+        reports.append(check_valuation(level, p, m))
+        reports.append(check_limit(level, p, m, K))
     reports.sort(key=report_sort_key)
     skipped.sort(key=lambda s: (s["level"], s["p"],
                                 -1 if s["m"] is None else s["m"]))
@@ -165,7 +165,10 @@ def run_grid(levels: tuple[int, ...] = tuple(CURVES),
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        Path(out_path).write_text(text + "\n")
+        try:
+            Path(out_path).write_text(text + "\n")
+        except OSError as e:
+            raise ValueError(f"cannot write --out {out_path}: {e.strerror}")
     else:
         print(text)
 
@@ -404,4 +407,12 @@ def main(argv=None) -> int:
 
 
 def main_entry():
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early; send the rest to devnull so that the
+        # flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -35,16 +35,19 @@ minus c*f_e' for each other leading exponent e' in increasing order, c its
 current coefficient at e'; each step changes only exponents >= e', so those
 already cleared stay clear.  The tests check it against full families.
 
-Two per-process memos keep what the builds share, by FormCache's rule: an
-entry is kept at the highest precision requested so far, and a request at
-or below it gets the entry truncated.  _NORMAL_FORMS holds each H_m and
-psi_p built, keyed by (kind, level, pole), and _EXPANSIONS the expansions
-of the generators g27, L1, L2, g36 and L36, keyed by name.  A truncated
-entry is what a fresh build returns, digit for digit and with the same
-precision: the expansions are exact, so truncation commutes with every
-product and sum built from them; each pivot lies below the least admitted
-precision, so _triangular keeps the same members at every admitted prec;
-and the reduction reads its multipliers at the pivots.
+Two per-process memos keep what the builds share.  _memo holds the one
+memo rule of the package, which verify.FormCache follows too: keep an
+entry at the highest precision requested so far, answer a request at or
+below it from the entry, and on a request above it build the entry again
+and replace it.  _NORMAL_FORMS holds each H_m and psi_p built, keyed by
+(kind, level, pole), and _EXPANSIONS the expansions of the generators
+g27, L1, L2, g36 and L36, keyed by name; both hand out the entry
+truncated to the request.  A truncated entry is what a fresh build
+returns, digit for digit and with the same precision: the expansions are
+exact, so truncation commutes with every product and sum built from them;
+each pivot lies below the least admitted precision, so _triangular keeps
+the same members at every admitted prec; and the reduction reads its
+multipliers at the pivots.
 
 No chain is kept.  One chain per class would serve every shorter H_m or
 psi_p from the longest built so far, but then what a call costs depends
@@ -53,7 +56,7 @@ different work in different calls.  Here a request whose normal form is
 not held forms the same products whatever came before it; the memos save
 only the expansions it does not extend and the normal forms it repeats.
 Requests are validated before a memo is read, a build that raises stores
-nothing, and one lock serializes both memos.
+nothing, and one lock serializes every memo, FormCache's included.
 """
 
 from __future__ import annotations
@@ -297,8 +300,13 @@ def build_H(level: int, m: int, prec: int) -> QSeries:
         raise UnconstructibleError(
             f"level {level} span has no normal form with pole {m}")
     _require_span_prec(level, prec)
-    return _memo(_NORMAL_FORMS, ("H", level, m), prec,
-                 lambda: _normal_form(_class_family(level, m, prec), -m, prec))
+    return truncate(_memo(_NORMAL_FORMS, ("H", level, m), prec,
+                          _H, level, m, prec), prec)
+
+
+def _H(level: int, m: int, prec: int) -> QSeries:
+    """H_m from its chain; build_H validates the request first."""
+    return _normal_form(_class_family(level, m, prec), -m, prec)
 
 
 def _class_family(level: int, pole: int, prec: int) -> list[QSeries]:
@@ -351,8 +359,8 @@ def build_psi(level: int, p: int, prec: int) -> QSeries:
         _require_psi(p % 6 == 5, "p = 5 mod 6", level, p, prec)
     else:
         raise ValueError(f"no psi construction at level {level}")
-    return _memo(_NORMAL_FORMS, ("psi", level, p), prec,
-                 lambda: _psi(level, p, prec))
+    return truncate(_memo(_NORMAL_FORMS, ("psi", level, p), prec,
+                          _psi, level, p, prec), prec)
 
 
 def _psi(level: int, p: int, prec: int) -> QSeries:
@@ -375,25 +383,27 @@ def _require_psi(in_class: bool, rule: str, level: int, p: int, prec: int):
 
 # The per-process memos of the module docstring: (kind, level, pole) ->
 # that normal form, and catalog name -> that generator's expansion, each at
-# the highest precision requested so far.  One lock serializes both.
+# the highest precision requested so far.  _MEMO_LOCK is the one lock of
+# every memo, verify.FormCache's store included.
 _NORMAL_FORMS: dict[tuple, QSeries] = {}
 _EXPANSIONS: dict[str, QSeries] = {}
 _MEMO_LOCK = threading.RLock()
 
 
-def _memo(store: dict, key, prec: int, build) -> QSeries:
-    """The entry key of store to precision prec: the entry truncated when
-    it is certified that far, and otherwise build(), which replaces it."""
+def _memo(store: dict, key, prec: int, build, *args) -> QSeries:
+    """The entry key of store, certified to at least prec: the held entry
+    itself when it reaches prec, and otherwise build(*args), which replaces
+    it.  A caller that wants exactly prec truncates the answer."""
     with _MEMO_LOCK:
         f = store.get(key)
         if f is None or f.prec < prec:
-            f = store[key] = build()
-    return truncate(f, prec)
+            f = store[key] = build(*args)
+        return f
 
 
 def _expansion(name: str, prec: int) -> QSeries:
-    return _memo(_EXPANSIONS, name, prec,
-                 lambda: eta_quotient_expand(FORMS[name], prec))
+    return truncate(_memo(_EXPANSIONS, name, prec,
+                          eta_quotient_expand, FORMS[name], prec), prec)
 
 
 def _chain(first, step, max_pole):

@@ -6,7 +6,6 @@ checks.  Every check returns a CheckReport with exact integer witnesses."""
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 from .qseries import (
@@ -23,7 +22,7 @@ from .qseries import (
 )
 from .eta import FORMS, Twist, catalog_form, curve
 from .operators import apply_U, hecke, is_inert, kronecker, theta, twist
-from .spans import build_H, build_psi
+from .spans import _memo, build_H, build_psi
 
 __all__ = [
     "CheckReport",
@@ -97,58 +96,44 @@ def report_sort_key(r: CheckReport):
 
 
 class FormCache:
-    """Shared store of catalog expansions, keyed by form name.
+    """Shared store of catalog expansions, keyed by form name, kept by
+    spans._memo's rule and under its lock.
 
-    Each name keeps its highest-precision expansion so far.  series answers
-    a request at or below that precision with a truncated copy; expansion
-    hands out the held expansion itself, and coefficient reads one
-    coefficient from it, so a check that reads C(p^k), or a warm-up that
-    only sets the precision, copies nothing.  A miss in expansion or
-    coefficient still enters through series, the one method that expands:
-    a wrapper on series (a profiler, or perfbench's cold-start probe) then
-    sees every expansion the cache makes.  Access is serialized by a
-    reentrant lock, so concurrent checks never tear a read or duplicate a
-    full expansion."""
+    series answers with a copy truncated to the request; expansion hands
+    out the held expansion itself, and coefficient reads one coefficient
+    from it, so a check that reads C(p^k), or a warm-up that only sets the
+    precision, copies nothing.  A miss in expansion or coefficient still
+    enters through series, the one method that expands: a wrapper on
+    series (a profiler, or perfbench's cold-start probe) then sees every
+    expansion the cache makes."""
 
     def __init__(self):
         self._data: dict[str, QSeries] = {}
-        self._lock = threading.RLock()
 
     def series(self, name: str, prec: int) -> QSeries:
-        with self._lock:
-            f = self._data.get(name)
-            if f is not None and f.prec >= prec:
-                return truncate(f, prec)
-            recipe = FORMS.get(name)
-            if isinstance(recipe, Twist):
-                # reuse the cached base expansion instead of expanding it
-                g = twist(self.series(recipe.base, prec), recipe.disc)
-            else:
-                g = catalog_form(name, prec)
-            self._data[name] = g
-            return truncate(g, prec)
+        return truncate(_memo(self._data, name, prec, _expand, self, name,
+                              prec), prec)
 
     def expansion(self, name: str, prec: int) -> QSeries:
         """The held expansion of name, certified to at least prec: the
         stored series, not a truncated copy."""
-        with self._lock:
-            f = self._data.get(name)
-            if f is None or f.prec < prec:
-                # a miss stores the new expansion at exactly prec, so the
-                # truncation series returns is the stored series itself
-                f = self.series(name, prec)
-            return f
+        return _memo(self._data, name, prec, self.series, name, prec)
 
     def coefficient(self, name: str, e: int) -> int:
         """The coefficient of q^e in name, read from the held expansion."""
-        return self.expansion(name, e + 1).coefficient(e)
+        return _memo(self._data, name, e + 1, self.series, name,
+                     e + 1).coefficient(e)
+
+
+def _expand(cache: FormCache, name: str, prec: int) -> QSeries:
+    recipe = FORMS.get(name)
+    if isinstance(recipe, Twist):
+        # reuse the cached base expansion instead of expanding it
+        return twist(cache.series(recipe.base, prec), recipe.disc)
+    return catalog_form(name, prec)
 
 
 DEFAULT_CACHE = FormCache()
-
-
-def _cache(cache) -> FormCache:
-    return DEFAULT_CACHE if cache is None else cache
 
 
 def prime_eligibility(level: int, p: int) -> tuple[bool, str]:
@@ -197,13 +182,12 @@ def _require_27_or_36(what: str, level: int, p: int):
 # ---------------------------------------------------------------------------
 # the individual checks
 
-def check_valuation(level: int, p: int, m: int,
-                    cache: FormCache | None = None) -> CheckReport:
+def check_valuation(level: int, p: int, m: int) -> CheckReport:
     """v_p of the companion-form coefficient at p^(2m+1) equals m."""
     _at_least("m", m, 0)
     _require_eligible(level, p)
     e = p ** (2 * m + 1)
-    C = _cache(cache).coefficient(f"G{level}", e)
+    C = DEFAULT_CACHE.coefficient(f"G{level}", e)
     v = padic_valuation(C, p)
     return CheckReport(
         check_id="valuation",
@@ -215,8 +199,7 @@ def check_valuation(level: int, p: int, m: int,
     )
 
 
-def check_limit(level: int, p: int, m: int, K: int = 20,
-                cache: FormCache | None = None) -> CheckReport:
+def check_limit(level: int, p: int, m: int, K: int = 20) -> CheckReport:
     """Division-free form of the p-adic limit property: every one of the
     first K coefficients of G|U(p^(2m+1)) - C(p^(2m+1))*g is divisible by
     p^(2m+1)."""
@@ -224,11 +207,10 @@ def check_limit(level: int, p: int, m: int, K: int = 20,
     _at_least("K", K, 1)
     _require_eligible(level, p)
     pe = p ** (2 * m + 1)
-    store = _cache(cache)
-    G = store.series(f"G{level}", limit_prec(K, p, m))
+    G = DEFAULT_CACHE.series(f"G{level}", limit_prec(K, p, m))
     GU = apply_U(G, pe)
     C = G.coefficient(pe)
-    g = store.series(f"g{level}", K + 1)
+    g = DEFAULT_CACHE.series(f"g{level}", K + 1)
     D = sub(GU, scale(g, C))
     e_lo = min(D.order, 1)
     v = padic_valuation_range(D, p, e_lo, K + 1)
@@ -245,16 +227,14 @@ def check_limit(level: int, p: int, m: int, K: int = 20,
     )
 
 
-def check_congruence(level: int, p: int, m: int = 0,
-                     cache: FormCache | None = None) -> CheckReport:
+def check_congruence(level: int, p: int, m: int = 0) -> CheckReport:
     """C(p^(2m+1)) = (-1)^m p^m C(p) mod p^(m+1), at levels 27 and 36."""
     _at_least("m", m, 0)
     _require_27_or_36("congruence check", level, p)
     e = p ** (2 * m + 1)
-    store = _cache(cache)
     # C(e) first: e >= p, so one expansion serves both reads
-    C2 = store.coefficient(f"G{level}", e)
-    C1 = store.coefficient(f"G{level}", p)
+    C2 = DEFAULT_CACHE.coefficient(f"G{level}", e)
+    C1 = DEFAULT_CACHE.coefficient(f"G{level}", p)
     mod = p ** (m + 1)
     lhs = C2 % mod
     rhs = ((-1) ** m * p ** m * C1) % mod
@@ -269,20 +249,19 @@ def check_congruence(level: int, p: int, m: int = 0,
 
 
 def check_hecke_decomposition(level: int, p: int, n: int = 1,
-                              prec: int = 30,
-                              cache: FormCache | None = None) -> CheckReport:
+                              prec: int = 30) -> CheckReport:
     """G|T_2(p^n) = p^n H_(p^n) + C(p^n) g, compared coefficientwise from
     the pole through q^(prec-1)."""
     _at_least("n", n, 1)
     _at_least("prec", prec, 2)
     _require_27_or_36("span decomposition", level, p)
     pn = p ** n
-    store = _cache(cache)
-    G = store.series(f"G{level}", prec * pn)
+    G = DEFAULT_CACHE.series(f"G{level}", prec * pn)
     lhs = hecke(G, 2, p, n)
     C = G.coefficient(pn)
     H = build_H(level, pn, prec)
-    rhs = add(scale(H, pn), scale(store.series(f"g{level}", prec), C))
+    g = DEFAULT_CACHE.series(f"g{level}", prec)
+    rhs = add(scale(H, pn), scale(g, C))
     bad = first_difference(lhs, rhs)
     shared = min(lhs.prec, rhs.prec)
     return CheckReport(
@@ -299,8 +278,7 @@ def check_hecke_decomposition(level: int, p: int, n: int = 1,
 
 
 def check_theta_psi(level: int, p: int, prec: int = 30, m_max: int = 1,
-                    K: int = 20,
-                    cache: FormCache | None = None) -> CheckReport:
+                    K: int = 20) -> CheckReport:
     """G|T_2(p) = -theta(psi_p) on the full shared precision, and the
     derived congruence G|U(p^(2m+1)) = (-1)^(m+1) p^m theta(psi_p)
     mod p^(m+1) on the first K coefficients for m <= m_max."""
@@ -308,19 +286,20 @@ def check_theta_psi(level: int, p: int, prec: int = 30, m_max: int = 1,
     _at_least("m_max", m_max, 0)
     _at_least("K", K, 1)
     _require_27_or_36("theta-psi identity", level, p)
-    store = _cache(cache)
     psi = build_psi(level, p, prec)
     th = theta(psi)
     # one expansion of G at the largest precision requested below
-    store.expansion(f"G{level}", max(p * prec, limit_prec(K, p, m_max)))
-    G = store.series(f"G{level}", p * prec)
+    DEFAULT_CACHE.expansion(f"G{level}",
+                            max(p * prec, limit_prec(K, p, m_max)))
+    G = DEFAULT_CACHE.series(f"G{level}", p * prec)
     lhs = hecke(G, 2, p, 1)
     bad = first_difference(lhs, scale(th, -1))
     cong_vals = []
     passed = bad is None
     for m in range(m_max + 1):
         pe = p ** (2 * m + 1)
-        GU = apply_U(store.series(f"G{level}", limit_prec(K, p, m)), pe)
+        G = DEFAULT_CACHE.series(f"G{level}", limit_prec(K, p, m))
+        GU = apply_U(G, pe)
         target = scale(th, (-1) ** (m + 1) * p ** m)
         D = sub(GU, target)
         e_hi = min(D.prec, K + 1)
@@ -342,15 +321,13 @@ def check_theta_psi(level: int, p: int, prec: int = 30, m_max: int = 1,
     )
 
 
-def check_residue(level: int, p: int, prec: int = 30,
-                  cache: FormCache | None = None) -> CheckReport:
+def check_residue(level: int, p: int, prec: int = 30) -> CheckReport:
     """The constant term of G*psi_p vanishes, and the q-coefficient of
     psi_p is -C(p)."""
     _at_least("prec", prec, 2)
     _require_27_or_36("residue pairing", level, p)
-    store = _cache(cache)
     psi = build_psi(level, p, prec)
-    G = store.series(f"G{level}", prec + p)
+    G = DEFAULT_CACHE.series(f"G{level}", prec + p)
     prod = mul(G, psi)
     const = prod.coefficient(0)
     Cp = G.coefficient(p)
@@ -366,11 +343,10 @@ def check_residue(level: int, p: int, prec: int = 30,
     )
 
 
-def check_nondivisibility(level: int, p: int,
-                          cache: FormCache | None = None) -> CheckReport:
+def check_nondivisibility(level: int, p: int) -> CheckReport:
     """p does not divide C(p)."""
     _require_eligible(level, p)
-    C = _cache(cache).coefficient(f"G{level}", p)
+    C = DEFAULT_CACHE.coefficient(f"G{level}", p)
     return CheckReport(
         check_id="nondivisibility",
         params={"level": level, "p": p},
@@ -381,42 +357,44 @@ def check_nondivisibility(level: int, p: int,
     )
 
 
-def check_twist_consistency(prec: int = 200,
-                            samples: tuple = ((3, 0), (7, 0)),
-                            sample_K: int = 50,
-                            cache: FormCache | None = None) -> CheckReport:
+# The (p, m) pairs at which check_twist_consistency tests the U-twist
+# commutation, and how many coefficients it compares there.
+_TWIST_SAMPLES = ((3, 0), (7, 0))
+_TWIST_K = 50
+
+
+def check_twist_consistency(prec: int = 200) -> CheckReport:
     """The newform twist identities, one per Twist recipe in FORMS (the
     level 64 and 144 eta products equal the character twists of the level
     32 and 36 newforms), plus the U-twist commutation for the level 32
-    companion form at the sample (p, m) pairs on sample_K coefficients."""
+    companion form at the _TWIST_SAMPLES (p, m) pairs on _TWIST_K
+    coefficients."""
     _at_least("prec", prec, 2)
-    store = _cache(cache)
     mismatches = []
     compared = []
     for recipe in FORMS.values():
         if not isinstance(recipe, Twist):
             continue
         dst, src = f"g{recipe.level}", f"g{FORMS[recipe.base].level}"
-        direct = store.series(dst, prec)
-        twisted = twist(store.series(src, prec), recipe.disc)
+        direct = DEFAULT_CACHE.series(dst, prec)
+        twisted = twist(DEFAULT_CACHE.series(src, prec), recipe.disc)
         mismatches.append(first_difference(direct, twisted))
         compared.append(f"{dst} vs {src} twisted by ({recipe.disc}|.)")
     commute = []
-    if samples:
-        # one expansion of G32 at the largest precision requested below
-        store.expansion("G32", max(limit_prec(sample_K, p, m)
-                                   for p, m in samples))
-    for p, m in samples:
+    # one expansion of G32 at the largest precision requested below
+    DEFAULT_CACHE.expansion("G32", max(limit_prec(_TWIST_K, p, m)
+                                       for p, m in _TWIST_SAMPLES))
+    for p, m in _TWIST_SAMPLES:
         pe = p ** (2 * m + 1)
-        G = store.series("G32", limit_prec(sample_K, p, m))
+        G = DEFAULT_CACHE.series("G32", limit_prec(_TWIST_K, p, m))
         lhs = apply_U(twist(G, 8), pe)
         rhs = scale(twist(apply_U(G, pe), 8), kronecker(8, pe))
         commute.append(first_difference(lhs, rhs))
     ok = all(x is None for x in mismatches + commute)
     return CheckReport(
         check_id="twist",
-        params={"prec": prec, "samples": [list(s) for s in samples],
-                "K": sample_K},
+        params={"prec": prec, "samples": [list(s) for s in _TWIST_SAMPLES],
+                "K": _TWIST_K},
         passed=ok,
         expected=[None] * (len(mismatches) + len(commute)),
         actual=mismatches + commute,
@@ -434,27 +412,25 @@ _SUPPORT_CLASSES = {
 }
 
 
-def check_support(level: int, prec: int = 500,
-                  cache: FormCache | None = None) -> CheckReport:
+def check_support(level: int, prec: int = 500) -> CheckReport:
     """Support lattices of g and G, and for level 27 the even-power
     degeneration: C(p^(2m)) = 0 and G|T_2(p^(2m)) = p^(2m) H_(p^(2m)) at
     small p^(2m)."""
     _at_least("prec", prec, 2)
     curve(level)  # an unknown level raises ValueError here
-    store = _cache(cache)
     (g_res, g_mod), (G_res, G_mod) = _SUPPORT_CLASSES[level]
     even = ((2, 1), (5, 1)) if level == 27 else ()
-    g = store.series(f"g{level}", prec)
+    g = DEFAULT_CACHE.series(f"g{level}", prec)
     # one expansion of G at the largest precision requested below
-    store.expansion(f"G{level}",
-                    max([prec] + [31 * p ** (2 * m) for p, m in even]))
-    G = store.series(f"G{level}", prec)
+    DEFAULT_CACHE.expansion(f"G{level}",
+                            max([prec] + [31 * p ** (2 * m) for p, m in even]))
+    G = DEFAULT_CACHE.series(f"G{level}", prec)
     bad_g = sorted(e for e in g.support() if e % g_mod != g_res)
     bad_G = sorted(e for e in G.support() if e % G_mod != G_res)
     extras = []
     for p, m in even:
         pe = p ** (2 * m)
-        Gbig = store.series("G27", 31 * pe)
+        Gbig = DEFAULT_CACHE.series("G27", 31 * pe)
         Ce = Gbig.coefficient(pe)
         lhs = hecke(Gbig, 2, p, 2 * m)
         rhs = scale(build_H(27, pe, 31), pe)

@@ -145,8 +145,8 @@ def test_criterion_7_nondivisibility(capsys):
 
 def test_criterion_8_twist_consistency(capsys):
     t0 = time.perf_counter()
-    r = check_twist_consistency(prec=200, samples=((3, 0), (7, 0)),
-                                sample_K=50)
+    r = check_twist_consistency(prec=200)
+    assert r.params == {"prec": 200, "samples": [[3, 0], [7, 0]], "K": 50}
     _finish(capsys, 8, [] if r.passed else [r.actual], t0)
 
 

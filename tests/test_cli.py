@@ -6,6 +6,7 @@ import contextlib
 import doctest
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,6 @@ from qmod.cli import DEFAULT_PREC_CEILING, main, run_grid
 from qmod.eta import CURVES, FORMS
 from qmod.spans import build_H, build_psi
 from qmod.verify import (
-    FormCache,
     check_congruence,
     check_hecke_decomposition,
     check_limit,
@@ -387,6 +387,8 @@ _SMALL_PREC = [
     ["check", "congruence", "--level", "27", "--p", "2", "--prec", "5",
      "--K", "3", "--n", "2"],
     ["check", "twist", "--level", "99", "--p", "5"],
+    ["check", "nondivisibility", "--level", "27", "--p", "5", "--out",
+     "/nonexistent/dir/x.json"],
 ] + [argv for argv, _ in _SMALL_PREC], ids="_".join)
 def test_out_of_range_input_is_usage_error(argv):
     proc = subprocess.run([sys.executable, "-m", "qmod", *argv],
@@ -664,7 +666,7 @@ def test_run_grid_direct_call():
     assert len(skipped) == 1 and skipped[0]["p"] == 5
 
 
-def test_run_grid_expands_each_form_once(monkeypatch):
+def test_run_grid_expands_each_form_once(monkeypatch, cold_cache):
     expanded = []
     real = qmod.verify.catalog_form
 
@@ -672,21 +674,22 @@ def test_run_grid_expands_each_form_once(monkeypatch):
         expanded.append(name)
         return real(name, prec)
 
-    monkeypatch.setattr(qmod.verify, "catalog_form", counting)
-    reports, skipped = run_grid(levels=(27, 32, 64), prime_bound=12,
-                                ceiling=5000, cache=FormCache())
+    with monkeypatch.context() as patch:
+        patch.setattr(qmod.verify, "catalog_form", counting)
+        reports, skipped = run_grid(levels=(27, 32, 64), prime_bound=12,
+                                    ceiling=5000)
     # G64 is the twist of the cached G32, so it expands no eta quotient
     assert sorted(expanded) == ["G27", "G32", "g27", "g32", "g64"]
     assert len(reports) == 2 * 17 and skipped == []
-    monkeypatch.undo()
     # truncating the planned expansions gives what each check computes
     # on its own
     for r in reports:
         level, p, m = r.params["level"], r.params["p"], r.params["m"]
+        monkeypatch.setattr(cold_cache, "_data", {})
         if r.check_id == "valuation":
-            alone = check_valuation(level, p, m, cache=FormCache())
+            alone = check_valuation(level, p, m)
         else:
-            alone = check_limit(level, p, m, r.params["K"], cache=FormCache())
+            alone = check_limit(level, p, m, r.params["K"])
         assert r.to_json_dict() == alone.to_json_dict()
 
 
@@ -715,6 +718,33 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 1\n7 -4\n"
+
+
+def test_closed_stdout_ends_quietly():
+    # the reader takes one line and closes the pipe, as `| head -1` does;
+    # the rest of the 180 KB expansion cannot be written
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qmod", "expand", "--form", "G27",
+         "--prec", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"-1 1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (1, b"")
+
+
+def test_dump_catalog_to_a_closed_pipe_ends_quietly():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(_REPO / "scripts" / "dump_catalog.py"),
+             "--prec", "5"],
+            stdout=write, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_cli_imports_no_numpy():

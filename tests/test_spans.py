@@ -492,6 +492,8 @@ def test_memo_keeps_each_form_at_the_highest_precision():
     # a request at a lower precision is the entry truncated: no rebuild
     assert build_H(27, 10, 12) == want
     assert spans._NORMAL_FORMS[("H", 27, 10)] is entry
+    # _memo itself hands out the held entry and builds nothing on a hit
+    assert spans._memo(spans._NORMAL_FORMS, ("H", 27, 10), 12, None) is entry
     # a higher precision replaces the entry
     build_H(27, 10, 41)
     assert spans._NORMAL_FORMS[("H", 27, 10)].prec == 41
@@ -562,7 +564,7 @@ def test_failed_build_never_enters_the_memo():
     uncertified = [QSeries({-1: 1}, 5)]
     with pytest.raises(RuntimeError, match="certified only to precision 5"):
         spans._memo(spans._NORMAL_FORMS, ("H", 27, 1), 10,
-                    lambda: spans._certified(uncertified, 10))
+                    spans._certified, uncertified, 10)
     assert spans._NORMAL_FORMS == {}
 
 
