@@ -29,34 +29,35 @@ kept ones.
 So every H_m and psi_p is the normal form of one chain start*step^j
 (_chain, _class_family) whose poles step by 3 at level 27 and by 6 at
 level 36.  A chain is triangular: its leading exponents are distinct and
-its leading coefficients 1, as g27, g36, L1, L2, L(2z), psi2 and psi3 are
-monic.  So the row with pivot e of echelonize(chain) is the member f_e
-minus c*f_e' for each other leading exponent e' in increasing order, c its
-current coefficient at e'; each step changes only exponents >= e', so those
-already cleared stay clear.  The tests check it against full families.
+its leading coefficients 1, as catalog_form checks g27, g36, L1, L2 and
+L36 = L(z) to be monic, so L(2z), psi2 and psi3 are too.  So the row with
+pivot e of echelonize(chain) is the member f_e minus c*f_e' for each
+other leading exponent e' in increasing order, c its current coefficient
+at e'; each step changes only exponents >= e', so those already cleared
+stay clear.  The tests check it against full families.
 
-Two per-process memos keep what the builds share.  _memo holds the one
-memo rule of the package, which verify.FormCache follows too: keep an
-entry at the highest precision requested so far, answer a request at or
-below it from the entry, and on a request above it build the entry again
-and replace it.  _NORMAL_FORMS holds each H_m and psi_p built, keyed by
-(kind, level, pole), and _EXPANSIONS the expansions of the generators
-g27, L1, L2, g36 and L36, keyed by name; both hand out the entry
-truncated to the request.  A truncated entry is what a fresh build
-returns, digit for digit and with the same precision: the expansions are
-exact, so truncation commutes with every product and sum built from them;
-each pivot lies below the least admitted precision, so _triangular keeps
-the same members at every admitted prec; and the reduction reads its
-multipliers at the pivots.
+One memo here and the process's one expansion store keep what the builds
+share.  _memo holds the one memo rule of the package, which
+verify.FormCache follows too: keep an entry at the highest precision
+requested so far, answer a request at or below it from the entry, and on a
+request above it build the entry again and replace it.  _NORMAL_FORMS holds
+each H_m and psi_p built, keyed by (kind, level, pole), and the generators
+g27, L1, L2, g36 and L36 are read by name from the store,
+verify.DEFAULT_CACHE; both hand out the entry truncated to the request.  A
+truncated entry is what a fresh build returns, digit for digit and with the
+same precision: the expansions are exact, so truncation commutes with every
+product and sum built from them; each pivot lies below the least admitted
+precision, so _triangular keeps the same members at every admitted prec;
+and the reduction reads its multipliers at the pivots.
 
 No chain is kept.  One chain per class would serve every shorter H_m or
 psi_p from the longest built so far, but then what a call costs depends
 on the calls before it: the same pool of requests in another order does
 different work in different calls.  Here a request whose normal form is
-not held forms the same products whatever came before it; the memos save
-only the expansions it does not extend and the normal forms it repeats.
-Requests are validated before a memo is read, a build that raises stores
-nothing, and one lock serializes every memo, FormCache's included.
+not held forms the same products whatever came before it; the memo and the
+store save only the normal forms it repeats and the expansions it does not
+extend.  Requests are validated before either is read, a build that raises
+stores nothing, and one lock serializes both.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ import threading
 from dataclasses import dataclass
 
 from .qseries import QSeries, _is_prime, mul, one, scale, sub, truncate
-from .eta import FORMS, eta_quotient_expand
 from .operators import apply_V
 
 __all__ = [
@@ -76,7 +76,6 @@ __all__ = [
     "echelonize",
     "build_H",
     "build_psi",
-    "psi36_generators",
 ]
 
 
@@ -381,12 +380,10 @@ def _require_psi(in_class: bool, rule: str, level: int, p: int, prec: int):
         raise ValueError(f"prec must be at least 1, got {prec}")
 
 
-# The per-process memos of the module docstring: (kind, level, pole) ->
-# that normal form, and catalog name -> that generator's expansion, each at
-# the highest precision requested so far.  _MEMO_LOCK is the one lock of
-# every memo, verify.FormCache's store included.
+# The normal-form memo of the module docstring: (kind, level, pole) -> that
+# normal form at the highest precision requested so far.  _MEMO_LOCK is the
+# one lock of every memo, verify.FormCache's store included.
 _NORMAL_FORMS: dict[tuple, QSeries] = {}
-_EXPANSIONS: dict[str, QSeries] = {}
 _MEMO_LOCK = threading.RLock()
 
 
@@ -402,8 +399,9 @@ def _memo(store: dict, key, prec: int, build, *args) -> QSeries:
 
 
 def _expansion(name: str, prec: int) -> QSeries:
-    return truncate(_memo(_EXPANSIONS, name, prec,
-                          eta_quotient_expand, FORMS[name], prec), prec)
+    # verify imports spans, so spans imports verify's store at call time
+    from .verify import DEFAULT_CACHE
+    return DEFAULT_CACHE.series(name, prec)
 
 
 def _chain(first, step, max_pole):

@@ -96,16 +96,19 @@ def report_sort_key(r: CheckReport):
 
 
 class FormCache:
-    """Shared store of catalog expansions, keyed by form name, kept by
-    spans._memo's rule and under its lock.
+    """Store of catalog expansions, keyed by form name, kept by
+    spans._memo's rule and under its lock.  DEFAULT_CACHE is the one store
+    of the process: the checks, `qmod expand` and the span generators all
+    read it.
 
     series answers with a copy truncated to the request; expansion hands
     out the held expansion itself, and coefficient reads one coefficient
     from it, so a check that reads C(p^k), or a warm-up that only sets the
     precision, copies nothing.  A miss in expansion or coefficient still
     enters through series, the one method that expands: a wrapper on
-    series (a profiler, or perfbench's cold-start probe) then sees every
-    expansion the cache makes."""
+    series then sees every expansion the cache makes.  perfbench's
+    cold-start probe patches FormCache.series and catalog_form in this
+    module, so they, _expand and DEFAULT_CACHE stay here."""
 
     def __init__(self):
         self._data: dict[str, QSeries] = {}
@@ -121,8 +124,7 @@ class FormCache:
 
     def coefficient(self, name: str, e: int) -> int:
         """The coefficient of q^e in name, read from the held expansion."""
-        return _memo(self._data, name, e + 1, self.series, name,
-                     e + 1).coefficient(e)
+        return self.expansion(name, e + 1).coefficient(e)
 
 
 def _expand(cache: FormCache, name: str, prec: int) -> QSeries:

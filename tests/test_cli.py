@@ -522,8 +522,9 @@ class _Oversized(Exception):
 def _expansion_budget(terms):
     """Make every eta-quotient expansion longer than terms raise _Oversized
     before it starts.  All catalog forms, spans and checks expand through
-    eta_quotient_expand, so this bounds the size of any call as it runs,
-    without a model of each check's precision."""
+    eta's eta_quotient_expand, the engine's only binding (see
+    test_only_eta_names_the_expansion_engine), so this bounds the size of
+    any call as it runs, without a model of each check's precision."""
     real = qmod.eta.eta_quotient_expand
 
     def bounded(eq, prec):
@@ -531,12 +532,7 @@ def _expansion_budget(terms):
             raise _Oversized(prec)
         return real(eq, prec)
 
-    with contextlib.ExitStack() as stack:
-        for name, module in list(sys.modules.items()):
-            if (name.split(".")[0] == "qmod"
-                    and getattr(module, "eta_quotient_expand", None) is real):
-                stack.enter_context(mock.patch.object(
-                    module, "eta_quotient_expand", bounded))
+    with mock.patch.object(qmod.eta, "eta_quotient_expand", bounded):
         yield
 
 
@@ -876,6 +872,23 @@ def test_every_public_name_is_read_by_the_package_or_scripts():
             reads |= {r for r in read(stmt) if r not in names}
     unread = {name for m in modules for name in m.__all__} - reads
     assert unread == set(_UNREAD_PUBLIC)
+
+
+def test_only_eta_names_the_expansion_engine():
+    # every catalog expansion goes FormCache -> catalog_form ->
+    # eta_quotient_expand; a second binding of the engine is a second path
+    naming = []
+    for path in sorted(Path(qmod.__file__).parent.glob("*.py")):
+        if path.name == "eta.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias)
+                    else None)
+            if name == "eta_quotient_expand":
+                naming.append(f"{path.name}:{node.lineno}")
+    assert naming == []
 
 
 def test_readme_library_example_runs():

@@ -23,7 +23,7 @@ from qmod import (
     sub,
     truncate,
 )
-from qmod import spans
+from qmod import spans, verify
 from qmod.spans import (
     _chain,
     _class_family,
@@ -389,7 +389,7 @@ def test_normal_form_of_a_small_triangular_family():
 
 
 # ---------------------------------------------------------------------------
-# the per-process memos of normal forms and generator expansions
+# the normal-form memo, and the generator expansions in the shared store
 
 def _build(kind):
     return build_H if kind == "H" else build_psi
@@ -397,11 +397,11 @@ def _build(kind):
 
 def _clear_memos():
     spans._NORMAL_FORMS.clear()
-    spans._EXPANSIONS.clear()
+    verify.DEFAULT_CACHE._data.clear()
 
 
 def _memo_state():
-    return dict(spans._NORMAL_FORMS), dict(spans._EXPANSIONS)
+    return dict(spans._NORMAL_FORMS), dict(verify.DEFAULT_CACHE._data)
 
 
 @functools.lru_cache(maxsize=None)
@@ -446,10 +446,10 @@ def test_memo_matches_fresh_builds_and_the_echelon_oracle(requests):
         assert got == _echelon_row(kind, level, m, prec)
 
 
-def _counting(names):
-    """Wrap the named spans bindings; returns the list of calls and a
-    function that restores them."""
-    calls, saved = [], {n: getattr(spans, n) for n in names}
+def _counting(bindings):
+    """Wrap the named (module, name) bindings; returns the list of calls,
+    by name, and a function that restores them."""
+    calls, saved = [], {(m, n): getattr(m, n) for m, n in bindings}
 
     def counted(name, f):
         def wrapper(*args):
@@ -457,9 +457,9 @@ def _counting(names):
             return f(*args)
         return wrapper
 
-    for name, f in saved.items():
-        setattr(spans, name, counted(name, f))
-    return calls, lambda: [setattr(spans, n, f) for n, f in saved.items()]
+    for (module, name), f in saved.items():
+        setattr(module, name, counted(name, f))
+    return calls, lambda: [setattr(m, n, f) for (m, n), f in saved.items()]
 
 
 @settings(max_examples=25, deadline=None)
@@ -475,7 +475,7 @@ def test_products_of_a_request_do_not_depend_on_earlier_requests(
         _clear_memos()
         for r in history:
             _build(r[0])(*r[1:])
-        calls, restore = _counting(["mul"])
+        calls, restore = _counting([(spans, "mul")])
         try:
             _build(kind)(level, m, prec)
         finally:
@@ -499,7 +499,7 @@ def test_memo_keeps_each_form_at_the_highest_precision():
     assert spans._NORMAL_FORMS[("H", 27, 10)].prec == 41
     # the generators stay at the longest expansion so far: 41 + 10 + 4
     build_H(27, 4, 12)
-    assert {n: f.prec for n, f in spans._EXPANSIONS.items()} == {
+    assert {n: f.prec for n, f in verify.DEFAULT_CACHE._data.items()} == {
         "g27": 55, "L1": 55, "L2": 55}
     # and are handed out truncated to the precision asked for
     assert [f.prec for f in spans._generators(("g27", "L1"), 20)] == [20, 20]
@@ -508,7 +508,8 @@ def test_memo_keeps_each_form_at_the_highest_precision():
     build_psi(36, 5, 50)
     assert {k: f.prec for k, f in spans._NORMAL_FORMS.items()} == {
         ("psi", 36, 23): 5, ("psi", 36, 5): 50}
-    assert {n: f.prec for n, f in spans._EXPANSIONS.items()} == {"L36": 59}
+    assert {n: f.prec
+            for n, f in verify.DEFAULT_CACHE._data.items()} == {"L36": 59}
 
 
 def test_held_form_and_generators_form_no_product_or_expansion():
@@ -516,16 +517,16 @@ def test_held_form_and_generators_form_no_product_or_expansion():
     for m in (38, 39, 40):   # one chain per class
         build_H(27, m, 30)
     build_psi(27, 47, 30)
-    calls, restore = _counting(["mul", "eta_quotient_expand"])
+    calls, restore = _counting([(spans, "mul"), (verify, "catalog_form")])
     try:
         for m in (38, 39, 40):
             build_H(27, m, 12)
         build_psi(27, 47, 30)
         assert calls == []
         build_psi(27, 5, 30)   # a new form from held generators
-        assert "mul" in calls and "eta_quotient_expand" not in calls
+        assert "mul" in calls and "catalog_form" not in calls
         build_H(27, 41, 40)    # past the held generators: an expansion
-        assert "eta_quotient_expand" in calls
+        assert "catalog_form" in calls
     finally:
         restore()
 
@@ -588,4 +589,5 @@ def test_memo_is_thread_safe():
     for kind, level, m, prec in requests:
         _build(kind)(level, m, prec)
     assert all(spans._NORMAL_FORMS[k] is v for k, v in forms.items())
-    assert all(spans._EXPANSIONS[k] is v for k, v in expansions.items())
+    assert all(verify.DEFAULT_CACHE._data[k] is v
+               for k, v in expansions.items())

@@ -1,7 +1,9 @@
 """Tests for the check layer: report serialization, prime eligibility,
 the shared expansion cache, and small instances of every check."""
 
+import json
 import math
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -184,7 +186,6 @@ def test_cache_is_thread_safe():
 def _fresh_stores(monkeypatch, cache):
     monkeypatch.setattr(cache, "_data", {})
     monkeypatch.setattr(qmod.spans, "_NORMAL_FORMS", {})
-    monkeypatch.setattr(qmod.spans, "_EXPANSIONS", {})
 
 
 def test_checks_from_threads_match_a_sequential_run(monkeypatch, cold_cache):
@@ -207,6 +208,41 @@ def test_checks_from_threads_match_a_sequential_run(monkeypatch, cold_cache):
     finally:
         sys.setswitchinterval(interval)
     assert got == want * 2
+
+
+_COUNT_NEWFORM_EXPANSIONS = """
+import json, sys
+import qmod
+
+level = int(sys.argv[1])
+real = qmod.eta.eta_quotient_expand
+precs = []
+
+def counted(eq, prec):
+    if eq == qmod.eta.FORMS[f"g{level}"]:
+        precs.append(prec)
+    return real(eq, prec)
+
+for name, module in list(sys.modules.items()):
+    if (name.split(".")[0] == "qmod"
+            and getattr(module, "eta_quotient_expand", None) is real):
+        module.eta_quotient_expand = counted
+assert qmod.check_hecke_decomposition(level, 5).passed
+print(json.dumps(precs))
+"""
+
+
+@pytest.mark.parametrize("level", [27, 36])
+def test_hecke_check_expands_the_newform_once(level):
+    # a new process starts with every store cold; each binding of the
+    # engine is counted, so a second store with its own path would show.
+    # The span chain reads g at prec + pole + 4 = 39, the check at 30.
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_NEWFORM_EXPANSIONS, str(level)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [39]
 
 
 def test_cache_coefficient_equals_the_truncated_series():
