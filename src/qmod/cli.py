@@ -184,7 +184,7 @@ def _series_text(name: str, f: QSeries, fmt: str) -> str:
     return "\n".join(f"{e} {c}" for e, c in f.items())
 
 
-_PARAM_ORDER = ("level", "p", "m", "n", "K", "prec", "m_max", "samples")
+_PARAM_ORDER = (*_CHECK_FLAGS, "samples")
 
 
 def _report_line(r: CheckReport) -> str:

@@ -26,15 +26,17 @@ elsewhere, so a constant; the class excludes the exponent 0, so that
 constant is 0, and every in-class monomial lies in the integer span of the
 kept ones.
 
-So every H_m and psi_p is the normal form of one chain start*step^j
-(_chain, _class_family) whose poles step by 3 at level 27 and by 6 at
-level 36.  A chain is triangular: its leading exponents are distinct and
-its leading coefficients 1, as catalog_form checks g27, g36, L1, L2 and
-L36 = L(z) to be monic, so L(2z), psi2 and psi3 are too.  So the row with
-pivot e of echelonize(chain) is the member f_e minus c*f_e' for each
-other leading exponent e' in increasing order, c its current coefficient
-at e'; each step changes only exponents >= e', so those already cleared
-stay clear.  The tests check it against full families.
+So every H_m and psi_p is the normal form of one chain first*step^j whose
+poles step by 3 at level 27 and by 6 at level 36; one builder,
+_normal_form, picks the chain's first member and step for the kind and
+level.  _chain checks that each member leads with coefficient 1 at the
+pole of first plus j poles of step, so the chain is triangular: its
+leading exponents are distinct and its leading coefficients 1.  So the
+normal form with pivot e, the row with that pivot of the chain's echelon
+basis, is the member f_e minus c*f_e' for each other leading exponent e'
+in increasing order, c its current coefficient at e' (_reduce); each step
+changes only exponents >= e', so those already cleared stay clear.  The
+tests check it against echelonize of full families.
 
 One memo here and the process's one expansion store keep what the builds
 share.  _memo holds the one memo rule of the package, which
@@ -47,8 +49,8 @@ verify.DEFAULT_CACHE; both hand out the entry truncated to the request.  A
 truncated entry is what a fresh build returns, digit for digit and with the
 same precision: the expansions are exact, so truncation commutes with every
 product and sum built from them; each pivot lies below the least admitted
-precision, so _triangular keeps the same members at every admitted prec;
-and the reduction reads its multipliers at the pivots.
+precision, so the same members enter at every admitted prec; and the
+reduction reads its multipliers at the pivots.
 
 No chain is kept.  One chain per class would serve every shorter H_m or
 psi_p from the longest built so far, but then what a call costs depends
@@ -68,15 +70,7 @@ from dataclasses import dataclass
 from .qseries import QSeries, _is_prime, mul, one, scale, sub, truncate
 from .operators import apply_V
 
-__all__ = [
-    "EchelonBasis",
-    "EliminationError",
-    "UnconstructibleError",
-    "spanning_family",
-    "echelonize",
-    "build_H",
-    "build_psi",
-]
+__all__ = ["UnconstructibleError", "build_H", "build_psi"]
 
 
 class EliminationError(ValueError):
@@ -228,34 +222,12 @@ def _certified(members: list[QSeries], prec: int) -> list[QSeries]:
 # ---------------------------------------------------------------------------
 # normal forms in a triangular family
 
-def _triangular(family, prec: int) -> dict[int, QSeries]:
-    """The members of a triangular family truncated to prec, keyed by
-    leading exponent and scaled to leading coefficient +1.
-
-    Raises EliminationError for a leading coefficient that is not a unit and
-    RuntimeError when two members share a leading exponent.  A member with
-    no term below prec is dropped: it changes no coefficient there."""
-    rows: dict[int, QSeries] = {}
-    for f in family:
-        f = truncate(f, prec)
-        if f.is_zero:
-            continue
-        lead = f.coefficient(f.order)
-        if lead not in (1, -1):
-            raise EliminationError(f.order, lead)
-        if f.order in rows:
-            raise RuntimeError(
-                f"two family members share the leading exponent {f.order}"
-            )
-        rows[f.order] = f if lead == 1 else scale(f, -1)
-    return rows
-
-
 def _reduce(f: QSeries, rows: dict[int, QSeries]) -> QSeries:
     """f minus the multiples of rows that clear its coefficient at every
     leading exponent of rows, walked upwards (see the module docstring).
-    f and the rows share one precision, as _triangular leaves them, and the
-    result is accumulated in one dict."""
+    f and the rows share one precision, and each row leads with
+    coefficient 1, as _normal_form leaves them; the result is accumulated
+    in one dict."""
     d = dict(f._c)
     for e in sorted(rows):
         c = d.get(e)
@@ -267,16 +239,6 @@ def _reduce(f: QSeries, rows: dict[int, QSeries]) -> QSeries:
                 else:
                     del d[k]
     return QSeries._trusted(d, f.prec)
-
-
-def _normal_form(family, pivot: int, prec: int) -> QSeries:
-    """The row with leading exponent pivot of echelonize(family), truncated
-    to prec, computed without reducing the other rows."""
-    rows = _triangular(family, prec)
-    row = rows.pop(pivot, None)
-    if row is None:
-        raise UnconstructibleError(f"no row with leading exponent {pivot}")
-    return _reduce(row, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -300,26 +262,45 @@ def build_H(level: int, m: int, prec: int) -> QSeries:
             f"level {level} span has no normal form with pole {m}")
     _require_span_prec(level, prec)
     return truncate(_memo(_NORMAL_FORMS, ("H", level, m), prec,
-                          _H, level, m, prec), prec)
+                          _normal_form, "H", level, m, prec), prec)
 
 
-def _H(level: int, m: int, prec: int) -> QSeries:
-    """H_m from its chain; build_H validates the request first."""
-    return _normal_form(_class_family(level, m, prec), -m, prec)
+def build_psi(level: int, p: int, prec: int) -> QSeries:
+    """The weight-0 function q^-p + C_p q + O(q^4) (level 27, p = 2 mod 3)
+    or q^-p + C q + O(q^7) (level 36, p = 5 mod 6), to precision prec >= 1.
+    """
+    if not _is_prime(p):
+        raise UnconstructibleError(f"{p} is not prime")
+    if level == 27:
+        in_class, rule = p % 3 == 2, "p = 2 mod 3"
+    elif level == 36:
+        in_class, rule = p % 6 == 5, "p = 5 mod 6"
+    else:
+        raise ValueError(f"no psi construction at level {level}")
+    if not in_class:
+        raise UnconstructibleError(f"level {level} psi needs {rule}, got {p}")
+    if prec < 1:
+        raise ValueError(f"prec must be at least 1, got {prec}")
+    return truncate(_memo(_NORMAL_FORMS, ("psi", level, p), prec,
+                          _normal_form, "psi", level, p, prec), prec)
 
 
-def _class_family(level: int, pole: int, prec: int) -> list[QSeries]:
-    """The weight-2 chain with one member per pole of the class of -pole
-    (mod 3 at level 27, mod 6 at level 36) up to pole, certified to prec.
+def _normal_form(kind: str, level: int, pole: int, prec: int) -> QSeries:
+    """H_pole or psi_pole, as kind says, to at least prec: the normal form
+    with pivot -pole of one chain first*step^j; build_H and build_psi
+    validate the request first.
 
-    g27*L1^d lies in the class 1+d mod 3 and g36*L(2z)^d in 1+4d mod 6,
-    both with pole 2d-1, so the class of -pole has d = d0 = 2*pole+2 mod 3
-    at level 27 and d0 = (pole+1)/2 mod 3 at level 36.  The chain
-    g36*L(2z)^(d0+3j) is the part of spanning_family in the class.  At
-    level 27 that part is g27*L1^(d0+3k) and g27*L1^(d0+3k)*L2, and the
-    chain g27*L1^d0*L2^j has the same normal form:
+    psi_p takes the chain L1*L2^b or psi2*psi3^b, b odd, which the module
+    docstring shows to span every in-class monomial with pole at most p.
+    H_m takes one member per pole of the class of -m (mod 3 at level 27,
+    mod 6 at level 36).  g27*L1^d lies in the class 1+d mod 3 and
+    g36*L(2z)^d in 1+4d mod 6, both with pole 2d-1, so the class of -m has
+    d = d0 = 2m+2 mod 3 at level 27 and d0 = (m+1)/2 mod 3 at level 36.
+    The chain g36*L(2z)^(d0+3j) is the part of spanning_family in the
+    class.  At level 27 that part is g27*L1^(d0+3k) and g27*L1^(d0+3k)*L2,
+    and the chain g27*L1^d0*L2^j has the same normal form:
     - Both are triangular, with unit leads and the same pivots: every
-      pole = 2*d0-1 mod 3 from 2*d0-1 up to pole.
+      pole = 2*d0-1 mod 3 from 2*d0-1 up to m.
     - Each member of one is a Z-combination of members of the other with
       at most its pole.  The module docstring's weight-0 argument on
       L1^3 - L2^2 (class 0 mod 3, pole below 6) leaves a constant, as this
@@ -331,53 +312,23 @@ def _class_family(level: int, pole: int, prec: int) -> list[QSeries]:
       the normal form with pivot e is the only series in the span with
       lead q^e and zeros at the other pivots.
     """
-    _require_span_prec(level, prec)
-    start, gen, *l2 = _generators(_GENERATORS[level], prec + max(pole, 1) + 4)
-    if level == 27:
-        d0, step = (2 * pole + 2) % 3, l2[0]
-    else:
-        d0, step = (pole + 1) // 2 % 3, mul(mul(gen, gen), gen)
-    for _ in range(d0):
-        start = mul(start, gen)
-    return _certified(_chain(start, step, pole), prec)
-
-
-def build_psi(level: int, p: int, prec: int) -> QSeries:
-    """The weight-0 function q^-p + C_p q + O(q^4) (level 27, p = 2 mod 3)
-    or q^-p + C q + O(q^7) (level 36, p = 5 mod 6), to precision prec >= 1.
-
-    It is the normal form with pivot -p of the chain L1*L2^b or
-    psi2*psi3^b, b odd, which the module docstring shows to span every
-    in-class monomial with pole at most p.
-    """
-    if not _is_prime(p):
-        raise UnconstructibleError(f"{p} is not prime")
-    if level == 27:
-        _require_psi(p % 3 == 2, "p = 2 mod 3", level, p, prec)
-    elif level == 36:
-        _require_psi(p % 6 == 5, "p = 5 mod 6", level, p, prec)
-    else:
-        raise ValueError(f"no psi construction at level {level}")
-    return truncate(_memo(_NORMAL_FORMS, ("psi", level, p), prec,
-                          _psi, level, p, prec), prec)
-
-
-def _psi(level: int, p: int, prec: int) -> QSeries:
-    """psi_p from its chain; build_psi validates the request first."""
-    if level == 27:
-        first, step = _generators(("L1", "L2"), prec + p)
-    else:
-        psi2, psi3 = psi36_generators(prec + p + 2)
+    if kind == "psi" and level == 27:
+        first, step = _generators(("L1", "L2"), prec + pole)
+    elif kind == "psi":
+        psi2, psi3 = psi36_generators(prec + pole + 2)
         first, step = mul(psi2, psi3), mul(psi3, psi3)
-    chain = _certified(_chain(first, step, p), prec)
-    return _normal_form(chain, -p, prec)
-
-
-def _require_psi(in_class: bool, rule: str, level: int, p: int, prec: int):
-    if not in_class:
-        raise UnconstructibleError(f"level {level} psi needs {rule}, got {p}")
-    if prec < 1:
-        raise ValueError(f"prec must be at least 1, got {prec}")
+    else:
+        first, gen, *l2 = _generators(_GENERATORS[level],
+                                      prec + max(pole, 1) + 4)
+        if level == 27:
+            d0, step = (2 * pole + 2) % 3, l2[0]
+        else:
+            d0, step = (pole + 1) // 2 % 3, mul(mul(gen, gen), gen)
+        for _ in range(d0):
+            first = mul(first, gen)
+    rows = {f.order: truncate(f, prec)
+            for f in _certified(_chain(first, step, pole), prec)}
+    return _reduce(rows.pop(-pole), rows)
 
 
 # The normal-form memo of the module docstring: (kind, level, pole) -> that
@@ -406,16 +357,17 @@ def _expansion(name: str, prec: int) -> QSeries:
 
 def _chain(first, step, max_pole):
     """first * step^j for j = 0, 1, ... while the leading pole stays at most
-    max_pole.  Both factors have unit leading coefficients, so each member's
-    pole is exactly the previous one plus the pole of step, and no product
-    beyond max_pole is formed."""
-    members = [first]
-    while -(members[-1].order + step.order) <= max_pole:
-        f = mul(members[-1], step)
-        if f.order != members[-1].order + step.order:
-            raise RuntimeError(
-                f"monomial with expected leading exponent "
-                f"{members[-1].order + step.order} has {f.order}"
-            )
+    max_pole; no product beyond max_pole is formed.  The one check that a
+    chain is triangular: each member must lead with coefficient 1 at
+    first's order plus j times step's, else RuntimeError."""
+    members, lead, f = [], first.order, first
+    while True:
+        c = f._c.get(f.order)
+        if f.order != lead or c != 1:
+            raise RuntimeError(f"chain member expected to lead with q^{lead}"
+                               f" leads with {c}*q^{f.order}")
         members.append(f)
-    return members
+        lead += step.order
+        if -lead > max_pole:
+            return members
+        f = mul(f, step)

@@ -429,14 +429,10 @@ def check_support(level: int, prec: int = 500) -> CheckReport:
     G = DEFAULT_CACHE.series(f"G{level}", prec)
     bad_g = sorted(e for e in g.support() if e % g_mod != g_res)
     bad_G = sorted(e for e in G.support() if e % G_mod != G_res)
-    extras = []
-    for p, m in even:
-        pe = p ** (2 * m)
-        Gbig = DEFAULT_CACHE.series("G27", 31 * pe)
-        Ce = Gbig.coefficient(pe)
-        lhs = hecke(Gbig, 2, p, 2 * m)
-        rhs = scale(build_H(27, pe, 31), pe)
-        extras.append([Ce, first_difference(lhs, rhs)])
+    # C(p^2m) = 0, so the decomposition is G|T2(p^2m) = p^2m H_(p^2m)
+    extras = [[DEFAULT_CACHE.coefficient("G27", p ** (2 * m)),
+               check_hecke_decomposition(27, p, 2 * m, 31).actual]
+              for p, m in even]
     ok = (not bad_g and not bad_G
           and all(c == 0 and d is None for c, d in extras))
     return CheckReport(

@@ -826,8 +826,6 @@ _REPO = Path(__file__).resolve().parent.parent
 _UNREAD_PUBLIC = {
     "cusp_orders": "Ligozat cusp orders for the valence-bound certificates "
                    "the ROADMAP plans",
-    "echelonize": "perfbench's tracer binds it by name",
-    "spanning_family": "perfbench's tracer binds it by name",
 }
 
 

@@ -7,30 +7,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmod import (
-    EliminationError,
     QSeries,
     UnconstructibleError,
     add,
     build_H,
     build_psi,
     catalog_form,
-    echelonize,
     first_difference,
     mul,
     one,
     scale,
-    spanning_family,
     sub,
     truncate,
 )
 from qmod import spans, verify
 from qmod.spans import (
+    EliminationError,
+    _GENERATORS,
     _chain,
-    _class_family,
-    _normal_form,
+    _generators,
     _reduce,
-    _triangular,
+    echelonize,
     psi36_generators,
+    spanning_family,
 )
 
 
@@ -138,21 +137,43 @@ def test_spanning_family_validation():
 
 @pytest.mark.parametrize("level,modulus", [(27, 3), (36, 6)])
 def test_class_family_is_one_chain(level, modulus):
-    # one member per pole of the class of -pole, from the smallest up to
-    # pole, so the leading exponents step by the class modulus
+    # the chain g*L^d0 * step^j with the first member and step of
+    # spans._normal_form: one member per pole of the class of -pole, from
+    # the smallest up to pole, so the leading exponents step by the class
+    # modulus; the generators are read at the builder's 10 + pole + 4 for
+    # the largest pole, so every member is certified to 10
+    g, gen, *l2 = _generators(_GENERATORS[level], 10 + 39 + 4)
+    step = l2[0] if level == 27 else mul(mul(gen, gen), gen)
     for pole in range(-1, 40, 1 if level == 27 else 2):
         if pole == 0:
             continue
-        fam = _class_family(level, pole, 10)
+        d0 = (2 * pole + 2) % 3 if level == 27 else (pole + 1) // 2 % 3
+        first = g
+        for _ in range(d0):
+            first = mul(first, gen)
+        fam = _chain(first, step, pole)
         assert [-f.order for f in fam] == [
             k for k in range(-1, pole + 1) if k and (k - pole) % modulus == 0]
         assert all(a.order - b.order == modulus for a, b in zip(fam, fam[1:]))
         assert all(f.coefficient(f.order) == 1 and f.prec >= 10 for f in fam)
 
 
+@pytest.mark.parametrize("lead", [-1, 2])
+def test_chain_rejects_a_lead_other_than_one(lead):
+    # _chain is the one triangularity check: a first member or a step that
+    # does not lead with coefficient 1 fails before any reduction
+    monic = QSeries({-2: 1, 1: 3}, 10)
+    other = QSeries({-3: lead, 0: 1}, 10)
+    with pytest.raises(RuntimeError, match="expected to lead with q\\^-3"):
+        _chain(other, monic, 5)
+    with pytest.raises(RuntimeError, match="expected to lead with q\\^-5"):
+        _chain(monic, other, 5)
+    assert len(_chain(monic, monic, 4)) == 2
+
+
 def test_L1_cubed_is_a_polynomial_in_L2():
     # the relation that puts the level-27 class members in the span of the
-    # chain g27*L1^d0*L2^j and back (see spans._class_family)
+    # chain g27*L1^d0*L2^j and back (see spans._normal_form)
     l1, l2 = catalog_form("L1", 80), catalog_form("L2", 80)
     rhs = add(mul(l2, l2), add(scale(l2, 9), scale(one(80), 27)))
     diff = sub(mul(mul(l1, l1), l1), rhs)
@@ -355,7 +376,7 @@ def test_dropped_same_pole_monomial_reduces_to_zero():
          mul(mul(mul(psi2, psi2), mul(psi2, psi2)), psi3), -11),
     ]
     for kept, dropped, pivot in cases:
-        rows = _triangular(kept, prec)
+        rows = {f.order: truncate(f, prec) for f in kept}
         diff = sub(truncate(dropped, prec), rows[pivot])
         assert diff.order > pivot
         assert not diff.is_zero
@@ -370,22 +391,20 @@ def test_build_psi_rejects_precision_below_one():
 
 
 def test_normal_form_of_a_small_triangular_family():
+    # a monic triangular family, keyed by leading exponent: reducing the
+    # member with pivot e against the others gives echelonize's row
     fam = [QSeries({-3: 1, -1: 2, 0: 5, 2: 1}, 6),
-           QSeries({-1: -1, 0: 3, 4: 2}, 6),
+           QSeries({-1: 1, 0: -3, 4: -2}, 6),
            QSeries({0: 1, 1: -4, 5: 1}, 7),
            QSeries({2: 1, 3: 3}, 6)]
     basis = echelonize(fam)
-    for pivot in (-3, -1, 0, 2):
-        assert _normal_form(fam, pivot, 6) == basis.row_with_pivot(pivot)
-        assert (_normal_form(fam, pivot, 3)
-                == truncate(basis.row_with_pivot(pivot), 3))
+    for prec in (6, 3):
+        for pivot in (-3, -1, 0, 2):
+            rows = {f.order: truncate(f, prec) for f in fam}
+            assert (_reduce(rows.pop(pivot), rows)
+                    == truncate(basis.row_with_pivot(pivot), prec))
     with pytest.raises(UnconstructibleError):
-        _normal_form(fam, 1, 6)
-    with pytest.raises(EliminationError) as exc:
-        _normal_form(fam + [QSeries({1: 2}, 6)], 0, 6)
-    assert (exc.value.exponent, exc.value.coeff) == (1, 2)
-    with pytest.raises(RuntimeError, match="share the leading exponent"):
-        _normal_form(fam + [QSeries({2: 1}, 6)], 0, 6)
+        basis.row_with_pivot(1)
 
 
 # ---------------------------------------------------------------------------
