@@ -25,7 +25,12 @@ _plan rewrites the exponent vector with the last two wherever that saves
 an Euler-factor division.  eta_quotient_expand then multiplies all the
 numerator atoms into one packed integer and divides it there by the first
 divisor (qseries._product_quotient); a second divisor goes through div.
-No dense-by-dense product ever forms.  The catalog divides as follows:
+No dense-by-dense product ever forms.  The packed rows of that first
+division take their width from _quotient_bits, a bound proved from the
+eta quotient itself: _rate_bits rewrites it with bounded atoms, the
+cubic theta function b(q) = E(q)^3 / E(q^3) among them, and bounds what
+is left by the growth of its Euler-factor divisors alone.  The catalog
+divides as follows:
 
 - g27, g32 and g36 have no negative exponent and divide by nothing.
 - g64 = eta(8z)^8 / (eta(4z)^2 eta(16z)^2) = q E(q^8)^2 E(-q^4)^2 and
@@ -235,6 +240,12 @@ _THETA_ATOMS = {
     "phi(-q)": {1: 2, 2: -1},
 }
 
+# Every atom as such a vector, and the atoms of the quotient bound: the
+# theta atoms and the cubic theta function b(q) = E(q)^3 / E(q^3) (see
+# _rate_bits), which only bounds and is never expanded.
+_ATOM_VECTORS = {"E": {1: 1}, "E^3": {1: 3}, **_THETA_ATOMS}
+_BOUND_ATOMS = {**_THETA_ATOMS, "b": {1: 3, 3: -1}}
+
 
 def _euler_inverse_bits(r: int, m: int) -> int:
     """An integer b such that every coefficient of prod_n (1 - x^n)^(-r) at
@@ -251,6 +262,12 @@ def _euler_inverse_bits(r: int, m: int) -> int:
     return -(-4533 * (isqrt(-(-2 * r * m // 3)) + 1) // 1000)
 
 
+def _inverse_bits(kind: str, delta: int, pw: int) -> int:
+    """_euler_inverse_bits for 1/atom below q^pw: the atom E or E^3 at
+    q^delta reaches degree (pw - 1) // delta in x = q^delta."""
+    return _euler_inverse_bits(3 if kind == "E^3" else 1, (pw - 1) // delta)
+
+
 def _divisions(r: dict) -> tuple[int, int]:
     """(Euler-factor divisions, a cube counting as one; divided exponent)
     of an exponent vector {delta: r}."""
@@ -258,18 +275,68 @@ def _divisions(r: dict) -> tuple[int, int]:
     return sum(e // 3 + e % 3 for e in neg), sum(neg)
 
 
+def _rates(r: dict) -> tuple[Fraction, Fraction]:
+    """(rho, sigma) of an exponent vector {delta: r}: the inverse rate
+    rho = sum |r_delta| / delta over r_delta < 0, then sigma, the same sum
+    over r_delta > 0."""
+    return (sum(Fraction(-e, d) for d, e in r.items() if e < 0),
+            sum(Fraction(e, d) for d, e in r.items() if e > 0))
+
+
+def _rewrite(r: dict, atoms: dict, key) -> tuple[dict, list]:
+    """(rest, taken): the exponent vector r with atoms taken out while that
+    lowers key(rest), and the (kind, delta) of every atom taken.
+
+    Each round tries every atom paid for from a positive exponent (vector
+    vec at scale d, paid from r_(k d) >= vec[k] at the atom's one positive
+    entry k), t = 1, 2, ... times in a row while it is paid for, and
+    applies the best (atom, t) if it beats the current vector.  An atom's
+    negative entries only add to r, so every move lowers
+    sum_(r_delta > 0) r_delta, a nonnegative integer, and the rounds end.
+    """
+    taken = []
+    while True:
+        best = key(r), None
+        for kind, vec in atoms.items():
+            k_paid = max(vec, key=vec.get)
+            for delta in sorted(r):
+                if delta % k_paid:
+                    continue
+                d = delta // k_paid
+                trial = dict(r)
+                for t in count(1):
+                    if trial.get(delta, 0) < vec[k_paid]:
+                        break
+                    for k, e in vec.items():
+                        trial[k * d] = trial.get(k * d, 0) - e
+                    if key(trial) < best[0]:
+                        best = key(trial), (kind, d, t, dict(trial))
+        if best[1] is None:
+            return r, taken
+        kind, d, t, r = best[1]
+        taken += [(kind, d)] * t
+
+
+def _euler_split(r: dict) -> tuple[list, list]:
+    """(numerator, divisor) atoms of the Euler factors of r: a cube per
+    three of |r_delta|, then single factors, in increasing delta."""
+    num, den = [], []
+    for delta, e in sorted(r.items()):
+        side = num if e > 0 else den
+        cubes, rest = divmod(abs(e), 3)
+        side += [("E^3", delta)] * cubes + [("E", delta)] * rest
+    return num, den
+
+
 @cache
 def _plan(factors) -> tuple[tuple, tuple]:
     """(numerator atoms, divisor atoms) whose quotient is
     prod_delta E(q^delta)^(r_delta), each atom a (kind, delta) of _ATOMS.
 
-    The theta atoms are taken out of the exponent vector while that lowers
-    _divisions.  Each round tries every theta atom paid for from positive
-    exponents (phi(-q^d) from r_d >= 2, E(-q^d) from r_2d >= 3) and feeding
-    a negative one, t = 1, 2, ... times in a row, and applies the best
-    (atom, t) if it beats the current vector; the key is a pair of
-    nonnegative integers that falls in every round, so the rounds end.
-    What is left splits into cubes and single Euler factors.
+    The theta atoms are taken out of the exponent vector by _rewrite while
+    that lowers _divisions, which only a move that feeds a negative
+    exponent can do.  What is left splits into cubes and single Euler
+    factors.
 
     The divisors go in increasing delta.  For L1 and L36 that puts E(q^3)
     first: its stride on their lattice is 1, so it runs div's scalar
@@ -278,37 +345,146 @@ def _plan(factors) -> tuple[tuple, tuple]:
     10^5 terms both forms expanded about a fifth faster that way than
     with E(q^3) last.
     """
-    r = dict(factors)
-    theta = []
-    while True:
-        best = _divisions(r), None
-        for kind, vec in _THETA_ATOMS.items():
-            k_paid = max(vec, key=vec.get)
-            for delta in sorted(r):
-                if delta % k_paid:
-                    continue
-                d = delta // k_paid
-                trial = dict(r)
-                for t in count(1):
-                    if trial.get(delta, 0) < vec[k_paid] or all(
-                            trial.get(k * d, 0) >= 0
-                            for k, e in vec.items() if e < 0):
-                        break
-                    for k, e in vec.items():
-                        trial[k * d] = trial.get(k * d, 0) - e
-                    if _divisions(trial) < best[0]:
-                        best = _divisions(trial), (kind, d, t, dict(trial))
-        if best[1] is None:
-            break
-        kind, d, t, r = best[1]
-        theta += [(kind, d)] * t
-    num, den = [], []
-    for delta, e in sorted(r.items()):
-        side = num if e > 0 else den
-        cubes, rest = divmod(abs(e), 3)
-        side += [("E^3", delta)] * cubes + [("E", delta)] * rest
-    den.sort(key=lambda a: a[1])
+    r, theta = _rewrite(dict(factors), _THETA_ATOMS, _divisions)
+    num, den = _euler_split(r)
     return tuple(num + theta), tuple(den)
+
+
+# Per kind of bound atom, (g_num, g_den, j): at x = e^(-u) the atom's
+# majorant (the sum of |coefficient| x^n) is at most (1 + sqrt(c / u))^j
+# with c <= pi * g_num / g_den; see _rate_bits.
+_MAJORANTS = {
+    "E": (1, 1, 1),
+    "E(-q)": (1, 1, 1),
+    "phi(-q)": (1, 1, 1),
+    "E^3": (6367, 10000, 2),
+    "b": (2, 1, 2),
+}
+
+# Fractional bits of the fixed-point majorants in _rate_bits.
+_FRAC = 16
+
+
+@cache
+def _bound_plan(factors) -> tuple[Fraction, tuple]:
+    """(rho, atoms): prod_delta E(q^delta)^(r_delta), factors the pairs
+    (delta, r), is the product of the atoms times prod over r'_delta < 0
+    of E(q^delta)^(r'_delta), with inverse rate rho = sum |r'_delta| /
+    delta.
+
+    _rewrite takes the atoms of _BOUND_ATOMS out while that lowers
+    _rates: first rho, then, at equal rho, sigma.  No move raises rho.
+    A move that keeps rho can still lower sigma, and that lets one atom
+    free exponents for the next: G36 takes phi(-q^18), then b(q^6), which
+    frees E(q^18)^2 for a second phi(-q^18).  What is left positive
+    splits into cubes and single Euler factors, also bounded atoms.
+    G27 = q^-1 E(q^3) b(q^9)^2 / E(q^27), rho = 1/27 (from 1/9);
+    G36 = q^-1 b(q^6) E(q^12) phi(-q^18)^2 / E(q^36), rho = 1/36 (from
+    1/12).
+    """
+    r, taken = _rewrite(dict(factors), _BOUND_ATOMS, _rates)
+    num, _ = _euler_split(r)
+    return _rates(r)[0], tuple(num + taken)
+
+
+@cache
+def _rate_terms(num: tuple, divisor: tuple) -> tuple | None:
+    """The K-free integers of _rate_bits for the quotient of the atoms num
+    by the atom divisor: (a, b, ((y4_num, y4_den, j), ...)) with
+    rho = a / b from _bound_plan of the quotient's exponent vector and
+    (y 2^_FRAC)^4 = y4_num * K / y4_den per bound atom, equal atoms
+    merged into one power j; None when rho is 0."""
+    r = {}
+    for sign, (kind, delta) in [(1, a) for a in num] + [(-1, divisor)]:
+        for k, e in _ATOM_VECTORS[kind].items():
+            r[k * delta] = r.get(k * delta, 0) + sign * e
+    rho, atoms = _bound_plan(tuple(sorted((d, e) for d, e in r.items() if e)))
+    if not rho:
+        return None
+    a, b = rho.numerator, rho.denominator
+    terms = {}
+    for kind, delta in atoms:
+        gn, gd, j = _MAJORANTS[kind]
+        y4 = (6 * b * gn * gn << 4 * _FRAC, a * gd * gd * delta * delta)
+        terms[y4] = terms.get(y4, 0) + j
+    return a, b, tuple((*y4, j) for y4, j in terms.items())
+
+
+def _rate_bits(num: tuple, divisor: tuple, K: int) -> int | None:
+    """An integer b such that every coefficient at degrees 0..K of
+    Q = prod(num) / divisor, the quotient of the atoms, is below 2^b;
+    None when _bound_plan leaves no negative exponent.
+
+    Write Q as _bound_plan does, the atoms A times prod E(q^delta)^(-s_d)
+    with s_d > 0 and rho = sum s_d / delta.  The coefficients of
+    1 / E(q^delta) are nonnegative, so with M_A(x) = sum |a_n| x^n every
+    coefficient satisfies |c_k| <= [x^k] prod M_A(x^delta_A)
+    prod E(x^delta)^(-s_d), and for 0 < x = e^(-t) < 1 that is at most
+    x^(-k) times the whole product.  As in _euler_inverse_bits,
+    -log E(e^(-delta t)) <= pi^2 / (6 delta t), so for every k <= K
+
+        log |c_k| <= K t + rho pi^2 / (6t) + sum_A log M_A(e^(-delta_A t)).
+
+    The majorants, at x = e^(-u), with sum_(n>=1) e^(-u n^2) <=
+    integral_0^inf e^(-u y^2) dy = sqrt(pi / u) / 2:
+
+    - E, E(-q) and phi(-q) have coefficients +-1 at q^0 and at two
+      exponents >= n^2 per n >= 1 (pentagonal k(3k -+ 1)/2 >= k^2), or
+      +-2 at q^(n^2): M <= 1 + sqrt(pi / u).
+    - E^3 = sum (-1)^k (2k+1) q^(k(k+1)/2) and k(k+1)/2 >= k^2 / 2.  For
+      a unimodal h >= 0, sum_k h(k) <= integral h + max h; on
+      h = 2y e^(-u y^2 / 2) that gives sum 2k x^(k^2/2) <= 2/u +
+      2/sqrt(e u), so M <= 1 + sqrt(pi / (2u)) + 2/sqrt(e u) + 2/u <=
+      (1 + sqrt(2/u))^2, and 2 <= 0.6367 pi.
+    - b(q) = E(q)^3 / E(q^3) = sum_(m,n in Z) w^(m-n) q^(m^2+mn+n^2),
+      w = e^(2 pi i / 3) (Borwein, Borwein and Garvan, Trans. AMS 343,
+      1994), so |b_n| is at most the number of representations of n by
+      m^2+mn+n^2, which is 6 sum_(d|n) (d|3) <= 6 d(n); and
+      m^2+mn+n^2 >= (m^2+n^2)/2 gives M <= (1 + sqrt(2 pi / u))^2.
+
+    Each is (1 + sqrt(c / u))^j with c <= pi g, (g, j) from _MAJORANTS.
+    t = pi sqrt(rho / (6K)) makes the first two terms pi sqrt(2 rho K / 3)
+    (K = 0 leaves the single coefficient 1), and at u = delta t,
+    sqrt(c / u) <= y with y^4 = g^2 6K / (rho delta^2).  In bits the
+    bound is at most (pi / log 2) sqrt(2 rho K / 3) + log2 prod (1 + y)^j,
+    evaluated in integers as in _euler_inverse_bits: pi / log 2 < 4.533,
+    square and fourth roots rounded up with isqrt on 2^_FRAC-scaled
+    values, and log2 below the bit length.
+    """
+    plan = _rate_terms(num, divisor)
+    if plan is None:
+        return None
+    a, b, terms = plan
+    F = _FRAC
+    bits = -(-4533 * (isqrt((2 * a * K << 2 * F) // (3 * b)) + 1)
+             // (1000 << F))
+    M, J = 1, 0
+    for y4_num, y4_den, j in terms:
+        M *= ((1 << F) + isqrt(isqrt(y4_num * K // y4_den) + 1) + 1) ** j
+        J += j
+    return bits + M.bit_length() - F * J
+
+
+def _quotient_bits(num: tuple, divisor: tuple, factors: list, pw: int
+                   ) -> int:
+    """The quotient_bits of the first division of eta_quotient_expand: an
+    integer b such that the coefficients of prod(factors) / divisor below
+    q^pw are below 2^b.  factors are the numerator atoms num expanded to
+    pw terms, divisor the first divisor atom.
+
+    The smaller of two bounds.  Each quotient coefficient is a sum of
+    (numerator coefficient) * (coefficient of 1/divisor) and the
+    numerator's 1-norm is at most the product of the atoms' 1-norms, so
+    the first is bits(prod ||atom||_1) + _inverse_bits.  It cannot see
+    cancellation between numerator and divisor, as in
+    E(q^9)^6 / E(q^27)^3; the second, _rate_bits, can.
+    """
+    norm = 1
+    for g in factors:
+        norm *= sum(map(abs, g._c.values()))
+    bits = norm.bit_length() + _inverse_bits(*divisor, pw)
+    rated = _rate_bits(num, divisor, pw - 1)
+    return bits if rated is None else min(bits, rated)
 
 
 def eta_quotient_expand(eq: EtaQuotient, prec: int) -> QSeries:
@@ -317,7 +493,8 @@ def eta_quotient_expand(eq: EtaQuotient, prec: int) -> QSeries:
     Raises ShiftError when the q-shift sum(delta*r)/24 is not an integer and
     PrecisionError when prec does not reach past the shift.  The numerator
     atoms of _plan and its first divisor go through one packed product and
-    division; a later divisor goes through div.
+    division, with row widths from _quotient_bits; a later divisor goes
+    through div.
     """
     s_frac = eq.shift
     if s_frac.denominator != 1:
@@ -335,20 +512,18 @@ def eta_quotient_expand(eq: EtaQuotient, prec: int) -> QSeries:
     def atom(kind, delta):
         return _ATOMS[kind](delta, pw)
 
-    def inverse_bits(kind, delta):
-        # the quotient reaches 1/atom below q^pw: x = q^delta degree at
-        # most (pw - 1) // delta
-        return _euler_inverse_bits(3 if kind == "E^3" else 1,
-                                   (pw - 1) // delta)
-
     factors = [atom(*a) for a in num] or [one(pw)]
     first = [atom(*a) for a in den[:1]]
-    f = _product_quotient(factors, first[0] if den else None,
-                          inverse_bits(*den[0]) if den else None, s, pw,
-                          _lattice(*factors, *first))
+    L = _lattice(*factors, *first)
+    # the kernel solves rows only when the divisor E(q^delta) or
+    # E(q^delta)^3 has a step below q^pw and its stride delta / L is not 1
+    bits = None
+    if den and L < den[0][1] < pw:
+        bits = _quotient_bits(num, den[0], factors, pw)
+    f = _product_quotient(factors, first[0] if den else None, bits, s, pw, L)
     del factors, first  # let the atoms go before a second division
     for a in den[1:]:
-        f = div(f, atom(*a), inverse_bits=inverse_bits(*a))
+        f = div(f, atom(*a), inverse_bits=_inverse_bits(*a, pw))
     if f.prec != prec:
         raise RuntimeError(
             f"eta product came back at precision {f.prec}, not {prec}"

@@ -6,11 +6,13 @@ from __future__ import annotations
 from functools import reduce
 
 from .qseries import (
+    PrecisionError,
     QSeries,
     _ceil_div,
     _is_prime,
     add,
     scale,
+    truncate,
 )
 
 __all__ = [
@@ -24,24 +26,33 @@ __all__ = [
 ]
 
 
-def apply_U(f: QSeries, m: int) -> QSeries:
+def apply_U(f: QSeries, m: int, prec: int | None = None) -> QSeries:
     """U_m: the coefficient at q^n of the result is a(m*n).
 
     Exponents not divisible by m are discarded; negative exponents take part
-    on the same footing.  Result precision is ceil(f.prec / m).  When the
-    result has fewer exponents than f has stored terms, they are looked up,
-    as in truncate, so a large m costs the result, not the series.
+    on the same footing.  The result has precision prec, by default
+    ceil(f.prec / m), every exponent f certifies; a larger prec raises
+    PrecisionError.  When the result has fewer exponents than f has stored
+    terms, they are looked up, as in truncate, so a large m or a short
+    window costs the result, not the series.
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"U index must be a positive integer, got {m}")
+    top = _ceil_div(f.prec, m)
+    if prec is None:
+        prec = top
+    elif prec > top:
+        raise PrecisionError(
+            f"U_{m} certifies exponents below {top}, not below {prec}"
+        )
     if m == 1:
-        return f
-    c, prec = f._c, _ceil_div(f.prec, m)
+        return truncate(f, prec)
+    c = f._c
     low = _ceil_div(f.order, m)
     if prec - low < len(c):
         d = {n: c[n * m] for n in range(low, prec) if n * m in c}
     else:
-        d = {e // m: v for e, v in c.items() if e % m == 0}
+        d = {e // m: v for e, v in c.items() if e % m == 0 and e < prec * m}
     return QSeries._trusted(d, prec)
 
 
@@ -71,7 +82,10 @@ def hecke(f: QSeries, k: int, p: int, n: int) -> QSeries:
 
         f | T_k(p^n) = sum_{j=0..n} p^((k-1)j) (f | U(p^(n-j)) | V(p^j)).
 
-    Precision is the minimum over the terms, dominated by the U(p^n) term.
+    Precision is the minimum over the terms, which is the U(p^n) term's
+    P = ceil(f.prec / p^n) whenever P >= 1.  So each U(p^(n-j)) image is
+    asked only for the exponents e with p^j e < P, the window whose V(p^j)
+    image is certified to P, unless its own precision is smaller.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -79,9 +93,12 @@ def hecke(f: QSeries, k: int, p: int, n: int) -> QSeries:
         raise ValueError(f"prime-power exponent must be >= 1, got {n}")
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"weight must be a positive integer, got {k}")
+    P = _ceil_div(f.prec, p ** n)
     terms = []
     for j in range(n + 1):
-        t = apply_V(apply_U(f, p ** (n - j)), p ** j)
+        m = p ** (n - j)
+        window = min(_ceil_div(P - 1, p ** j) + 1, _ceil_div(f.prec, m))
+        t = apply_V(apply_U(f, m, window), p ** j)
         terms.append(scale(t, p ** ((k - 1) * j)))
     return reduce(add, terms)
 

@@ -22,8 +22,11 @@ offset in every slot gives back a signed-digit integer on which big-int
 addition, shifts and small multiples act slotwise.  Widening the slots
 is a strided copy of those bytes.  The digits of such an integer are
 recovered exactly when every slot of the result again lies in
-(-2^(W-1), 2^(W-1)), so the kernel derives W from a proven bound on the
-coefficients it will unpack and never from a guess that is checked later.
+(-2^(W-1), 2^(W-1)), so every slot width comes from a proven bound on
+the coefficients it will hold and never from a guess that is checked
+later: the kernel proves the product's, and each caller of a division
+proves the quotient's (div from the 1-norm of the numerator, the eta
+expansion from the eta quotient itself).
 Two helpers carry its arithmetic: _shift_add multiplies a packed integer
 by a lacunary series, and _solve_rows runs the division recurrence on
 whole packed rows.
@@ -375,7 +378,7 @@ def _unpack(rows: list, D: int, B: int, n: int) -> list[int]:
 
 
 def _product_quotient(factors: list[QSeries], divisor: QSeries | None,
-                      inverse_bits: int | None, w: int, P: int, L: int
+                      quotient_bits: int | None, w: int, P: int, L: int
                       ) -> QSeries:
     """q^w * prod(factors) / divisor at precision w + P, each series read
     relative to its own order (f / q^order(f)); divisor None means the
@@ -384,8 +387,10 @@ def _product_quotient(factors: list[QSeries], divisor: QSeries | None,
     Requires P >= 1, at least one factor, every series certified at least
     P exponents past its order, and every exponent offset a multiple of L
     (see _lattice).  The divisor's leading coefficient u is +-1.
-    inverse_bits is None or an integer b such that the coefficients of
-    1/divisor at its first P offsets have absolute value below 2^b.
+    quotient_bits is None or an integer b such that every coefficient of
+    the quotient at the first P offsets is below 2^b; each caller proves
+    its own (div, eta_quotient_expand).  The numerator needs no such
+    bound: the rows never get narrower than its packing width (below).
 
     The result lives on n = ceil(P / L) slots of the compressed lattice.
     The factor with the most stored terms is laid out as a list a of exact
@@ -397,26 +402,32 @@ def _product_quotient(factors: list[QSeries], divisor: QSeries | None,
     and a truncation to n slots.
 
     Product width.  Every coefficient of f*g is a sum of products of one
-    coefficient of f and one of g, so max|fg| <= max|f| * ||g||_1 and
-    ||fg||_1 <= ||f||_1 * ||g||_1, and truncation raises neither norm.
+    coefficient of f and one of g, so max|fg| <= max|f| * ||g||_1, and
+    truncation raises neither max|fg| nor ||fg||_1 <= ||f||_1 * ||g||_1.
     With R the product of the 1-norms of the shift-added factors, every
-    slot of every partial product is at most max|a| * R, so the slots take
-    bits(max|a| * R) plus a sign bit, never more than bits(max|a|) +
-    bits(R) plus a sign bit.  The numerator N has ||N||_1 <= ||a||_1 * R.
+    slot of every partial product, the numerator N included, is at most
+    max|a| * R, so the slots take B bytes, bits(max|a| * R) plus a sign
+    bit.
 
-    Quotient width.  Let D be the gcd of the divisor's compressed offsets.
-    The D interleaved residue classes of the quotient solve the same
-    recurrence, so when inverse_bits is given and D > 1, _respace widens the
-    packed N into rows of D slots, _solve_rows runs the recurrence on whole
-    rows, and _unpack reads every coefficient once.  Each quotient
-    coefficient is a sum of (coefficient of N) * (coefficient of
-    1/divisor), so its absolute value is below ||N||_1 * 2^b, and the row
-    slots take bits(||a||_1 * R) + b plus a sign bit.  The padding slots
-    of the last row read offsets of 1/divisor no larger than those of that
-    row's first slot, so they obey the same bound.  Otherwise nothing is
-    packed for the division: the recurrence runs on the coefficients as
-    exact integers, each only as long as it needs to be, and multiplies by
-    u even with no steps.
+    Rows.  Let D be the gcd of the divisor's compressed offsets.  The D
+    interleaved residue classes of the quotient solve the same recurrence,
+    so when quotient_bits is given and D > 1, _respace widens the packed N
+    into rows of D slots, _solve_rows runs the recurrence on whole rows,
+    and _unpack reads every coefficient once.  Row t is the integer
+    sum_i x_(tD+i) 2^(iW), W = 8 Bw, and the recurrence is linear, so
+    after row t is solved it equals that sum over the quotient
+    coefficients x exactly, whatever the slot values met on the way.
+    Its digits are the coefficients wherever they lie in
+    (-2^(W-1), 2^(W-1)), so the row slots take b plus a sign bit, and
+    never fewer than the B bytes of N that _respace copies in.  The last
+    row's padding slots, past the n real ones, hold quotient coefficients
+    beyond the first P offsets, which b does not bound.  They cannot
+    corrupt the unpacking: they sit above every real slot of that row, the
+    digits below a slot do not depend on what lies above it (carries only
+    move upward), and no row reads the last row after it is solved.
+    Otherwise nothing is packed for the division: the recurrence runs on
+    the coefficients as exact integers, each only as long as it needs to
+    be, and multiplies by u even with no steps.
     """
     n = _ceil_div(P, L)
     factors = sorted(factors, key=lambda g: len(g._c))
@@ -449,15 +460,12 @@ def _product_quotient(factors: list[QSeries], divisor: QSeries | None,
                        if 0 < e - wd < P)
         for k, _ in steps:
             D = math.gcd(D, k)
-    rest = 1
-    for t in terms:
-        rest *= sum(abs(c) for _, c in t)
-    if inverse_bits is not None and D > 1:
-        Bw = _slot_bytes((sum(map(abs, dense)) * rest).bit_length()
-                         + inverse_bits)
-    else:
+    if quotient_bits is None:
         D = 1
     if terms or D > 1:
+        rest = 1
+        for t in terms:
+            rest *= sum(abs(c) for _, c in t)
         B = _slot_bytes((max(map(abs, dense)) * rest).bit_length())
         packed, dense = _pack(dense, B), None
     if terms:
@@ -465,6 +473,7 @@ def _product_quotient(factors: list[QSeries], divisor: QSeries | None,
         for t in terms:
             packed = ((_shift_add(packed, t, 8 * B) + off) & mask) - off
     if D > 1:
+        Bw = max(B, _slot_bytes(quotient_bits))
         rows, packed = _respace(packed, n, B, D, Bw), None
         _solve_rows(rows, [(k // D, c) for k, c in steps], u)
         dense = _unpack(rows, D, Bw, n)
@@ -528,8 +537,12 @@ def div(f: QSeries, g: QSeries, inverse_bits: int | None = None) -> QSeries:
     of 1/g at its leading exponent and the next (result precision -
     order(h) - 1) exponents all have absolute value below 2^b.  It lets
     _product_quotient solve the residue classes of h that the stride of g
-    separates together, in packed rows whose width its docstring proves.
-    Without it every coefficient is solved on its own.
+    separates together, in packed rows.  Without it every coefficient is
+    solved on its own.  The rows need a bound on h: each coefficient of h
+    is a sum of (coefficient of f) * (coefficient of 1/g) over the terms
+    of f below q^(result precision + order(g)), so its absolute value is
+    at most ||f||_1 * max|1/g| < 2^(bits(||f||_1) + b), ||f||_1 taken
+    over those terms.
     """
     if not g._c:
         raise NotInvertibleError("division by a zero series")
@@ -543,7 +556,11 @@ def div(f: QSeries, g: QSeries, inverse_bits: int | None = None) -> QSeries:
     if not f._c:
         return QSeries._trusted({}, P)
     w = f._order - wg
-    return _product_quotient([f], g, inverse_bits, w, P - w, _lattice(f, g))
+    bits = None
+    if inverse_bits is not None:
+        bits = sum(abs(c) for e, c in f._c.items()
+                   if e < P + wg).bit_length() + inverse_bits
+    return _product_quotient([f], g, bits, w, P - w, _lattice(f, g))
 
 
 # ---------------------------------------------------------------------------

@@ -209,8 +209,9 @@ def check_limit(level: int, p: int, m: int, K: int = 20) -> CheckReport:
     _at_least("K", K, 1)
     _require_eligible(level, p)
     pe = p ** (2 * m + 1)
-    G = DEFAULT_CACHE.series(f"G{level}", limit_prec(K, p, m))
-    GU = apply_U(G, pe)
+    # the held expansion, read only in the window G|U(pe) needs
+    G = DEFAULT_CACHE.expansion(f"G{level}", limit_prec(K, p, m))
+    GU = apply_U(G, pe, K + 1)
     C = G.coefficient(pe)
     g = DEFAULT_CACHE.series(f"g{level}", K + 1)
     D = sub(GU, scale(g, C))
@@ -300,8 +301,8 @@ def check_theta_psi(level: int, p: int, prec: int = 30, m_max: int = 1,
     passed = bad is None
     for m in range(m_max + 1):
         pe = p ** (2 * m + 1)
-        G = DEFAULT_CACHE.series(f"G{level}", limit_prec(K, p, m))
-        GU = apply_U(G, pe)
+        G = DEFAULT_CACHE.expansion(f"G{level}", limit_prec(K, p, m))
+        GU = apply_U(G, pe, K + 1)
         target = scale(th, (-1) ** (m + 1) * p ** m)
         D = sub(GU, target)
         e_hi = min(D.prec, K + 1)
@@ -429,10 +430,12 @@ def check_support(level: int, prec: int = 500) -> CheckReport:
     G = DEFAULT_CACHE.series(f"G{level}", prec)
     bad_g = sorted(e for e in g.support() if e % g_mod != g_res)
     bad_G = sorted(e for e in G.support() if e % G_mod != G_res)
-    # C(p^2m) = 0, so the decomposition is G|T2(p^2m) = p^2m H_(p^2m)
+    # C(p^2m) = 0, so the decomposition is G|T2(p^2m) = p^2m H_(p^2m);
+    # the largest p^2m first, so that its span expands L1 and L2 once for
+    # every smaller one
     extras = [[DEFAULT_CACHE.coefficient("G27", p ** (2 * m)),
                check_hecke_decomposition(27, p, 2 * m, 31).actual]
-              for p, m in even]
+              for p, m in reversed(even)][::-1]
     ok = (not bad_g and not bad_G
           and all(c == 0 and d is None for c, d in extras))
     return CheckReport(

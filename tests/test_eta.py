@@ -1,9 +1,12 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qmod.eta
+import qmod.qseries
 from qmod import (
     CURVES,
     FORMS,
@@ -16,11 +19,14 @@ from qmod import (
     catalog_form,
     catalog_manifest,
     cusp_orders,
+    div,
     eta_quotient_expand,
     first_difference,
     truncate,
 )
-from qmod.eta import _ATOMS, _euler_factor, _euler_inverse_bits, _plan, curve
+from qmod.eta import (_ATOMS, _bound_plan, _euler_factor, _euler_inverse_bits,
+                      _plan, _quotient_bits, curve)
+from qmod.qseries import _slot_bytes
 from _oracles import naive_euler_product, naive_eta_quotient, ref_mul
 
 ETA_NAMES = sorted(n for n, r in FORMS.items() if isinstance(r, EtaQuotient))
@@ -349,3 +355,122 @@ def test_numerator_width_lemma(name):
     assert prod.prec == pw
     bound = 1 << norm.bit_length()
     assert all(abs(c) < bound for _, c in prod.items())
+
+
+# ---------------------------------------------------------------------------
+# the quotient bound of the first division
+
+def test_cubic_theta_function_and_its_coefficient_bound():
+    # b(q) = E(q)^3 / E(q^3) = sum_(m,n) w^(m-n) q^(m^2+mn+n^2) through
+    # q^3000, and |b_n| <= 6 d(n) for n >= 1
+    N = 3001
+    b = div(_ATOMS["E^3"](1, N), _ATOMS["E"](3, N))
+    counts = [[0, 0, 0] for _ in range(N)]
+    r = isqrt(2 * N) + 1  # m^2+mn+n^2 >= max(m^2, n^2) / 2
+    for m in range(-r, r + 1):
+        for n in range(-r, r + 1):
+            e = m * m + m * n + n * n
+            if e < N:
+                counts[e][(m - n) % 3] += 1
+    # the sum is real, so w and w^2 = conj(w) come equally often, and
+    # 1 + w + w^2 = 0 leaves (count at 1) - (count at w)
+    assert all(c1 == c2 for _, c1, c2 in counts)
+    assert b == QSeries({e: c0 - c1 for e, (c0, c1, _) in enumerate(counts)},
+                        N)
+    divisors = [0] * N
+    for k in range(1, N):
+        for j in range(k, N, k):
+            divisors[j] += 1
+    assert b.coefficient(0) == 1
+    assert all(abs(b.coefficient(n)) <= 6 * divisors[n] for n in range(1, N))
+
+
+def test_bound_plans_of_the_cubes():
+    # G27 = q^-1 E(q^3) b(q^9)^2 / E(q^27), G36 = q^-1 b(q^6) E(q^12)
+    # phi(-q^18)^2 / E(q^36)
+    rho, atoms = _bound_plan(FORMS["G27"].factors)
+    assert rho == Fraction(1, 27)
+    assert sorted(atoms) == [("E", 3), ("b", 9), ("b", 9)]
+    rho, atoms = _bound_plan(FORMS["G36"].factors)
+    assert rho == Fraction(1, 36)
+    assert sorted(atoms) == [("E", 12), ("b", 6), ("phi(-q)", 18),
+                             ("phi(-q)", 18)]
+
+
+# Precisions of the bound sweep, and the bytes per row slot of each first
+# division that runs packed rows at them with the bound used before
+# _rate_bits, bits(||numerator||_1) + _euler_inverse_bits (None: no rows,
+# as the divisor has no step below the precision, or a stride of 1)
+_SWEEP = (2, 5, 10, 30, 100, 300, 1_000, 3_000, 10_000, 30_000, 62_501,
+          100_001, 200_001)
+_ONE_NORM_ROW_BYTES = {
+    "G27": (None, None, None, 3, 4, 5, 8, 12, 20, 32, 44, 54, 75),
+    "L2": (None, None, None, 2, 3, 4, 7, 10, 18, 30, 42, 52, 72),
+    "G32": (None, None, None, None, 3, 4, 6, 8, 13, 19, 26, 31, 42),
+    "G36": (None, None, None, None, 3, 5, 8, 11, 18, 28, 38, 47, 65),
+}
+
+
+def _first_division_bits(name, prec):
+    eq = FORMS[name]
+    num, den = _plan(eq.factors)
+    pw = prec - int(eq.shift)
+    return _quotient_bits(num, den[0], [_ATOMS[k](d, pw) for k, d in num],
+                          pw)
+
+
+@pytest.mark.parametrize("name", ["G27", "G32", "G36", "L1", "L2", "L36"])
+def test_quotient_bits_bound_the_first_quotient(name, monkeypatch):
+    # the kernel's first quotient at the top of the sweep holds it at every
+    # smaller precision as a prefix.  L1 and L36 divide first by E(q^3), a
+    # stride of 1 on their lattice, so they run no rows and get no bound
+    calls = []
+    real = qmod.eta._product_quotient
+
+    def recording(factors, divisor, quotient_bits, w, P, L):
+        out = real(factors, divisor, quotient_bits, w, P, L)
+        calls.append((quotient_bits, out))
+        return out
+
+    monkeypatch.setattr(qmod.eta, "_product_quotient", recording)
+    eta_quotient_expand(FORMS[name], _SWEEP[-1])
+    (passed, quotient), = calls
+    assert passed == (_first_division_bits(name, _SWEEP[-1])
+                      if name in _ONE_NORM_ROW_BYTES else None)
+    widest, k = 0, 0
+    old = _ONE_NORM_ROW_BYTES.get(name, (None,) * len(_SWEEP))
+    for e, c in quotient.items() + [(_SWEEP[-1], 0)]:
+        while k < len(_SWEEP) and e >= _SWEEP[k]:
+            bits = _first_division_bits(name, _SWEEP[k])
+            assert bits >= widest + 1, (name, _SWEEP[k])
+            assert old[k] is None or _slot_bytes(bits) <= old[k] + 1, (
+                name, _SWEEP[k])
+            k += 1
+        widest = max(widest, abs(c).bit_length())
+    assert k == len(_SWEEP)
+
+
+@pytest.mark.parametrize("name,prec,most", [
+    ("G27", 62_501, 232), ("G27", 655_361, 640),
+    ("G36", 62_501, 200), ("G36", 655_361, 560),
+])
+def test_cube_quotient_rows_are_narrow(name, prec, most):
+    # the 1-norm bound alone gave 348 and 1,045 bits for G27 and 301 and
+    # 908 for G36; the coefficients reach 173 and 549, and 131 and 413 bits
+    assert _first_division_bits(name, prec) <= most
+
+
+@pytest.mark.parametrize("name", ["G27", "G36"])
+def test_narrow_rows_give_the_one_norm_expansion(name, monkeypatch):
+    widths = []
+    real = qmod.qseries._respace
+
+    def recording(packed, n, B, D, Bw):
+        widths.append(Bw)
+        return real(packed, n, B, D, Bw)
+
+    monkeypatch.setattr(qmod.qseries, "_respace", recording)
+    narrow = eta_quotient_expand(FORMS[name], 300_001)
+    monkeypatch.setattr(qmod.eta, "_rate_bits", lambda *args: None)
+    assert eta_quotient_expand(FORMS[name], 300_001) == narrow
+    assert widths[0] < widths[1]

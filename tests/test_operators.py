@@ -1,7 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from functools import reduce
+
 from qmod import (
+    PrecisionError,
     QSeries,
     add,
     apply_U,
@@ -15,6 +18,7 @@ from qmod import (
     scale,
     theta,
     twist,
+    truncate,
 )
 from _oracles import ref_kronecker
 
@@ -113,6 +117,35 @@ def test_U_lookup_of_a_long_series():
         assert _U_looks_up(f, m)
         assert apply_U(f, m) == _scan_U(f, m)
     assert apply_U(f, 243).items()[:2] == [(0, 2), (1, 83)]
+
+
+# sparse series, and dense runs whose precision may be zero or negative
+_windowed = st.one_of(
+    series(max_prec=60),
+    st.builds(lambda lo, cs: QSeries({lo + k: c for k, c in enumerate(cs)},
+                                     lo + len(cs)),
+              st.integers(min_value=-20, max_value=20),
+              st.lists(coeffs, max_size=60)))
+
+
+@given(_windowed, st.integers(min_value=1, max_value=70), st.data())
+def test_U_window_is_the_truncated_image(f, m, data):
+    full = apply_U(f, m)
+    window = data.draw(st.integers(min_value=full.prec - 80,
+                                   max_value=full.prec))
+    assert apply_U(f, m, window) == truncate(full, window)
+    with pytest.raises(PrecisionError):
+        apply_U(f, m, full.prec + 1)
+
+
+@given(_windowed, st.sampled_from([2, 3, 5]),
+       st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=4))
+def test_hecke_windows_match_the_unwindowed_sum(f, p, n, k):
+    # sum_j p^((k-1)j) V(p^j)(U(p^(n-j)) f), every term taken whole
+    whole = reduce(add, [scale(apply_V(apply_U(f, p ** (n - j)), p ** j),
+                               p ** ((k - 1) * j)) for j in range(n + 1)])
+    assert hecke(f, k, p, n) == whole
 
 
 def test_UV_validate_index():

@@ -422,10 +422,10 @@ def test_mul_dispatch_reads_only_input_sizes(monkeypatch):
     packed = []
     real = qmod.qseries._product_quotient
 
-    def counting(factors, divisor, inverse_bits, w, P, L):
+    def counting(factors, divisor, quotient_bits, w, P, L):
         if len(factors) == 2 and divisor is None:
             packed.append(len(factors[0].items()) * len(factors[1].items()))
-        return real(factors, divisor, inverse_bits, w, P, L)
+        return real(factors, divisor, quotient_bits, w, P, L)
 
     monkeypatch.setattr(qmod.qseries, "_product_quotient", counting)
     n = _SCATTER_CAP // 32

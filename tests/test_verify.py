@@ -452,20 +452,21 @@ def test_congruence_expands_G_once(cold_cache, expansions):
 
 def test_theta_psi_expands_G_once(cold_cache, expansions, held):
     # G27 is needed at 5 * 30 = 150 and at 20 * 5^3 + 1 = 2501; psi_5 is
-    # built first, from L1 and L2 at 30 + 5
+    # built first, from L1 and L2 at 30 + 5.  After the warm-up, each
+    # congruence reads its U-window from the held expansion
     assert check_theta_psi(27, 5).passed
     assert expansions == ["L1", "L2", "G27"]
-    assert held == [("G27", 2501)]
+    assert held == [("G27", 2501), ("G27", 101), ("G27", 2501)]
 
 
 def test_support_expands_G_once(cold_cache, expansions, held):
-    # G27 is needed at 500 and at 31 * 25 = 775.  H_4 and then H_25 read
-    # L1 and L2 at 31 + 4 + 4 and at 31 + 25 + 4, so both are expanded
-    # twice (g27 is held at 500 by then).  After the warm-up, C(4) and
-    # C(25) are read from the held expansion
+    # G27 is needed at 500 and at 31 * 25 = 775.  H_25 and then H_4 read
+    # L1 and L2 at 31 + 25 + 4 and at 31 + 4 + 4, so both are expanded
+    # once (g27 is held at 500 by then).  After the warm-up, C(25) and
+    # C(4) are read from the held expansion
     assert check_support(27, prec=500).passed
-    assert expansions == ["g27", "G27", "L1", "L2", "L1", "L2"]
-    assert held == [("G27", 775), ("G27", 5), ("G27", 26)]
+    assert expansions == ["g27", "G27", "L1", "L2"]
+    assert held == [("G27", 775), ("G27", 26), ("G27", 5)]
 
 
 def test_twist_consistency_expands_G32_once(cold_cache, expansions, held):
