@@ -26,10 +26,10 @@ an Euler-factor division.  eta_quotient_expand then multiplies all the
 numerator atoms into one packed integer and divides it there by the first
 divisor (qseries._product_quotient); a second divisor goes through div.
 No dense-by-dense product ever forms.  The packed rows of that first
-division take their width from _quotient_bits, a bound proved from the
-eta quotient itself: _rate_bits rewrites it with bounded atoms, the
-cubic theta function b(q) = E(q)^3 / E(q^3) among them, and bounds what
-is left by the growth of its Euler-factor divisors alone.  The catalog
+division take their width from _rate_bits, a bound proved from the eta
+quotient itself: it rewrites the quotient with bounded atoms, the cubic
+theta function b(q) = E(q)^3 / E(q^3) among them, and bounds what is
+left by the growth of its Euler-factor divisors alone.  The catalog
 divides as follows:
 
 - g27, g32 and g36 have no negative exponent and divide by nothing.
@@ -247,25 +247,22 @@ _ATOM_VECTORS = {"E": {1: 1}, "E^3": {1: 3}, **_THETA_ATOMS}
 _BOUND_ATOMS = {**_THETA_ATOMS, "b": {1: 3, 3: -1}}
 
 
-def _euler_inverse_bits(r: int, m: int) -> int:
-    """An integer b such that every coefficient of prod_n (1 - x^n)^(-r) at
-    degrees 0..m is below 2^b.
+def _inverse_bits(kind: str, delta: int, pw: int) -> int:
+    """An integer b such that every coefficient of 1/atom below q^pw is
+    below 2^b, the atom E or E^3 at q^delta.
 
-    The coefficients p_r(k) are nonnegative, so p_r(k) x^k is at most the
-    whole product for 0 < x < 1.  With x = e^(-t), the log of
-    prod_n (1 - e^(-nt))^(-1) is sum_j 1 / (j (e^(jt) - 1)) <= pi^2 / (6t),
-    hence p_r(k) <= exp(kt + r pi^2 / (6t)), and t = pi sqrt(r / (6k))
-    gives p_r(k) <= exp(pi sqrt(2rk/3)), increasing in k.  In bits that is
+    1/atom is prod_n (1 - x^n)^(-r) at x = q^delta, r = 1 or 3, and it
+    reaches degree m = (pw - 1) // delta in x.  Its coefficients p_r(k)
+    are nonnegative, so p_r(k) x^k is at most the whole product for
+    0 < x < 1.  With x = e^(-t), the log of prod_n (1 - e^(-nt))^(-1) is
+    sum_j 1 / (j (e^(jt) - 1)) <= pi^2 / (6t), hence
+    p_r(k) <= exp(kt + r pi^2 / (6t)), and t = pi sqrt(r / (6k)) gives
+    p_r(k) <= exp(pi sqrt(2rk/3)), increasing in k.  In bits that is
     (pi / log 2) sqrt(2rk/3), bounded in integers without rounding error:
     pi / log 2 < 4.533 and sqrt(2rm/3) < isqrt(ceil(2rm/3)) + 1.
     """
+    r, m = 3 if kind == "E^3" else 1, (pw - 1) // delta
     return -(-4533 * (isqrt(-(-2 * r * m // 3)) + 1) // 1000)
-
-
-def _inverse_bits(kind: str, delta: int, pw: int) -> int:
-    """_euler_inverse_bits for 1/atom below q^pw: the atom E or E^3 at
-    q^delta reaches degree (pw - 1) // delta in x = q^delta."""
-    return _euler_inverse_bits(3 if kind == "E^3" else 1, (pw - 1) // delta)
 
 
 def _divisions(r: dict) -> tuple[int, int]:
@@ -388,19 +385,19 @@ def _bound_plan(factors) -> tuple[Fraction, tuple]:
 
 
 @cache
-def _rate_terms(num: tuple, divisor: tuple) -> tuple | None:
+def _rate_terms(num: tuple, divisor: tuple) -> tuple:
     """The K-free integers of _rate_bits for the quotient of the atoms num
-    by the atom divisor: (a, b, ((y4_num, y4_den, j), ...)) with
-    rho = a / b from _bound_plan of the quotient's exponent vector and
+    by the atom (kind, delta) divisor: (a, b, ((y4_num, y4_den, j), ...))
+    with rho = a / b from _bound_plan of the quotient's exponent vector,
+    or 1 / delta when that leaves no negative exponent, and
     (y 2^_FRAC)^4 = y4_num * K / y4_den per bound atom, equal atoms
-    merged into one power j; None when rho is 0."""
+    merged into one power j."""
     r = {}
     for sign, (kind, delta) in [(1, a) for a in num] + [(-1, divisor)]:
         for k, e in _ATOM_VECTORS[kind].items():
             r[k * delta] = r.get(k * delta, 0) + sign * e
     rho, atoms = _bound_plan(tuple(sorted((d, e) for d, e in r.items() if e)))
-    if not rho:
-        return None
+    rho = rho or Fraction(1, divisor[1])
     a, b = rho.numerator, rho.denominator
     terms = {}
     for kind, delta in atoms:
@@ -410,20 +407,24 @@ def _rate_terms(num: tuple, divisor: tuple) -> tuple | None:
     return a, b, tuple((*y4, j) for y4, j in terms.items())
 
 
-def _rate_bits(num: tuple, divisor: tuple, K: int) -> int | None:
+def _rate_bits(num: tuple, divisor: tuple, K: int) -> int:
     """An integer b such that every coefficient at degrees 0..K of
-    Q = prod(num) / divisor, the quotient of the atoms, is below 2^b;
-    None when _bound_plan leaves no negative exponent.
+    Q = prod(num) / divisor, the quotient of the atoms, is below 2^b.
 
     Write Q as _bound_plan does, the atoms A times prod E(q^delta)^(-s_d)
     with s_d > 0 and rho = sum s_d / delta.  The coefficients of
     1 / E(q^delta) are nonnegative, so with M_A(x) = sum |a_n| x^n every
     coefficient satisfies |c_k| <= [x^k] prod M_A(x^delta_A)
     prod E(x^delta)^(-s_d), and for 0 < x = e^(-t) < 1 that is at most
-    x^(-k) times the whole product.  As in _euler_inverse_bits,
+    x^(-k) times the whole product.  As in _inverse_bits,
     -log E(e^(-delta t)) <= pi^2 / (6 delta t), so for every k <= K
 
         log |c_k| <= K t + rho pi^2 / (6t) + sum_A log M_A(e^(-delta_A t)).
+
+    This holds for every t > 0, so it also holds with rho replaced by any
+    rho' >= rho with rho' > 0.  When no negative exponent is left (rho = 0,
+    as for b(q) = E(q)^3 / E(q^3) itself), _rate_terms takes rho = 1 / delta
+    of the divisor.
 
     The majorants, at x = e^(-u), with sum_(n>=1) e^(-u n^2) <=
     integral_0^inf e^(-u y^2) dy = sqrt(pi / u) / 2:
@@ -447,14 +448,11 @@ def _rate_bits(num: tuple, divisor: tuple, K: int) -> int | None:
     (K = 0 leaves the single coefficient 1), and at u = delta t,
     sqrt(c / u) <= y with y^4 = g^2 6K / (rho delta^2).  In bits the
     bound is at most (pi / log 2) sqrt(2 rho K / 3) + log2 prod (1 + y)^j,
-    evaluated in integers as in _euler_inverse_bits: pi / log 2 < 4.533,
+    evaluated in integers as in _inverse_bits: pi / log 2 < 4.533,
     square and fourth roots rounded up with isqrt on 2^_FRAC-scaled
     values, and log2 below the bit length.
     """
-    plan = _rate_terms(num, divisor)
-    if plan is None:
-        return None
-    a, b, terms = plan
+    a, b, terms = _rate_terms(num, divisor)
     F = _FRAC
     bits = -(-4533 * (isqrt((2 * a * K << 2 * F) // (3 * b)) + 1)
              // (1000 << F))
@@ -465,35 +463,13 @@ def _rate_bits(num: tuple, divisor: tuple, K: int) -> int | None:
     return bits + M.bit_length() - F * J
 
 
-def _quotient_bits(num: tuple, divisor: tuple, factors: list, pw: int
-                   ) -> int:
-    """The quotient_bits of the first division of eta_quotient_expand: an
-    integer b such that the coefficients of prod(factors) / divisor below
-    q^pw are below 2^b.  factors are the numerator atoms num expanded to
-    pw terms, divisor the first divisor atom.
-
-    The smaller of two bounds.  Each quotient coefficient is a sum of
-    (numerator coefficient) * (coefficient of 1/divisor) and the
-    numerator's 1-norm is at most the product of the atoms' 1-norms, so
-    the first is bits(prod ||atom||_1) + _inverse_bits.  It cannot see
-    cancellation between numerator and divisor, as in
-    E(q^9)^6 / E(q^27)^3; the second, _rate_bits, can.
-    """
-    norm = 1
-    for g in factors:
-        norm *= sum(map(abs, g._c.values()))
-    bits = norm.bit_length() + _inverse_bits(*divisor, pw)
-    rated = _rate_bits(num, divisor, pw - 1)
-    return bits if rated is None else min(bits, rated)
-
-
 def eta_quotient_expand(eq: EtaQuotient, prec: int) -> QSeries:
     """q-expansion of the eta quotient with certified precision prec.
 
     Raises ShiftError when the q-shift sum(delta*r)/24 is not an integer and
     PrecisionError when prec does not reach past the shift.  The numerator
     atoms of _plan and its first divisor go through one packed product and
-    division, with row widths from _quotient_bits; a later divisor goes
+    division, with the quotient bound of _rate_bits; a later divisor goes
     through div.
     """
     s_frac = eq.shift
@@ -514,13 +490,9 @@ def eta_quotient_expand(eq: EtaQuotient, prec: int) -> QSeries:
 
     factors = [atom(*a) for a in num] or [one(pw)]
     first = [atom(*a) for a in den[:1]]
-    L = _lattice(*factors, *first)
-    # the kernel solves rows only when the divisor E(q^delta) or
-    # E(q^delta)^3 has a step below q^pw and its stride delta / L is not 1
-    bits = None
-    if den and L < den[0][1] < pw:
-        bits = _quotient_bits(num, den[0], factors, pw)
-    f = _product_quotient(factors, first[0] if den else None, bits, s, pw, L)
+    bits = _rate_bits(num, den[0], pw - 1) if den else None
+    f = _product_quotient(factors, first[0] if den else None, bits, s, pw,
+                          _lattice(*factors, *first))
     del factors, first  # let the atoms go before a second division
     for a in den[1:]:
         f = div(f, atom(*a), inverse_bits=_inverse_bits(*a, pw))

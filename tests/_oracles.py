@@ -1,10 +1,13 @@
 """Independent reference implementations the tests compare against.
 
 Everything here is deliberately naive: dictionary convolutions, sequential
-Euler products, factorization-based character evaluation.  Nothing imports
-the code under test beyond the QSeries container itself."""
+Euler products, factorization-based character evaluation, the Hecke
+characters of the CM newforms.  Nothing imports the code under test beyond
+the QSeries container itself."""
 
 from fractions import Fraction
+from itertools import count
+from math import isqrt
 
 from qmod import QSeries
 
@@ -135,3 +138,81 @@ def ref_kronecker(d: int, n: int) -> int:
         if kp == -1 and e % 2 == 1:
             s = -s
     return s
+
+
+def _cornacchia(d: int, m: int, a: int, r: int):
+    """(x, y) with x^2 + d y^2 = m, or None, from a root r of r^2 = -d
+    mod a: Euclid's algorithm on (a, r) stops at the first remainder x
+    with x^2 <= m (Cohen, A Course in Computational Algebraic Number
+    Theory, 1.5.2 with a = m = p, and 1.5.3 with m = 4p, a = 2p and r
+    odd)."""
+    while r * r > m:
+        a, r = r, a % r
+    y2, rem = divmod(m - r * r, d)
+    y = isqrt(y2)
+    return (r, y) if rem == 0 and y * y == y2 else None
+
+
+def _unit_root(p: int, k: int) -> int:
+    """A root of unity of order k = 3 or 4 mod the prime p = 1 mod k: the
+    first c^((p-1)/k) whose k/l-th power, l the prime dividing k, is not
+    1."""
+    for c in count(2):
+        w = pow(c, (p - 1) // k, p)
+        if pow(w, k // (2 if k == 4 else 3), p) != 1:
+            return w
+
+
+def _cm_trace(level: int, p: int) -> int:
+    """a(p) of the weight-2 CM newform g<level>, level 27, 32 or 64.
+
+    Zero at p | level and at p inert in Q(sqrt(-3)) (level 27) or Q(i).
+    At a split p it is the trace of the generator of a prime above p that
+    the Hecke character picks:
+    - level 32: p = a^2 + b^2 with a odd and a + b = 1 mod 4, a(p) = 2a;
+    - level 64, the twist of level 32 by (8|.): a = 1 mod 4, a(p) = 2a;
+    - level 27: 4p = L^2 + 27 M^2 with L = 2 mod 3, a(p) = L.
+    """
+    if level % p == 0:
+        return 0
+    if level == 27:
+        if p % 3 != 1:
+            return 0
+        # 2w + 1 is a square root of -3 for a cube root of unity w
+        r = 3 * (2 * _unit_root(p, 3) + 1) % p
+        x, _ = _cornacchia(27, 4 * p, 2 * p, r if r % 2 else p - r)
+        return x if x % 3 == 2 else -x
+    if p % 4 != 1:
+        return 0
+    x, y = _cornacchia(1, p, p, _unit_root(p, 4))
+    a, b = (x, y) if x % 2 else (y, x)
+    if level == 32:
+        return 2 * (a if (a + b) % 4 == 1 else -a)
+    return 2 * (a if a % 4 == 1 else -a)
+
+
+def cm_newform_coefficients(level: int, n: int) -> list[int]:
+    """a(0), ..., a(n - 1) of the newform g<level>, level 27, 32 or 64,
+    from its Hecke character alone: a(1) = 1, a is multiplicative, a(p)
+    is _cm_trace, a(p^k) = 0 at p | level, and at the other p
+    a(p^k) = a(p) a(p^(k-1)) - p a(p^(k-2)).  A smallest-prime-factor
+    sieve finds each index's prime and its power; n >= 2."""
+    spf = list(range(n))
+    for p in range(2, isqrt(n - 1) + 1):
+        if spf[p] == p:
+            for j in range(p * p, n, p):
+                if spf[j] == j:
+                    spf[j] = p
+    a = [0, 1] + [0] * (n - 2)
+    for m in range(2, n):
+        p = spf[m]
+        pk = p
+        while m % (pk * p) == 0:
+            pk *= p
+        if pk < m:
+            a[m] = a[pk] * a[m // pk]
+        elif m == p:
+            a[m] = _cm_trace(level, p)
+        elif level % p:
+            a[m] = a[p] * a[m // p] - p * a[m // p // p]
+    return a

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qmod.eta
@@ -22,12 +22,14 @@ from qmod import (
     div,
     eta_quotient_expand,
     first_difference,
+    one,
     truncate,
 )
-from qmod.eta import (_ATOMS, _bound_plan, _euler_factor, _euler_inverse_bits,
-                      _plan, _quotient_bits, curve)
-from qmod.qseries import _slot_bytes
-from _oracles import naive_euler_product, naive_eta_quotient, ref_mul
+from qmod.eta import (_ATOMS, _bound_plan, _euler_factor, _inverse_bits,
+                      _plan, _rate_bits, curve)
+from qmod.qseries import _lattice, _product_quotient, _slot_bytes
+from _oracles import (cm_newform_coefficients, naive_euler_product,
+                      naive_eta_quotient, ref_mul)
 
 ETA_NAMES = sorted(n for n, r in FORMS.items() if isinstance(r, EtaQuotient))
 
@@ -239,6 +241,15 @@ def test_eta_expansion_matches_naive_product_at_3000(name):
                                                                3001)
 
 
+@pytest.mark.parametrize("level", [27, 32, 64])
+def test_cm_newform_matches_its_hecke_character(level):
+    # every coefficient below 10^5 from the Hecke character alone
+    n = 10**5
+    f = catalog_form(f"g{level}", n)
+    a = cm_newform_coefficients(level, n)
+    assert f == QSeries({e: c for e, c in enumerate(a) if c}, n)
+
+
 def _inverse_euler_coefficients(r, n):
     """Coefficients of prod (1 - x^k)^(-r) below x^n, r = 1 or 3, from the
     recurrences of the pentagonal and the triangular expansions."""
@@ -263,20 +274,20 @@ def test_euler_inverse_width_lemma():
     assert p[:8] == [1, 1, 2, 3, 5, 7, 11, 15]
     p3 = _inverse_euler_coefficients(3, 3000)
     assert p3[:6] == [1, 3, 9, 22, 51, 108]
-    for r, coeffs in ((1, p), (3, p3)):
+    for kind, coeffs in (("E", p), ("E^3", p3)):
         for m, c in enumerate(coeffs):
-            assert 0 <= c < 2 ** _euler_inverse_bits(r, m), (r, m)
+            assert 0 <= c < 2 ** _inverse_bits(kind, 1, m + 1), (kind, m)
 
 
 # ---------------------------------------------------------------------------
 # the expansion plan
 
 @st.composite
-def eta_quotients(draw):
+def eta_quotients(draw, terms=(1, 120)):
     """Eta quotients over the divisors of 48 with exponents in [-6, 8] and
-    an integral q-shift, with a precision from one to 120 terms past the
-    shift.  delta = 1 and 2 settle the shift: r_1 + 2 r_2 takes every
-    residue mod 24 on [-6, 8]^2."""
+    an integral q-shift, with a precision from terms[0] to terms[1] terms
+    past the shift.  delta = 1 and 2 settle the shift: r_1 + 2 r_2 takes
+    every residue mod 24 on [-6, 8]^2."""
     free = draw(st.lists(st.sampled_from((3, 4, 6, 8, 12, 16, 24, 48)),
                          unique=True, max_size=4))
     r = {d: draw(st.integers(-6, 8)) for d in free}
@@ -285,7 +296,7 @@ def eta_quotients(draw):
         [(a, b) for a in range(-6, 9) for b in range(-6, 9)
          if (a + 2 * b + rho) % 24 == 0]))
     eq = EtaQuotient(tuple((d, e) for d, e in sorted(r.items()) if e), 48)
-    return eq, int(eq.shift) + draw(st.integers(1, 120))
+    return eq, int(eq.shift) + draw(st.integers(*terms))
 
 
 @given(eta_quotients())
@@ -360,11 +371,40 @@ def test_numerator_width_lemma(name):
 # ---------------------------------------------------------------------------
 # the quotient bound of the first division
 
-def test_cubic_theta_function_and_its_coefficient_bound():
-    # b(q) = E(q)^3 / E(q^3) = sum_(m,n) w^(m-n) q^(m^2+mn+n^2) through
-    # q^3000, and |b_n| <= 6 d(n) for n >= 1
-    N = 3001
-    b = div(_ATOMS["E^3"](1, N), _ATOMS["E"](3, N))
+@pytest.fixture
+def respaced(monkeypatch):
+    """(D, Bw) of every _respace call from here on: the row length and the
+    row slot bytes of each division that solves packed rows."""
+    calls = []
+    real = qmod.qseries._respace
+
+    def recording(packed, n, B, D, Bw):
+        calls.append((D, Bw))
+        return real(packed, n, B, D, Bw)
+
+    monkeypatch.setattr(qmod.qseries, "_respace", recording)
+    return calls
+
+
+def _scalar_expansion(eq, prec):
+    """eta_quotient_expand's plan with every division run by the scalar
+    recurrence: the kernel gets no quotient bound, so it solves no rows."""
+    s = int(eq.shift)
+    pw = prec - s
+    num, den = _plan(eq.factors)
+    factors = [_ATOMS[k](d, pw) for k, d in num] or [one(pw)]
+    first, *rest = [_ATOMS[k](d, pw) for k, d in den]
+    f = _product_quotient(factors, first, None, s, pw,
+                          _lattice(*factors, first))
+    for g in rest:
+        f = div(f, g)
+    return f
+
+
+def _cubic_theta_sum(N):
+    """sum_(m,n in Z) w^(m-n) q^(m^2+mn+n^2) below q^N, w = e^(2 pi i / 3).
+    The sum is real, so w and w^2 = conj(w) come equally often, and
+    1 + w + w^2 = 0 leaves (count at 1) - (count at w)."""
     counts = [[0, 0, 0] for _ in range(N)]
     r = isqrt(2 * N) + 1  # m^2+mn+n^2 >= max(m^2, n^2) / 2
     for m in range(-r, r + 1):
@@ -372,17 +412,41 @@ def test_cubic_theta_function_and_its_coefficient_bound():
             e = m * m + m * n + n * n
             if e < N:
                 counts[e][(m - n) % 3] += 1
-    # the sum is real, so w and w^2 = conj(w) come equally often, and
-    # 1 + w + w^2 = 0 leaves (count at 1) - (count at w)
     assert all(c1 == c2 for _, c1, c2 in counts)
-    assert b == QSeries({e: c0 - c1 for e, (c0, c1, _) in enumerate(counts)},
-                        N)
+    return QSeries({e: c0 - c1 for e, (c0, c1, _) in enumerate(counts)}, N)
+
+
+def test_cubic_theta_function_and_its_coefficient_bound():
+    # b(q) = E(q)^3 / E(q^3) = sum_(m,n) w^(m-n) q^(m^2+mn+n^2) through
+    # q^3000, and |b_n| <= 6 d(n) for n >= 1
+    N = 3001
+    b = div(_ATOMS["E^3"](1, N), _ATOMS["E"](3, N))
+    assert b == _cubic_theta_sum(N)
     divisors = [0] * N
     for k in range(1, N):
         for j in range(k, N, k):
             divisors[j] += 1
     assert b.coefficient(0) == 1
     assert all(abs(b.coefficient(n)) <= 6 * divisors[n] for n in range(1, N))
+
+
+def test_cubic_theta_quotient_expands_with_rows(respaced):
+    # eta(z)^3 / eta(3z) = b(q): _bound_plan takes it whole and leaves
+    # rho = 0, and _rate_bits bounds the rows of its division by E(q^3),
+    # three residue classes wide, with rho = 1/3 in its place
+    eq = EtaQuotient(((1, 3), (3, -1)), 3)
+    assert _bound_plan(eq.factors) == (0, (("b", 1),))
+    assert _plan(eq.factors) == ((("E^3", 1),), (("E", 3),))
+    assert eta_quotient_expand(eq, 3001) == _cubic_theta_sum(3001)
+    assert [D for D, _ in respaced] == [3]
+
+
+@settings(max_examples=80)
+@given(eta_quotients(terms=(500, 3000)))
+def test_quotient_bound_rows_match_the_scalar_recurrence(case):
+    eq, prec = case
+    assume(_plan(eq.factors)[1])
+    assert eta_quotient_expand(eq, prec) == _scalar_expansion(eq, prec)
 
 
 def test_bound_plans_of_the_cubes():
@@ -399,8 +463,8 @@ def test_bound_plans_of_the_cubes():
 
 # Precisions of the bound sweep, and the bytes per row slot of each first
 # division that runs packed rows at them with the bound used before
-# _rate_bits, bits(||numerator||_1) + _euler_inverse_bits (None: no rows,
-# as the divisor has no step below the precision, or a stride of 1)
+# _rate_bits, bits(||numerator||_1) + _inverse_bits (None: no rows, as the
+# divisor has no step below the precision, or a stride of 1)
 _SWEEP = (2, 5, 10, 30, 100, 300, 1_000, 3_000, 10_000, 30_000, 62_501,
           100_001, 200_001)
 _ONE_NORM_ROW_BYTES = {
@@ -414,29 +478,30 @@ _ONE_NORM_ROW_BYTES = {
 def _first_division_bits(name, prec):
     eq = FORMS[name]
     num, den = _plan(eq.factors)
-    pw = prec - int(eq.shift)
-    return _quotient_bits(num, den[0], [_ATOMS[k](d, pw) for k, d in num],
-                          pw)
+    return _rate_bits(num, den[0], prec - int(eq.shift) - 1)
 
 
 @pytest.mark.parametrize("name", ["G27", "G32", "G36", "L1", "L2", "L36"])
-def test_quotient_bits_bound_the_first_quotient(name, monkeypatch):
+def test_quotient_bits_bound_the_first_quotient(name, monkeypatch,
+                                                respaced):
     # the kernel's first quotient at the top of the sweep holds it at every
     # smaller precision as a prefix.  L1 and L36 divide first by E(q^3), a
-    # stride of 1 on their lattice, so they run no rows and get no bound
+    # stride of 1 on their lattice, so that division solves no rows and
+    # only their second one, through div, is respaced
     calls = []
     real = qmod.eta._product_quotient
 
     def recording(factors, divisor, quotient_bits, w, P, L):
         out = real(factors, divisor, quotient_bits, w, P, L)
-        calls.append((quotient_bits, out))
+        calls.append((quotient_bits, out, len(respaced)))
         return out
 
     monkeypatch.setattr(qmod.eta, "_product_quotient", recording)
     eta_quotient_expand(FORMS[name], _SWEEP[-1])
-    (passed, quotient), = calls
-    assert passed == (_first_division_bits(name, _SWEEP[-1])
-                      if name in _ONE_NORM_ROW_BYTES else None)
+    (passed, quotient, first_rows), = calls
+    assert passed == _first_division_bits(name, _SWEEP[-1])
+    assert first_rows == (0 if name in ("L1", "L36") else 1)
+    assert len(respaced) == 1
     widest, k = 0, 0
     old = _ONE_NORM_ROW_BYTES.get(name, (None,) * len(_SWEEP))
     for e, c in quotient.items() + [(_SWEEP[-1], 0)]:
@@ -450,6 +515,20 @@ def test_quotient_bits_bound_the_first_quotient(name, monkeypatch):
     assert k == len(_SWEEP)
 
 
+@pytest.mark.parametrize("name", ["L1", "L36"])
+def test_div_rows_hold_the_second_quotient(name, respaced):
+    # L1's and L36's only rows are their second division's, by a cube,
+    # through div with the 1-norm bound of its numerator.  At every sweep
+    # precision from 30 on (below it the cube has no step) they hold the
+    # widest coefficient of the expansion and a sign bit
+    for prec in _SWEEP:
+        respaced.clear()
+        f = eta_quotient_expand(FORMS[name], prec)
+        widest = max(abs(c).bit_length() for _, c in f.items())
+        assert len(respaced) == (prec >= 30), (name, prec)
+        assert all(8 * Bw >= widest + 1 for _, Bw in respaced), (name, prec)
+
+
 @pytest.mark.parametrize("name,prec,most", [
     ("G27", 62_501, 232), ("G27", 655_361, 640),
     ("G36", 62_501, 200), ("G36", 655_361, 560),
@@ -461,16 +540,10 @@ def test_cube_quotient_rows_are_narrow(name, prec, most):
 
 
 @pytest.mark.parametrize("name", ["G27", "G36"])
-def test_narrow_rows_give_the_one_norm_expansion(name, monkeypatch):
-    widths = []
-    real = qmod.qseries._respace
-
-    def recording(packed, n, B, D, Bw):
-        widths.append(Bw)
-        return real(packed, n, B, D, Bw)
-
-    monkeypatch.setattr(qmod.qseries, "_respace", recording)
+def test_narrow_rows_give_the_scalar_expansion(name, respaced):
+    # at the 300,001 terms that CI pins by digest, the rows sized by
+    # _rate_bits give the scalar recurrence's expansion
     narrow = eta_quotient_expand(FORMS[name], 300_001)
-    monkeypatch.setattr(qmod.eta, "_rate_bits", lambda *args: None)
-    assert eta_quotient_expand(FORMS[name], 300_001) == narrow
-    assert widths[0] < widths[1]
+    assert len(respaced) == 1
+    assert narrow == _scalar_expansion(FORMS[name], 300_001)
+    assert len(respaced) == 1  # the scalar recurrence solved no rows
