@@ -29,8 +29,10 @@ No dense-by-dense product ever forms.  The packed rows of that first
 division take their width from _rate_bits, a bound proved from the eta
 quotient itself: it rewrites the quotient with bounded atoms, the cubic
 theta function b(q) = E(q)^3 / E(q^3) among them, and bounds what is
-left by the growth of its Euler-factor divisors alone.  The catalog
-divides as follows:
+left by the growth of its Euler-factor divisors alone.  A second
+division's rows take the 1-norm of the first quotient times the bound
+_rate_bits gives for the divisor's inverse.  The catalog divides as
+follows:
 
 - g27, g32 and g36 have no negative exponent and divide by nothing.
 - g64 = eta(8z)^8 / (eta(4z)^2 eta(16z)^2) = q E(q^8)^2 E(-q^4)^2 and
@@ -175,8 +177,6 @@ def curve(level: int) -> CurveSpec:
 
 def _euler_factor(delta: int, prec: int) -> QSeries:
     """prod_n (1 - q^(delta n)) via generalized pentagonal numbers."""
-    if prec <= 0:
-        return QSeries._trusted({}, prec)
     d = {0: 1}
     for k in count(1):
         s = -1 if k % 2 else 1
@@ -192,8 +192,6 @@ def _euler_factor(delta: int, prec: int) -> QSeries:
 
 def _euler_factor_cubed(delta: int, prec: int) -> QSeries:
     """prod_n (1 - q^(delta n))^3 = sum_k (-1)^k (2k+1) q^(delta k(k+1)/2)."""
-    if prec <= 0:
-        return QSeries._trusted({}, prec)
     d = {}
     for k in count(0):
         e = delta * (k * (k + 1) // 2)
@@ -214,8 +212,6 @@ def _euler_factor_at_minus_q(delta: int, prec: int) -> QSeries:
 def _theta_at_minus_q(delta: int, prec: int) -> QSeries:
     """phi(-q^delta) = sum_{n in Z} (-1)^n q^(delta n^2)
     = 1 + 2 sum_{n >= 1} (-1)^n q^(delta n^2)."""
-    if prec <= 0:
-        return QSeries._trusted({}, prec)
     d = {0: 1}
     for n in count(1):
         e = delta * n * n
@@ -225,44 +221,19 @@ def _theta_at_minus_q(delta: int, prec: int) -> QSeries:
     return QSeries._trusted(d, prec)
 
 
-# The four building blocks, each a lacunary series with constant term 1.
+# Every atom kind, one row each: (expansion, exponent vector, majorant).
+# The expansion is the lacunary series at (delta, prec); b(q) = E(q)^3 /
+# E(q^3) (see _rate_bits) has None, as it only bounds.  The vector {k: r}
+# writes the atom as prod E(q^(k delta))^r.  The majorant (g_num, g_den,
+# j): at x = e^(-u) the sum of |coefficient| x^n is at most
+# (1 + sqrt(c / u))^j with c <= pi * g_num / g_den.
 _ATOMS = {
-    "E": _euler_factor,
-    "E^3": _euler_factor_cubed,
-    "E(-q)": _euler_factor_at_minus_q,
-    "phi(-q)": _theta_at_minus_q,
+    "E": (_euler_factor, {1: 1}, (1, 1, 1)),
+    "E^3": (_euler_factor_cubed, {1: 3}, (6367, 10000, 2)),
+    "E(-q)": (_euler_factor_at_minus_q, {1: -1, 2: 3, 4: -1}, (1, 1, 1)),
+    "phi(-q)": (_theta_at_minus_q, {1: 2, 2: -1}, (1, 1, 1)),
+    "b": (None, {1: 3, 3: -1}, (2, 1, 2)),
 }
-
-# The two theta atoms as exponent vectors {k: r} of Euler factors
-# E(q^(k delta)): E(-q) = E(q^2)^3 / (E(q) E(q^4)), phi(-q) = E(q)^2 / E(q^2).
-_THETA_ATOMS = {
-    "E(-q)": {1: -1, 2: 3, 4: -1},
-    "phi(-q)": {1: 2, 2: -1},
-}
-
-# Every atom as such a vector, and the atoms of the quotient bound: the
-# theta atoms and the cubic theta function b(q) = E(q)^3 / E(q^3) (see
-# _rate_bits), which only bounds and is never expanded.
-_ATOM_VECTORS = {"E": {1: 1}, "E^3": {1: 3}, **_THETA_ATOMS}
-_BOUND_ATOMS = {**_THETA_ATOMS, "b": {1: 3, 3: -1}}
-
-
-def _inverse_bits(kind: str, delta: int, pw: int) -> int:
-    """An integer b such that every coefficient of 1/atom below q^pw is
-    below 2^b, the atom E or E^3 at q^delta.
-
-    1/atom is prod_n (1 - x^n)^(-r) at x = q^delta, r = 1 or 3, and it
-    reaches degree m = (pw - 1) // delta in x.  Its coefficients p_r(k)
-    are nonnegative, so p_r(k) x^k is at most the whole product for
-    0 < x < 1.  With x = e^(-t), the log of prod_n (1 - e^(-nt))^(-1) is
-    sum_j 1 / (j (e^(jt) - 1)) <= pi^2 / (6t), hence
-    p_r(k) <= exp(kt + r pi^2 / (6t)), and t = pi sqrt(r / (6k)) gives
-    p_r(k) <= exp(pi sqrt(2rk/3)), increasing in k.  In bits that is
-    (pi / log 2) sqrt(2rk/3), bounded in integers without rounding error:
-    pi / log 2 < 4.533 and sqrt(2rm/3) < isqrt(ceil(2rm/3)) + 1.
-    """
-    r, m = 3 if kind == "E^3" else 1, (pw - 1) // delta
-    return -(-4533 * (isqrt(-(-2 * r * m // 3)) + 1) // 1000)
 
 
 def _divisions(r: dict) -> tuple[int, int]:
@@ -280,9 +251,10 @@ def _rates(r: dict) -> tuple[Fraction, Fraction]:
             sum(Fraction(e, d) for d, e in r.items() if e > 0))
 
 
-def _rewrite(r: dict, atoms: dict, key) -> tuple[dict, list]:
-    """(rest, taken): the exponent vector r with atoms taken out while that
-    lowers key(rest), and the (kind, delta) of every atom taken.
+def _rewrite(r: dict, kinds: tuple, key) -> tuple[dict, list]:
+    """(rest, taken): the exponent vector r with atoms of the given kinds
+    taken out while that lowers key(rest), and the (kind, delta) of every
+    atom taken.
 
     Each round tries every atom paid for from a positive exponent (vector
     vec at scale d, paid from r_(k d) >= vec[k] at the atom's one positive
@@ -294,7 +266,8 @@ def _rewrite(r: dict, atoms: dict, key) -> tuple[dict, list]:
     taken = []
     while True:
         best = key(r), None
-        for kind, vec in atoms.items():
+        for kind in kinds:
+            vec = _ATOMS[kind][1]
             k_paid = max(vec, key=vec.get)
             for delta in sorted(r):
                 if delta % k_paid:
@@ -336,27 +309,16 @@ def _plan(factors) -> tuple[tuple, tuple]:
     factors.
 
     The divisors go in increasing delta.  For L1 and L36 that puts E(q^3)
-    first: its stride on their lattice is 1, so it runs div's scalar
-    recurrence, and it does so on the numerator's small coefficients
-    (E(q^6) E(q^9)^3 / E(q^3) stays below 7 bits at 10^5 terms).  At
-    10^5 terms both forms expanded about a fifth faster that way than
-    with E(q^3) last.
+    first: its stride on their lattice is 1, so it runs the scalar branch
+    of _product_quotient, and it does so on the numerator's small
+    coefficients (E(q^6) E(q^9)^3 / E(q^3) stays below 7 bits at 10^5
+    terms).  At 10^5 terms both forms expanded about a fifth faster that
+    way than with E(q^3) last.
     """
-    r, theta = _rewrite(dict(factors), _THETA_ATOMS, _divisions)
+    r, theta = _rewrite(dict(factors), ("E(-q)", "phi(-q)"), _divisions)
     num, den = _euler_split(r)
     return tuple(num + theta), tuple(den)
 
-
-# Per kind of bound atom, (g_num, g_den, j): at x = e^(-u) the atom's
-# majorant (the sum of |coefficient| x^n) is at most (1 + sqrt(c / u))^j
-# with c <= pi * g_num / g_den; see _rate_bits.
-_MAJORANTS = {
-    "E": (1, 1, 1),
-    "E(-q)": (1, 1, 1),
-    "phi(-q)": (1, 1, 1),
-    "E^3": (6367, 10000, 2),
-    "b": (2, 1, 2),
-}
 
 # Fractional bits of the fixed-point majorants in _rate_bits.
 _FRAC = 16
@@ -369,7 +331,7 @@ def _bound_plan(factors) -> tuple[Fraction, tuple]:
     of E(q^delta)^(r'_delta), with inverse rate rho = sum |r'_delta| /
     delta.
 
-    _rewrite takes the atoms of _BOUND_ATOMS out while that lowers
+    _rewrite takes out the theta atoms and b(q) while that lowers
     _rates: first rho, then, at equal rho, sigma.  No move raises rho.
     A move that keeps rho can still lower sigma, and that lets one atom
     free exponents for the next: G36 takes phi(-q^18), then b(q^6), which
@@ -379,7 +341,7 @@ def _bound_plan(factors) -> tuple[Fraction, tuple]:
     G36 = q^-1 b(q^6) E(q^12) phi(-q^18)^2 / E(q^36), rho = 1/36 (from
     1/12).
     """
-    r, taken = _rewrite(dict(factors), _BOUND_ATOMS, _rates)
+    r, taken = _rewrite(dict(factors), ("E(-q)", "phi(-q)", "b"), _rates)
     num, _ = _euler_split(r)
     return _rates(r)[0], tuple(num + taken)
 
@@ -394,14 +356,14 @@ def _rate_terms(num: tuple, divisor: tuple) -> tuple:
     merged into one power j."""
     r = {}
     for sign, (kind, delta) in [(1, a) for a in num] + [(-1, divisor)]:
-        for k, e in _ATOM_VECTORS[kind].items():
+        for k, e in _ATOMS[kind][1].items():
             r[k * delta] = r.get(k * delta, 0) + sign * e
     rho, atoms = _bound_plan(tuple(sorted((d, e) for d, e in r.items() if e)))
     rho = rho or Fraction(1, divisor[1])
     a, b = rho.numerator, rho.denominator
     terms = {}
     for kind, delta in atoms:
-        gn, gd, j = _MAJORANTS[kind]
+        gn, gd, j = _ATOMS[kind][2]
         y4 = (6 * b * gn * gn << 4 * _FRAC, a * gd * gd * delta * delta)
         terms[y4] = terms.get(y4, 0) + j
     return a, b, tuple((*y4, j) for y4, j in terms.items())
@@ -409,15 +371,17 @@ def _rate_terms(num: tuple, divisor: tuple) -> tuple:
 
 def _rate_bits(num: tuple, divisor: tuple, K: int) -> int:
     """An integer b such that every coefficient at degrees 0..K of
-    Q = prod(num) / divisor, the quotient of the atoms, is below 2^b.
+    Q = prod(num) / divisor, the quotient of the atoms, is below 2^b;
+    with num empty, Q = 1 / divisor.
 
     Write Q as _bound_plan does, the atoms A times prod E(q^delta)^(-s_d)
     with s_d > 0 and rho = sum s_d / delta.  The coefficients of
     1 / E(q^delta) are nonnegative, so with M_A(x) = sum |a_n| x^n every
     coefficient satisfies |c_k| <= [x^k] prod M_A(x^delta_A)
     prod E(x^delta)^(-s_d), and for 0 < x = e^(-t) < 1 that is at most
-    x^(-k) times the whole product.  As in _inverse_bits,
-    -log E(e^(-delta t)) <= pi^2 / (6 delta t), so for every k <= K
+    x^(-k) times the whole product.  The log of 1 / E(e^(-s)) is
+    sum_j 1 / (j (e^(js) - 1)) <= sum_j 1 / (j^2 s) = pi^2 / (6s), as
+    e^(js) - 1 >= js; so at s = delta t, for every k <= K
 
         log |c_k| <= K t + rho pi^2 / (6t) + sum_A log M_A(e^(-delta_A t)).
 
@@ -443,14 +407,14 @@ def _rate_bits(num: tuple, divisor: tuple, K: int) -> int:
       m^2+mn+n^2, which is 6 sum_(d|n) (d|3) <= 6 d(n); and
       m^2+mn+n^2 >= (m^2+n^2)/2 gives M <= (1 + sqrt(2 pi / u))^2.
 
-    Each is (1 + sqrt(c / u))^j with c <= pi g, (g, j) from _MAJORANTS.
+    Each is (1 + sqrt(c / u))^j with c <= pi g, (g, j) from _ATOMS.
     t = pi sqrt(rho / (6K)) makes the first two terms pi sqrt(2 rho K / 3)
     (K = 0 leaves the single coefficient 1), and at u = delta t,
     sqrt(c / u) <= y with y^4 = g^2 6K / (rho delta^2).  In bits the
     bound is at most (pi / log 2) sqrt(2 rho K / 3) + log2 prod (1 + y)^j,
-    evaluated in integers as in _inverse_bits: pi / log 2 < 4.533,
-    square and fourth roots rounded up with isqrt on 2^_FRAC-scaled
-    values, and log2 below the bit length.
+    evaluated in integers: pi / log 2 < 4.533, square and fourth roots
+    rounded up with isqrt on 2^_FRAC-scaled values, and log2 below the
+    bit length.
     """
     a, b, terms = _rate_terms(num, divisor)
     F = _FRAC
@@ -470,7 +434,7 @@ def eta_quotient_expand(eq: EtaQuotient, prec: int) -> QSeries:
     PrecisionError when prec does not reach past the shift.  The numerator
     atoms of _plan and its first divisor go through one packed product and
     division, with the quotient bound of _rate_bits; a later divisor goes
-    through div.
+    through div, with a bound proved here as well.
     """
     s_frac = eq.shift
     if s_frac.denominator != 1:
@@ -486,7 +450,7 @@ def eta_quotient_expand(eq: EtaQuotient, prec: int) -> QSeries:
     num, den = _plan(tuple(eq.factors))
 
     def atom(kind, delta):
-        return _ATOMS[kind](delta, pw)
+        return _ATOMS[kind][0](delta, pw)
 
     factors = [atom(*a) for a in num] or [one(pw)]
     first = [atom(*a) for a in den[:1]]
@@ -495,7 +459,11 @@ def eta_quotient_expand(eq: EtaQuotient, prec: int) -> QSeries:
                           _lattice(*factors, *first))
     del factors, first  # let the atoms go before a second division
     for a in den[1:]:
-        f = div(f, atom(*a), inverse_bits=_inverse_bits(*a, pw))
+        # each h_k is a sum of f_i (1/a)_(k-i), so |h_k| is below
+        # ||f||_1 times the largest coefficient of 1/a below q^pw
+        bits = sum(map(abs, f._c.values())).bit_length() + _rate_bits(
+            (), a, pw - 1)
+        f = div(f, atom(*a), quotient_bits=bits)
     if f.prec != prec:
         raise RuntimeError(
             f"eta product came back at precision {f.prec}, not {prec}"

@@ -24,9 +24,9 @@ is a strided copy of those bytes.  The digits of such an integer are
 recovered exactly when every slot of the result again lies in
 (-2^(W-1), 2^(W-1)), so every slot width comes from a proven bound on
 the coefficients it will hold and never from a guess that is checked
-later: the kernel proves the product's, and each caller of a division
-proves the quotient's (div from the 1-norm of the numerator, the eta
-expansion from the eta quotient itself).
+later: the kernel proves the product's, and the caller of a division
+proves the quotient's.  div passes its caller's bound through, and eta
+proves every bound the package passes.
 Two helpers carry its arithmetic: _shift_add multiplies a packed integer
 by a lacunary series, and _solve_rows runs the division recurrence on
 whole packed rows.
@@ -388,8 +388,8 @@ def _product_quotient(factors: list[QSeries], divisor: QSeries | None,
     P exponents past its order, and every exponent offset a multiple of L
     (see _lattice).  The divisor's leading coefficient u is +-1.
     quotient_bits is None or an integer b such that every coefficient of
-    the quotient at the first P offsets is below 2^b; each caller proves
-    its own (div, eta_quotient_expand).  The numerator needs no such
+    the quotient at the first P offsets is below 2^b; eta proves every
+    one, and div passes its caller's through.  The numerator needs no such
     bound: the rows never get narrower than its packing width (below).
 
     The result lives on n = ceil(P / L) slots of the compressed lattice.
@@ -524,7 +524,7 @@ def mul(f: QSeries, g: QSeries) -> QSeries:
 # ---------------------------------------------------------------------------
 # division
 
-def div(f: QSeries, g: QSeries, inverse_bits: int | None = None) -> QSeries:
+def div(f: QSeries, g: QSeries, quotient_bits: int | None = None) -> QSeries:
     """Solve g*h = f for h by forward substitution.
 
     Requires g nonzero with leading coefficient +-1.  The result is certified
@@ -533,16 +533,12 @@ def div(f: QSeries, g: QSeries, inverse_bits: int | None = None) -> QSeries:
     Cost is (number of stored terms of g) times the output length, so
     division by a lacunary series is cheap.
 
-    inverse_bits, if given, must be an integer b such that the coefficients
-    of 1/g at its leading exponent and the next (result precision -
-    order(h) - 1) exponents all have absolute value below 2^b.  It lets
-    _product_quotient solve the residue classes of h that the stride of g
+    quotient_bits, if given, must be an integer b such that every
+    coefficient of h below the result precision is below 2^b in absolute
+    value, the bound of _product_quotient, which gets it unchanged.  It
+    lets the kernel solve the residue classes of h that the stride of g
     separates together, in packed rows.  Without it every coefficient is
-    solved on its own.  The rows need a bound on h: each coefficient of h
-    is a sum of (coefficient of f) * (coefficient of 1/g) over the terms
-    of f below q^(result precision + order(g)), so its absolute value is
-    at most ||f||_1 * max|1/g| < 2^(bits(||f||_1) + b), ||f||_1 taken
-    over those terms.
+    solved on its own.
     """
     if not g._c:
         raise NotInvertibleError("division by a zero series")
@@ -556,11 +552,8 @@ def div(f: QSeries, g: QSeries, inverse_bits: int | None = None) -> QSeries:
     if not f._c:
         return QSeries._trusted({}, P)
     w = f._order - wg
-    bits = None
-    if inverse_bits is not None:
-        bits = sum(abs(c) for e, c in f._c.items()
-                   if e < P + wg).bit_length() + inverse_bits
-    return _product_quotient([f], g, bits, w, P - w, _lattice(f, g))
+    return _product_quotient([f], g, quotient_bits, w, P - w,
+                             _lattice(f, g))
 
 
 # ---------------------------------------------------------------------------

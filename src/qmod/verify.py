@@ -53,8 +53,6 @@ def _jsonify(v):
         return "inf"
     if isinstance(v, (list, tuple)):
         return [_jsonify(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonify(x) for k, x in v.items()}
     raise TypeError(f"cannot serialize {v!r}")
 
 

@@ -25,8 +25,8 @@ from qmod import (
     one,
     truncate,
 )
-from qmod.eta import (_ATOMS, _bound_plan, _euler_factor, _inverse_bits,
-                      _plan, _rate_bits, curve)
+from qmod.eta import (_ATOMS, _bound_plan, _euler_factor, _plan,
+                      _rate_bits, curve)
 from qmod.qseries import _lattice, _product_quotient, _slot_bytes
 from _oracles import (cm_newform_coefficients, naive_euler_product,
                       naive_eta_quotient, ref_mul)
@@ -276,7 +276,7 @@ def test_euler_inverse_width_lemma():
     assert p3[:6] == [1, 3, 9, 22, 51, 108]
     for kind, coeffs in (("E", p), ("E^3", p3)):
         for m, c in enumerate(coeffs):
-            assert 0 <= c < 2 ** _inverse_bits(kind, 1, m + 1), (kind, m)
+            assert 0 <= c < 2 ** _rate_bits((), (kind, 1), m), (kind, m)
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +317,12 @@ def test_theta_atoms_match_their_eta_forms():
         return out
 
     for delta, prec in ((1, 300), (4, 200)):
-        assert ref_mul(ref_mul(_ATOMS["E(-q)"](delta, prec),
+        assert ref_mul(ref_mul(_ATOMS["E(-q)"][0](delta, prec),
                                euler(delta, prec)),
                        euler(4 * delta, prec)) == euler(2 * delta, prec, 3)
-        assert ref_mul(_ATOMS["phi(-q)"](delta, prec),
+        assert ref_mul(_ATOMS["phi(-q)"][0](delta, prec),
                        euler(2 * delta, prec)) == euler(delta, prec, 2)
-    assert _ATOMS["E^3"](1, 300) == euler(1, 300, 3)
+    assert _ATOMS["E^3"][0](1, 300) == euler(1, 300, 3)
 
 
 def _euler_split(factors):
@@ -360,7 +360,7 @@ def test_numerator_width_lemma(name):
     prod = QSeries({0: 1}, pw)
     norm = 1
     for kind, delta in num:
-        atom = _ATOMS[kind](delta, pw)
+        atom = _ATOMS[kind][0](delta, pw)
         norm *= sum(abs(c) for _, c in atom.items())
         prod = ref_mul(prod, atom)
     assert prod.prec == pw
@@ -392,8 +392,8 @@ def _scalar_expansion(eq, prec):
     s = int(eq.shift)
     pw = prec - s
     num, den = _plan(eq.factors)
-    factors = [_ATOMS[k](d, pw) for k, d in num] or [one(pw)]
-    first, *rest = [_ATOMS[k](d, pw) for k, d in den]
+    factors = [_ATOMS[k][0](d, pw) for k, d in num] or [one(pw)]
+    first, *rest = [_ATOMS[k][0](d, pw) for k, d in den]
     f = _product_quotient(factors, first, None, s, pw,
                           _lattice(*factors, first))
     for g in rest:
@@ -420,7 +420,7 @@ def test_cubic_theta_function_and_its_coefficient_bound():
     # b(q) = E(q)^3 / E(q^3) = sum_(m,n) w^(m-n) q^(m^2+mn+n^2) through
     # q^3000, and |b_n| <= 6 d(n) for n >= 1
     N = 3001
-    b = div(_ATOMS["E^3"](1, N), _ATOMS["E"](3, N))
+    b = div(_ATOMS["E^3"][0](1, N), _ATOMS["E"][0](3, N))
     assert b == _cubic_theta_sum(N)
     divisors = [0] * N
     for k in range(1, N):
@@ -463,8 +463,9 @@ def test_bound_plans_of_the_cubes():
 
 # Precisions of the bound sweep, and the bytes per row slot of each first
 # division that runs packed rows at them with the bound used before
-# _rate_bits, bits(||numerator||_1) + _inverse_bits (None: no rows, as the
-# divisor has no step below the precision, or a stride of 1)
+# _rate_bits, bits(||numerator||_1) plus the growth bound of the divisor's
+# inverse (None: no rows, as the divisor has no step below the precision,
+# or a stride of 1)
 _SWEEP = (2, 5, 10, 30, 100, 300, 1_000, 3_000, 10_000, 30_000, 62_501,
           100_001, 200_001)
 _ONE_NORM_ROW_BYTES = {
@@ -518,7 +519,8 @@ def test_quotient_bits_bound_the_first_quotient(name, monkeypatch,
 @pytest.mark.parametrize("name", ["L1", "L36"])
 def test_div_rows_hold_the_second_quotient(name, respaced):
     # L1's and L36's only rows are their second division's, by a cube,
-    # through div with the 1-norm bound of its numerator.  At every sweep
+    # through div with eta's bound from the 1-norm of the first quotient
+    # (test_second_division_bound_at_every_precision).  At every sweep
     # precision from 30 on (below it the cube has no step) they hold the
     # widest coefficient of the expansion and a sign bit
     for prec in _SWEEP:
@@ -547,3 +549,35 @@ def test_narrow_rows_give_the_scalar_expansion(name, respaced):
     assert len(respaced) == 1
     assert narrow == _scalar_expansion(FORMS[name], 300_001)
     assert len(respaced) == 1  # the scalar recurrence solved no rows
+
+
+@pytest.mark.parametrize("name", ["L1", "L36"])
+def test_second_division_bound_at_every_precision(name, monkeypatch):
+    # eta bounds L1's and L36's second quotient by bits(||f||_1), f the
+    # first quotient, plus _rate_bits of the cube's inverse.  The first
+    # quotient and the expansion at N terms hold those at every smaller
+    # precision as prefixes, so running sums give the bound and the widest
+    # coefficient at every precision from shift + 2 to N
+    N = 3_100
+    calls = []
+    real = qmod.eta.div
+
+    def recording(f, g, quotient_bits=None):
+        calls.append((f, quotient_bits))
+        return real(f, g, quotient_bits)
+
+    monkeypatch.setattr(qmod.eta, "div", recording)
+    eq = FORMS[name]
+    s = int(eq.shift)
+    cube = _plan(eq.factors)[1][1]
+    h = eta_quotient_expand(eq, N)
+    (f, passed), = calls
+    norm = sum(abs(c) for _, c in f.items())
+    assert passed == norm.bit_length() + _rate_bits((), cube, N - s - 1)
+    norm = widest = 0
+    for prec in range(s + 1, N + 1):
+        norm += abs(f.coefficient(prec - 1))
+        widest = max(widest, abs(h.coefficient(prec - 1)).bit_length())
+        if prec >= s + 2:
+            bits = norm.bit_length() + _rate_bits((), cube, prec - s - 1)
+            assert bits >= widest + 1, (name, prec)

@@ -287,9 +287,12 @@ def test_mul_dense_path_with_one_wide_outlier():
 
 
 def _scalar_and_packed_div(f, g):
-    inverse = ref_invert(g)
-    bits = max(abs(c) for _, c in inverse.items()).bit_length()
-    return div(f, g), div(f, g, inverse_bits=bits)
+    # the tightest valid quotient bound, so that the rows run at their
+    # narrowest: the bit length of the widest coefficient of the quotient
+    scalar = div(f, g)
+    ref = truncate(ref_mul(f, ref_invert(g)), scalar.prec)
+    bits = max((abs(c) for _, c in ref.items()), default=0).bit_length()
+    return scalar, div(f, g, quotient_bits=bits)
 
 
 @pytest.mark.parametrize("D", range(2, 10))
@@ -326,10 +329,11 @@ def test_div_packed_rows_match_scalar_property(D, u, L, g_cs, f_cs, lo):
 
 
 def test_div_without_bound_or_stride_is_scalar():
-    # D = 1 (offsets 1 and 2) and a missing bound both run 1-slot rows
+    # D = 1 (offsets 1 and 2) and a missing bound both run 1-slot rows;
+    # with D = 1 the kernel never reads the bound, here far too small
     g = QSeries({0: 1, 1: -1, 2: 3}, 50)
     f = QSeries({0: 2 ** 300, 5: -7}, 50)
-    assert div(f, g, inverse_bits=1) == div(f, g)
+    assert div(f, g, quotient_bits=1) == div(f, g)
     assert first_difference(mul(div(f, g), g), f) is None
 
 
@@ -483,13 +487,15 @@ def test_packed_mul_of_factor_with_terms_beyond_the_precision():
 @pytest.mark.parametrize("bits", [None, 1, 9])
 def test_div_by_minus_one_negates(bits):
     # a lone -1, and a -1 whose other terms lie beyond the result's
-    # precision, leave the recurrence no steps; it must still negate
+    # precision, leave the recurrence no steps; it must still negate.  With
+    # no steps no rows run, so the bounds 1 and 9, too small for -f, are
+    # never read
     f = QSeries({-3: 5, 0: -2 ** 200, 7: 1, 40: 11}, 50)
     for g in (QSeries({0: -1}, 60), QSeries({0: -1, 53: 4, 106: 1}, 200)):
-        assert div(f, g, inverse_bits=bits) == scale(f, -1)
+        assert div(f, g, quotient_bits=bits) == scale(f, -1)
     g = QSeries({0: -1, 600: 5, 1200: 1}, 5000)
     f = QSeries({k: k % 5 - 2 for k in range(600)}, 600)
-    assert div(f, g, inverse_bits=bits) == scale(f, -1)
+    assert div(f, g, quotient_bits=bits) == scale(f, -1)
 
 
 def test_zero_operand_returns_zero_at_the_precision():
