@@ -245,6 +245,32 @@ def test_build_H_rejects_bad_pole():
         build_H(32, 1, 5)
 
 
+@pytest.mark.parametrize("build,level,n,prec,error,message", [
+    (build_H, 27, 0, 5, UnconstructibleError,
+     "level 27 span has no normal form with pole 0"),
+    (build_H, 36, 2, 5, UnconstructibleError,
+     "level 36 span has no normal form with pole 2"),
+    (build_H, 36, -3, 5, UnconstructibleError,
+     "level 36 span has no normal form with pole -3"),
+    (build_psi, 27, 7, 5, UnconstructibleError,
+     "level 27 psi needs p = 2 mod 3, got 7"),
+    (build_psi, 36, 7, 5, UnconstructibleError,
+     "level 36 psi needs p = 5 mod 6, got 7"),
+    (build_H, 32, 1, 5, ValueError, "no span construction at level 32"),
+    (build_psi, 64, 3, 5, ValueError, "no psi construction at level 64"),
+    (build_H, 27, 1, 1, ValueError,
+     "prec must be at least 2 at level 27, got 1"),
+    (build_H, 36, 1, 2, ValueError,
+     "prec must be at least 3 at level 36, got 2"),
+    (build_psi, 27, 5, 0, ValueError, "prec must be at least 1, got 0"),
+])
+def test_span_error_texts(build, level, n, prec, error, message):
+    # the exact texts `qmod expand` prints after "error: "
+    with pytest.raises(ValueError) as exc:
+        build(level, n, prec)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 def test_build_psi_27_p2_is_L1():
     psi = build_psi(27, 2, 4)
     assert psi.items() == [(-2, 1), (1, 1)]

@@ -149,6 +149,18 @@ def test_level_restricted_checks_reject_other_levels():
         check_hecke_decomposition(32, 3, 1)
 
 
+@pytest.mark.parametrize("check,args,what", [
+    (check_congruence, (32, 3, 0), "congruence check"),
+    (check_hecke_decomposition, (32, 3, 1), "span decomposition"),
+    (check_theta_psi, (64, 3), "theta-psi identity"),
+    (check_residue, (144, 5), "residue pairing"),
+])
+def test_level_restricted_check_error_texts(check, args, what):
+    with pytest.raises(ValueError) as exc:
+        check(*args)
+    assert str(exc.value) == f"{what} runs at levels 27 and 36, not {args[0]}"
+
+
 # ---------------------------------------------------------------------------
 # the expansion cache
 
