@@ -413,8 +413,9 @@ def _rate_bits(num: tuple, divisor: tuple, K: int) -> int:
     sqrt(c / u) <= y with y^4 = g^2 6K / (rho delta^2).  In bits the
     bound is at most (pi / log 2) sqrt(2 rho K / 3) + log2 prod (1 + y)^j,
     evaluated in integers: pi / log 2 < 4.533, square and fourth roots
-    rounded up with isqrt on 2^_FRAC-scaled values, and log2 below the
-    bit length.
+    rounded up with isqrt on 2^_FRAC-scaled values, and log2 of the scaled
+    product M as (M - 1).bit_length(), 0 at M = 1.  The bound stays strict:
+    the first term over-estimates, as 4.533 > pi / log 2 and isqrt + 1 > sqrt.
     """
     a, b, terms = _rate_terms(num, divisor)
     F = _FRAC
@@ -424,7 +425,7 @@ def _rate_bits(num: tuple, divisor: tuple, K: int) -> int:
     for y4_num, y4_den, j in terms:
         M *= ((1 << F) + isqrt(isqrt(y4_num * K // y4_den) + 1) + 1) ** j
         J += j
-    return bits + M.bit_length() - F * J
+    return bits + (M - 1).bit_length() - F * J
 
 
 def eta_quotient_expand(eq: EtaQuotient, prec: int) -> QSeries:

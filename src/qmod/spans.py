@@ -1,50 +1,49 @@
 """Normal forms in spans of weakly holomorphic forms.
 
-Level 27 uses the weight-2 newform g27 together with the weight-0 pole
-generators L1 = q^-2 + ... and L2 = q^-3 + ... (poles only at infinity,
-holomorphic at the other cusps).  The family g27*L1^d, g27*L1^d*L2 realizes
-every leading exponent <= 1 except 0, which yields the forms
-H_m = q^-m + O(q^2).  Level 36 plays the same game with g36 and the single
-generator L(2z), hitting every odd leading exponent <= 1 and giving
-H_m = q^-m + O(q^3) for odd m.  Every member is supported on one residue
-class (mod 3 at level 27, mod 6 at level 36), and so is H_m, on the class
-of -m.  A member of another class has no term at any exponent of that
-class, so it never enters the reduction below.
+_LEVELS has one row per span level N: the weight-2 newform g = q + ... and
+the Weierstrass coordinates x = q^-2 + ..., y = q^-3 + ... of CURVES[N],
+weight-0 functions with poles only at infinity (Alfes, Griffin, Ono and
+Rolen, "Weierstrass mock modular forms and elliptic curves", 2015):
+x = L1, y = L2 + 4 on y^2 + y = x^3 - 7 at level 27, and x = psi2 = L(2z),
+y = psi3 = L(z)L(2z) - 1, L = L36, on y^2 = x^3 + 1 at level 36.  The tests
+check each curve equation, G = x*g and theta(x) = -(2y + a1*x + a3)*g.
+g*x^a*y^b leads with q^-(2a+3b-1) and x^a*y^b with q^-(2a+3b), both with
+coefficient 1, and each lies on one residue class (g, x, y on 1, 1, 0 mod
+3 at level 27 and 1, 4, 3 mod 6 at level 36); a member of another class
+has no term at any exponent of the class at hand, so it never enters the
+reductions below.
 
-The weight-0 functions psi_p = q^-p + O(q) come from monomials in the pole
-generators, constrained to the support class of q^-p: at level 27 the
-monomials L1^a L2^b with a in the class of -p mod 3, at level 36 the
-monomials psi2^a psi3^b with a = 1 mod 3 and b odd, where psi2 = L(2z) and
-psi3 = L(z)L(2z) - 1.  The leading pole of a monomial is exactly 2a+3b, so
-the poles in the class are k = p mod 3 (level 27) and k = 5 mod 6 (level
-36).  One monomial per pole order k <= p suffices: L1*L2^b at level 27 and
-psi2*psi3^b, b odd, at level 36, both with k = 2+3b.  The difference of two
-in-class monomials with the same pole k is a class-restricted polynomial in
-the generators with a pole below k.  Subtracting the kept monomials at its
-remaining pole orders leaves a function with no pole at infinity and none
-elsewhere, so a constant; the class excludes the exponent 0, so that
-constant is 0, and every in-class monomial lies in the integer span of the
-kept ones.
+H_m = q^-m + O(q^2) (level 27) or O(q^3) (level 36) is a normal form in
+the span of the g*x^a*y^b whose pole build_H admits, and psi_p = q^-p +
+O(q) in the span of the x^a*y^b of the class of q^-p.  The curve
+equation, x^3 = y^2 + y + 7 at level 27 and x^3 = y^2 - 1 at level 36,
+writes a monomial with a >= 3 as an integer combination of monomials of
+its class with a - 3 and no larger pole, so the in-class monomials with
+a < 3 span every in-class monomial of at most their pole.  They are one
+per pole: g*x^d0*y^j at level 27 and g*x^d0*y^(2j) at level 36 (whose
+admitted poles are odd), 2*d0 - 1 the least pole of the class, and x*y^j
+(p = 2 mod 3) or x*y^(2j+1) (p = 5 mod 6).  _normal_form's chains
+first*step^j, g*x^d0*y^j or g*x^d0*(x^3)^j and x*y^j or x*y*(y^2)^j, are
+unit-triangular combinations of those, so they span the same space.  The
+normal form with pivot e is the only series in that span with lead q^e
+and zeros at the other pivots, so no constant shift of y changes it.
 
-So every H_m and psi_p is the normal form of one chain first*step^j whose
-poles step by 3 at level 27 and by 6 at level 36; one builder,
-_normal_form, picks the chain's first member and step for the kind and
-level.  _chain checks that each member leads with coefficient 1 at the
-pole of first plus j poles of step, so the chain is triangular: its
-leading exponents are distinct and its leading coefficients 1.  So the
-normal form with pivot e, the row with that pivot of the chain's echelon
-basis, is the member f_e minus c*f_e' for each other leading exponent e'
-in increasing order, c its current coefficient at e' (_reduce); each step
-changes only exponents >= e', so those already cleared stay clear.  The
-tests check it against echelonize of full families.
+_chain checks that each member leads with coefficient 1 at the pole of
+first plus j poles of step, so the chain is triangular: its leading
+exponents are distinct and its leading coefficients 1.  So the normal form
+with pivot e, the row with that pivot of the chain's echelon basis, is the
+member f_e minus c*f_e' for each other leading exponent e' in increasing
+order, c its current coefficient at e' (_reduce); each step changes only
+exponents >= e', so those already cleared stay clear.  The tests check it
+against echelonize of full families.
 
 One memo here and the process's one expansion store keep what the builds
 share.  _memo holds the one memo rule of the package, which
 verify.FormCache follows too: keep an entry at the highest precision
 requested so far, answer a request at or below it from the entry, and on a
 request above it build the entry again and replace it.  _NORMAL_FORMS holds
-each H_m and psi_p built, keyed by (kind, level, pole), and the generators
-g27, L1, L2, g36 and L36 are read by name from the store,
+each H_m and psi_p built, keyed by (kind, level, pole), and the expansions
+of g27, L1, L2, g36 and L36 are read by name from the store,
 verify.DEFAULT_CACHE; both hand out the entry truncated to the request.  A
 truncated entry is what a fresh build returns, digit for digit and with the
 same precision: the expansions are exact, so truncation commutes with every
@@ -65,9 +64,10 @@ stores nothing, and one lock serializes both.
 from __future__ import annotations
 
 import threading
+from collections import namedtuple
 from dataclasses import dataclass
 
-from .qseries import QSeries, _is_prime, mul, one, scale, sub, truncate
+from .qseries import QSeries, _is_prime, add, mul, one, scale, sub, truncate
 from .operators import apply_V
 
 __all__ = ["UnconstructibleError", "build_H", "build_psi"]
@@ -147,64 +147,93 @@ def echelonize(family) -> EchelonBasis:
 
 
 # ---------------------------------------------------------------------------
-# spanning families
+# the span levels
 
-# Each span level's weight-2 newform, then its weight-0 pole generators.
-_GENERATORS = {27: ("g27", "L1", "L2"), 36: ("g36", "L36")}
-
-
-def _generators(names, prec: int) -> list[QSeries]:
-    """The named span generators to precision >= prec, L36 as L(2z).
-
-    L36 is expanded to (prec+2)//2, which V_2 certifies to at least prec."""
-    return [apply_V(_expansion(n, (prec + 2) // 2), 2) if n == "L36"
-            else _expansion(n, prec) for n in names]
+def _coordinates_27(prec: int, with_y: bool):
+    """x = L1 and y = L2 + 4 to prec; y is None unless with_y."""
+    x = _expansion("L1", prec)
+    return x, _plus(_expansion("L2", prec), 4) if with_y else None
 
 
-def psi36_generators(prec: int):
-    """The weight-0 generators at level 36: psi2 = L(2z) = q^-2 + O(q^4)
-    supported on exponents 4 mod 6, and psi3 = L(z)L(2z) - 1 = q^-3 + O(q^3)
-    supported on 3 mod 6.  Both returned with precision >= prec."""
-    inner = max(prec + 2, 4)
-    l = _expansion("L36", inner)
-    psi2 = apply_V(l, 2)
-    prod = mul(l, psi2)
-    psi3 = sub(prod, one(prod.prec))
-    return psi2, psi3
+def _coordinates_36(prec: int, with_y: bool):
+    """x = L(2z) and y = L(z)L(2z) - 1, L = L36, to at least prec; y is
+    None unless with_y.  x alone reads L to (prec+2)//2, which V_2
+    certifies to prec; with y, one L to prec + 4 gives x and y = L*x - 1
+    to prec + 2."""
+    if not with_y:
+        return apply_V(_expansion("L36", (prec + 2) // 2), 2), None
+    l = _expansion("L36", prec + 4)
+    x = apply_V(l, 2)
+    return x, _plus(mul(l, x), -1)
+
+
+def _plus(f: QSeries, c: int) -> QSeries:
+    return add(f, scale(one(f.prec), c))
+
+
+# The one table of span levels, derived in the module docstring.  A row: g,
+# the newform's catalog name; coordinates(prec, with_y), the pair (x, y);
+# H_step, the H chain's step, and psi, the psi chain's first member and
+# step, as exponents (a, b) of x^a*y^b; low, the least prec of build_H.
+_Level = namedtuple("_Level", "g coordinates H_step psi low")
+_LEVELS = {
+    27: _Level("g27", _coordinates_27, (0, 1), ((1, 0), (0, 1)), 2),
+    36: _Level("g36", _coordinates_36, (3, 0), ((1, 1), (0, 2)), 3),
+}
+
+
+def _level(level: int, what: str) -> _Level:
+    if level not in _LEVELS:
+        raise ValueError(f"no {what} at level {level}")
+    return _LEVELS[level]
+
+
+def _pole(ab) -> int:
+    """The pole of x^a*y^b."""
+    return 2 * ab[0] + 3 * ab[1]
+
+
+def _first_power(row: _Level, m: int):
+    """The d0 < 3 of H_m's first member g*x^d0, whose pole 2*d0 - 1 is at
+    most m and agrees with m modulo the pole of the H step; None when no d
+    does, and then the span has no H_m."""
+    t = _pole(row.H_step)
+    return next((d for d in range(3)
+                 if 2 * d - 1 <= m and (m - 2 * d + 1) % t == 0), None)
+
+
+def _monomial(f, x, y, ab):
+    """f*x^a*y^b, or x^a*y^b when f is None, multiplied left to right."""
+    for h in [x] * ab[0] + [y] * ab[1]:
+        f = h if f is None else mul(f, h)
+    return f
 
 
 def spanning_family(level: int, max_pole: int, prec: int) -> list[QSeries]:
-    """Weight-2 family members with leading exponent >= -max_pole.
-
-    Level 27: g27*L1^d and g27*L1^d*L2.  Level 36: g36*L(2z)^d.  Leading
-    exponents are read off the computed expansions, never assumed.  All
-    members come back with certified precision >= prec.
+    """Weight-2 family members with leading exponent >= -max_pole: every
+    g*x^a*y^b with b < 2 (the curve equation reduces y^2) whose pole
+    build_H admits, so b = 0 alone at level 36.  Leading exponents are read
+    off the computed expansions, never assumed.  All members come back
+    with certified precision >= prec.
     """
     if max_pole < 1:
         raise ValueError("max_pole must be at least 1")
-    if level not in _GENERATORS:
-        raise ValueError(f"no spanning family at level {level}")
+    row = _level(level, "spanning family")
     _require_span_prec(level, prec)
-    chain, *gens = _generators(_GENERATORS[level], prec + max_pole + 4)
+    P = prec + max_pole + 4
+    g = _expansion(row.g, P)
+    x, y = row.coordinates(P, True)
     members = []
-    if level == 27:
-        l1, l2 = gens
-        while True:
-            row = [f for f in (chain, mul(chain, l2))
-                   if f.order >= -max_pole]
-            if not row:
-                break
-            members += row
-            chain = mul(chain, l1)
-    else:
-        while chain.order >= -max_pole:
-            members.append(chain)
-            chain = mul(chain, gens[0])
+    for f in (g, mul(g, y)):
+        while f.order >= -max_pole:
+            if _first_power(row, -f.order) is not None:
+                members.append(f)
+            f = mul(f, x)
     return _certified(members, prec)
 
 
 def _require_span_prec(level: int, prec: int):
-    low = 2 if level == 27 else 3
+    low = _LEVELS[level].low
     if prec < low:
         raise ValueError(
             f"prec must be at least {low} at level {level}, got {prec}")
@@ -251,13 +280,8 @@ def build_H(level: int, m: int, prec: int) -> QSeries:
     Level 27 admits every m >= -1 except m = 0; level 36 admits odd
     m >= -1.  Raises UnconstructibleError otherwise.
     """
-    if level == 27:
-        ok = m == -1 or m >= 1
-    elif level == 36:
-        ok = m >= -1 and m % 2 == 1
-    else:
-        raise ValueError(f"no span construction at level {level}")
-    if not ok:
+    row = _level(level, "span construction")
+    if _first_power(row, m) is None:
         raise UnconstructibleError(
             f"level {level} span has no normal form with pole {m}")
     _require_span_prec(level, prec)
@@ -271,14 +295,10 @@ def build_psi(level: int, p: int, prec: int) -> QSeries:
     """
     if not _is_prime(p):
         raise UnconstructibleError(f"{p} is not prime")
-    if level == 27:
-        in_class, rule = p % 3 == 2, "p = 2 mod 3"
-    elif level == 36:
-        in_class, rule = p % 6 == 5, "p = 5 mod 6"
-    else:
-        raise ValueError(f"no psi construction at level {level}")
-    if not in_class:
-        raise UnconstructibleError(f"level {level} psi needs {rule}, got {p}")
+    first, step = map(_pole, _level(level, "psi construction").psi)
+    if p % step != first % step:
+        raise UnconstructibleError(
+            f"level {level} psi needs p = {first} mod {step}, got {p}")
     if prec < 1:
         raise ValueError(f"prec must be at least 1, got {prec}")
     return truncate(_memo(_NORMAL_FORMS, ("psi", level, p), prec,
@@ -287,45 +307,20 @@ def build_psi(level: int, p: int, prec: int) -> QSeries:
 
 def _normal_form(kind: str, level: int, pole: int, prec: int) -> QSeries:
     """H_pole or psi_pole, as kind says, to at least prec: the normal form
-    with pivot -pole of one chain first*step^j; build_H and build_psi
-    validate the request first.
-
-    psi_p takes the chain L1*L2^b or psi2*psi3^b, b odd, which the module
-    docstring shows to span every in-class monomial with pole at most p.
-    H_m takes one member per pole of the class of -m (mod 3 at level 27,
-    mod 6 at level 36).  g27*L1^d lies in the class 1+d mod 3 and
-    g36*L(2z)^d in 1+4d mod 6, both with pole 2d-1, so the class of -m has
-    d = d0 = 2m+2 mod 3 at level 27 and d0 = (m+1)/2 mod 3 at level 36.
-    The chain g36*L(2z)^(d0+3j) is the part of spanning_family in the
-    class.  At level 27 that part is g27*L1^(d0+3k) and g27*L1^(d0+3k)*L2,
-    and the chain g27*L1^d0*L2^j has the same normal form:
-    - Both are triangular, with unit leads and the same pivots: every
-      pole = 2*d0-1 mod 3 from 2*d0-1 up to m.
-    - Each member of one is a Z-combination of members of the other with
-      at most its pole.  The module docstring's weight-0 argument on
-      L1^3 - L2^2 (class 0 mod 3, pole below 6) leaves a constant, as this
-      class contains the exponent 0: L1^3 = L2^2 + 9*L2 + 27.  Times g27
-      (d0 = 0), that constant is a multiple of the chain's first member.
-      Times g27*L1^d0, the identity rewrites g27*L1^(d0+3k)*L2^e in the
-      chain and, by induction on j, g27*L1^d0*L2^j in the other family.
-    - A nonzero Z-combination of a triangular family leads at a pivot, so
-      the normal form with pivot e is the only series in the span with
-      lead q^e and zeros at the other pivots.
-    """
-    if kind == "psi" and level == 27:
-        first, step = _generators(("L1", "L2"), prec + pole)
-    elif kind == "psi":
-        psi2, psi3 = psi36_generators(prec + pole + 2)
-        first, step = mul(psi2, psi3), mul(psi3, psi3)
+    with pivot -pole of the chain first*step^j that the module docstring
+    derives from the level's row; build_H and build_psi validate the
+    request first.  x and y are computed once, y only when a chain reads
+    it."""
+    row = _LEVELS[level]
+    if kind == "H":
+        P = prec + max(pole, 1) + 4
+        g = _expansion(row.g, P)
+        x, y = row.coordinates(P, row.H_step[1] > 0)
+        first = _monomial(g, x, y, (_first_power(row, pole), 0))
+        step = _monomial(None, x, y, row.H_step)
     else:
-        first, gen, *l2 = _generators(_GENERATORS[level],
-                                      prec + max(pole, 1) + 4)
-        if level == 27:
-            d0, step = (2 * pole + 2) % 3, l2[0]
-        else:
-            d0, step = (pole + 1) // 2 % 3, mul(mul(gen, gen), gen)
-        for _ in range(d0):
-            first = mul(first, gen)
+        x, y = row.coordinates(prec + pole, True)
+        first, step = (_monomial(None, x, y, ab) for ab in row.psi)
     rows = {f.order: truncate(f, prec)
             for f in _certified(_chain(first, step, pole), prec)}
     return _reduce(rows.pop(-pole), rows)

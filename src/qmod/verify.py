@@ -22,7 +22,7 @@ from .qseries import (
 )
 from .eta import FORMS, Twist, catalog_form, curve
 from .operators import apply_U, hecke, is_inert, kronecker, theta, twist
-from .spans import _memo, build_H, build_psi
+from .spans import _LEVELS, _memo, build_H, build_psi
 
 __all__ = [
     "CheckReport",
@@ -173,9 +173,10 @@ def _require_eligible(level: int, p: int):
         raise ValueError(f"ineligible prime for level {level}: {reason}")
 
 
-def _require_27_or_36(what: str, level: int, p: int):
-    if level not in (27, 36):
-        raise ValueError(f"{what} runs at levels 27 and 36, not {level}")
+def _require_span_level(what: str, level: int, p: int):
+    if level not in _LEVELS:
+        raise ValueError(f"{what} runs at levels "
+                         f"{' and '.join(map(str, _LEVELS))}, not {level}")
     _require_eligible(level, p)
 
 
@@ -231,7 +232,7 @@ def check_limit(level: int, p: int, m: int, K: int = 20) -> CheckReport:
 def check_congruence(level: int, p: int, m: int = 0) -> CheckReport:
     """C(p^(2m+1)) = (-1)^m p^m C(p) mod p^(m+1), at levels 27 and 36."""
     _at_least("m", m, 0)
-    _require_27_or_36("congruence check", level, p)
+    _require_span_level("congruence check", level, p)
     e = p ** (2 * m + 1)
     # C(e) first: e >= p, so one expansion serves both reads
     C2 = DEFAULT_CACHE.coefficient(f"G{level}", e)
@@ -255,7 +256,7 @@ def check_hecke_decomposition(level: int, p: int, n: int = 1,
     the pole through q^(prec-1)."""
     _at_least("n", n, 1)
     _at_least("prec", prec, 2)
-    _require_27_or_36("span decomposition", level, p)
+    _require_span_level("span decomposition", level, p)
     pn = p ** n
     G = DEFAULT_CACHE.series(f"G{level}", prec * pn)
     lhs = hecke(G, 2, p, n)
@@ -286,7 +287,7 @@ def check_theta_psi(level: int, p: int, prec: int = 30, m_max: int = 1,
     _at_least("prec", prec, 1)
     _at_least("m_max", m_max, 0)
     _at_least("K", K, 1)
-    _require_27_or_36("theta-psi identity", level, p)
+    _require_span_level("theta-psi identity", level, p)
     psi = build_psi(level, p, prec)
     th = theta(psi)
     # one expansion of G at the largest precision requested below
@@ -326,7 +327,7 @@ def check_residue(level: int, p: int, prec: int = 30) -> CheckReport:
     """The constant term of G*psi_p vanishes, and the q-coefficient of
     psi_p is -C(p)."""
     _at_least("prec", prec, 2)
-    _require_27_or_36("residue pairing", level, p)
+    _require_span_level("residue pairing", level, p)
     psi = build_psi(level, p, prec)
     G = DEFAULT_CACHE.series(f"G{level}", prec + p)
     prod = mul(G, psi)
@@ -404,12 +405,14 @@ def check_twist_consistency(prec: int = 200) -> CheckReport:
     )
 
 
+# Per level: the classes (residue, modulus) of g and G, then the (p, m) of
+# check_support's even-power degeneration.
 _SUPPORT_CLASSES = {
-    27: ((1, 3), (2, 3)),
-    32: ((1, 4), (3, 4)),
-    36: ((1, 6), (5, 6)),
-    64: ((1, 4), (3, 4)),
-    144: ((1, 6), (5, 6)),
+    27: ((1, 3), (2, 3), ((2, 1), (5, 1))),
+    32: ((1, 4), (3, 4), ()),
+    36: ((1, 6), (5, 6), ()),
+    64: ((1, 4), (3, 4), ()),
+    144: ((1, 6), (5, 6), ()),
 }
 
 
@@ -419,8 +422,7 @@ def check_support(level: int, prec: int = 500) -> CheckReport:
     small p^(2m)."""
     _at_least("prec", prec, 2)
     curve(level)  # an unknown level raises ValueError here
-    (g_res, g_mod), (G_res, G_mod) = _SUPPORT_CLASSES[level]
-    even = ((2, 1), (5, 1)) if level == 27 else ()
+    (g_res, g_mod), (G_res, G_mod), even = _SUPPORT_CLASSES[level]
     g = DEFAULT_CACHE.series(f"g{level}", prec)
     # one expansion of G at the largest precision requested below
     DEFAULT_CACHE.expansion(f"G{level}",
@@ -431,8 +433,8 @@ def check_support(level: int, prec: int = 500) -> CheckReport:
     # C(p^2m) = 0, so the decomposition is G|T2(p^2m) = p^2m H_(p^2m);
     # the largest p^2m first, so that its span expands L1 and L2 once for
     # every smaller one
-    extras = [[DEFAULT_CACHE.coefficient("G27", p ** (2 * m)),
-               check_hecke_decomposition(27, p, 2 * m, 31).actual]
+    extras = [[DEFAULT_CACHE.coefficient(f"G{level}", p ** (2 * m)),
+               check_hecke_decomposition(level, p, 2 * m, 31).actual]
               for p, m in reversed(even)][::-1]
     ok = (not bad_g and not bad_G
           and all(c == 0 and d is None for c, d in extras))
@@ -446,6 +448,6 @@ def check_support(level: int, prec: int = 500) -> CheckReport:
             f"exponents of g outside {g_res} mod {g_mod}, of G outside "
             f"{G_res} mod {G_mod}"
             + ("; then [C(p^2m), T2 vs span mismatch] at p^2m = 4, 25"
-               if level == 27 else "")
+               if even else "")
         ),
     )

@@ -21,16 +21,23 @@ from qmod import (
     truncate,
 )
 from qmod import spans, verify
+from qmod.eta import CURVES
+from qmod.operators import theta
 from qmod.spans import (
     EliminationError,
-    _GENERATORS,
+    _LEVELS,
     _chain,
-    _generators,
+    _first_power,
+    _monomial,
     _reduce,
     echelonize,
-    psi36_generators,
     spanning_family,
 )
+
+
+def _xy(level, prec):
+    """The Weierstrass pair (x, y) of a span level, to at least prec."""
+    return _LEVELS[level].coordinates(prec, True)
 
 
 def test_echelonize_two_by_two():
@@ -137,25 +144,48 @@ def test_spanning_family_validation():
 
 @pytest.mark.parametrize("level,modulus", [(27, 3), (36, 6)])
 def test_class_family_is_one_chain(level, modulus):
-    # the chain g*L^d0 * step^j with the first member and step of
+    # the chain g*x^d0 * step^j with the first member and step of
     # spans._normal_form: one member per pole of the class of -pole, from
     # the smallest up to pole, so the leading exponents step by the class
     # modulus; the generators are read at the builder's 10 + pole + 4 for
     # the largest pole, so every member is certified to 10
-    g, gen, *l2 = _generators(_GENERATORS[level], 10 + 39 + 4)
-    step = l2[0] if level == 27 else mul(mul(gen, gen), gen)
+    row = _LEVELS[level]
+    g = catalog_form(row.g, 10 + 39 + 4)
+    x, y = _xy(level, 10 + 39 + 4)
+    step = _monomial(None, x, y, row.H_step)
     for pole in range(-1, 40, 1 if level == 27 else 2):
         if pole == 0:
             continue
         d0 = (2 * pole + 2) % 3 if level == 27 else (pole + 1) // 2 % 3
+        assert _first_power(row, pole) == d0
         first = g
         for _ in range(d0):
-            first = mul(first, gen)
+            first = mul(first, x)
         fam = _chain(first, step, pole)
         assert [-f.order for f in fam] == [
             k for k in range(-1, pole + 1) if k and (k - pole) % modulus == 0]
         assert all(a.order - b.order == modulus for a, b in zip(fam, fam[1:]))
         assert all(f.coefficient(f.order) == 1 and f.prec >= 10 for f in fam)
+
+
+@pytest.mark.parametrize("level", sorted(_LEVELS))
+def test_coordinates_lie_on_the_level_curve(level):
+    # through q^300, with (a1, a2, a3, a4, a6) of CURVES[level]: the model
+    # y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6, G = x*g and
+    # theta(x) = -(2y + a1 x + a3)*g
+    N = 300
+    a1, a2, a3, a4, a6 = CURVES[level].weierstrass
+    x, y = _xy(level, N + 8)
+    g = catalog_form(_LEVELS[level].g, N + 8)
+    x2 = mul(x, x)
+    lhs = add(add(mul(y, y), scale(mul(x, y), a1)), scale(y, a3))
+    rhs = add(add(add(mul(x2, x), scale(x2, a2)), scale(x, a4)),
+              scale(one(N + 8), a6))
+    dy = add(add(scale(y, 2), scale(x, a1)), scale(one(N + 8), a3))
+    for diff in (sub(lhs, rhs),
+                 sub(mul(x, g), catalog_form(f"G{level}", N)),
+                 add(theta(x), mul(dy, g))):
+        assert diff.is_zero and diff.prec >= N
 
 
 @pytest.mark.parametrize("lead", [-1, 2])
@@ -297,7 +327,7 @@ def test_build_psi_27_p11_normal_form():
 
 def test_build_psi_36_p5():
     psi = build_psi(36, 5, 7)
-    psi2, psi3 = psi36_generators(12)
+    psi2, psi3 = _xy(36, 12)
     direct = mul(psi2, psi3)
     assert first_difference(psi, direct) is None
     # q-coefficient is -C36(5) = 3
@@ -306,7 +336,8 @@ def test_build_psi_36_p5():
 
 
 def test_psi36_generators_shapes():
-    psi2, psi3 = psi36_generators(8)
+    # x = psi2 and y = psi3 at level 36
+    psi2, psi3 = _xy(36, 8)
     assert psi2.prec >= 8 and psi3.prec >= 8
     assert psi2.items()[:2] == [(-2, 1), (4, 1)]
     assert psi3.items()[:2] == [(-3, 1), (3, 2)]
@@ -355,7 +386,7 @@ def _full_monomial_family(level, p, prec):
         gen2 = catalog_form("L1", prec + p)
         gen3 = catalog_form("L2", prec + p)
     else:
-        gen2, gen3 = psi36_generators(prec + p + 2)
+        gen2, gen3 = _xy(36, prec + p)
 
     def in_class(a, b):
         if level == 27:
@@ -395,7 +426,7 @@ def test_dropped_same_pole_monomial_reduces_to_zero():
     prec = 20
     l1 = catalog_form("L1", prec + 40)
     l2 = catalog_form("L2", prec + 40)
-    psi2, psi3 = psi36_generators(prec + 40)
+    psi2, psi3 = _xy(36, prec + 38)
     cases = [
         (_chain(l1, l2, 14), mul(mul(l1, l1), mul(l1, l1)), -8),
         (_chain(mul(psi2, psi3), mul(psi3, psi3), 17),
@@ -547,7 +578,8 @@ def test_memo_keeps_each_form_at_the_highest_precision():
     assert {n: f.prec for n, f in verify.DEFAULT_CACHE._data.items()} == {
         "g27": 55, "L1": 55, "L2": 55}
     # and are handed out truncated to the precision asked for
-    assert [f.prec for f in spans._generators(("g27", "L1"), 20)] == [20, 20]
+    assert [f.prec for f in (spans._expansion("g27", 20), *_xy(27, 20))] == [
+        20, 20, 20]
     _clear_memos()
     build_psi(36, 23, 5)
     build_psi(36, 5, 50)
