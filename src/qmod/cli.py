@@ -98,7 +98,13 @@ def run_grid(levels: tuple[int, ...] = tuple(CURVES),
     default depth: the largest m with K * p^(2m+1) + 1 <= ceiling.
 
     Every form is expanded once, at the largest precision the grid needs,
-    before the checks run."""
+    before the checks run, by DEFAULT_CACHE.prefetch: the eta quotients
+    in one lane per available CPU, balanced by kernel slots
+    (prec // gcd(deltas)).  This process expands the lane with the
+    largest form first, so a cold store's first request expands here (the
+    cold-start probe), and forked children the other lanes, whose series
+    enter the store through FormCache.series.  One lane is the serial
+    loop."""
     for level in levels:
         curve(level)
     for q in primes or ():
@@ -148,8 +154,7 @@ def run_grid(levels: tuple[int, ...] = tuple(CURVES),
         need[f"G{level}"] = max(need.get(f"G{level}", 0),
                                 limit_prec(K, p, m))
         need[f"g{level}"] = K + 1
-    for name, prec in need.items():
-        DEFAULT_CACHE.expansion(name, prec)
+    DEFAULT_CACHE.prefetch(need)
     reports: list[CheckReport] = []
     for level, p, m in jobs:
         reports.append(check_valuation(level, p, m))

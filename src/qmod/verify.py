@@ -5,7 +5,10 @@ checks.  Every check returns a CheckReport with exact integer witnesses."""
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 from .qseries import (
@@ -20,7 +23,7 @@ from .qseries import (
     sub,
     truncate,
 )
-from .eta import FORMS, Twist, catalog_form, curve
+from .eta import FORMS, EtaQuotient, Twist, catalog_form, curve
 from .operators import apply_U, hecke, is_inert, kronecker, theta, twist
 from .spans import _LEVELS, _memo, build_H, build_psi
 
@@ -106,10 +109,16 @@ class FormCache:
     enters through series, the one method that expands: a wrapper on
     series then sees every expansion the cache makes.  perfbench's
     cold-start probe patches FormCache.series and catalog_form in this
-    module, so they, _expand and DEFAULT_CACHE stay here."""
+    module, so they, _expand and DEFAULT_CACHE stay here.
+
+    prefetch holds a planned set of forms and spreads their eta-quotient
+    expansions over the available CPUs.  Lane results from other processes
+    are only pending until series asks for them: they too enter the store
+    through series."""
 
     def __init__(self):
         self._data: dict[str, QSeries] = {}
+        self._pending: dict[str, QSeries] = {}
 
     def series(self, name: str, prec: int) -> QSeries:
         return truncate(_memo(self._data, name, prec, _expand, self, name,
@@ -124,13 +133,126 @@ class FormCache:
         """The coefficient of q^e in name, read from the held expansion."""
         return self.expansion(name, e + 1).coefficient(e)
 
+    def prefetch(self, need: dict[str, int]):
+        """Hold every form of need (name -> precision) to at least its
+        precision.
+
+        The eta quotients not yet held are split into one lane per
+        available CPU, and never more lanes than forms: largest first, each
+        to the least-loaded lane, a form costing its kernel slots,
+        prec // gcd(deltas).  Lanes 1 and up each expand in one forked
+        child, which sends its series back through a pipe.  This process
+        expands lane 0 itself before it reads any child, so the first
+        request of a cold store expands in this process, as perfbench's
+        cold-start probe requires.  Then every entry of need is asked for
+        in order: a child's series enters the store through series, and a
+        twist twists its held base.  A child that fails leaves its forms to
+        be expanded here, so an error surfaces as it does serially, and
+        every child is reaped before prefetch returns or raises.  With one
+        lane (one CPU, no os.fork, or other threads running) only that last
+        loop runs: the serial path."""
+        lanes = _lanes({
+            name: prec for name, prec in need.items()
+            if isinstance(FORMS.get(name), EtaQuotient)
+            and (name not in self._data or self._data[name].prec < prec)})
+        children = []
+        try:
+            if len(lanes) > 1:
+                for lane in lanes[1:]:
+                    child = _fork_lane(lane)
+                    if child:
+                        children.append(child)
+                for name, prec in lanes[0]:
+                    self.expansion(name, prec)
+                while children:
+                    pid, pipe = children[-1]
+                    data = pipe.read()
+                    pipe.close()
+                    status = os.waitpid(pid, 0)[1]
+                    children.pop()
+                    # a child exits 0 only after writing all of its lane
+                    if status == 0:
+                        for name, (c, prec) in marshal.loads(data).items():
+                            self._pending[name] = QSeries._trusted(c, prec)
+            for name, prec in need.items():
+                self.expansion(name, prec)
+        finally:
+            if children:
+                # this process raised before it read them all
+                from signal import SIGKILL
+            for pid, pipe in children:
+                pipe.close()
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+            self._pending.clear()
+
 
 def _expand(cache: FormCache, name: str, prec: int) -> QSeries:
     recipe = FORMS.get(name)
     if isinstance(recipe, Twist):
         # reuse the cached base expansion instead of expanding it
         return twist(cache.series(recipe.base, prec), recipe.disc)
+    f = cache._pending.pop(name, None)
+    if f is not None and f.prec >= prec:
+        return f
     return catalog_form(name, prec)
+
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _lanes(todo: dict[str, int]) -> list[list[tuple[str, int]]]:
+    """todo's (name, precision) entries in one lane per available CPU
+    (never more lanes than entries), largest first, each to the
+    least-loaded lane, by kernel slots.  One lane without os.fork, and
+    while other threads run: a forked child could inherit a lock one of
+    them holds."""
+    forks = hasattr(os, "fork") and threading.active_count() == 1
+    n = min(_cpu_count() if forks else 1, len(todo))
+    lanes: list[list[tuple[str, int]]] = [[] for _ in range(n)]
+    loads = [0] * n
+
+    def slots(entry):
+        name, prec = entry
+        return prec // math.gcd(*(d for d, _ in FORMS[name].factors))
+
+    for entry in sorted(todo.items(), key=slots, reverse=True):
+        i = loads.index(min(loads))
+        lanes[i].append(entry)
+        loads[i] += slots(entry)
+    return lanes
+
+
+def _fork_lane(lane: list[tuple[str, int]]):
+    """(pid, pipe) of a forked child that expands lane and writes
+    marshal.dumps({name: (coefficients, prec)}) to the pipe, or None when
+    the fork fails, which leaves the lane to this process."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        # the child never returns into its caller, nor flushes its stdout
+        code = 1
+        try:
+            os.close(r)
+            out = {}
+            for name, prec in lane:
+                f = catalog_form(name, prec)
+                out[name] = (f._c, f.prec)
+            with open(w, "wb") as pipe:
+                pipe.write(marshal.dumps(out))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
 
 
 DEFAULT_CACHE = FormCache()

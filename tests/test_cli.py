@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -662,19 +663,41 @@ def test_run_grid_direct_call():
     assert len(skipped) == 1 and skipped[0]["p"] == 5
 
 
-def test_run_grid_expands_each_form_once(monkeypatch, cold_cache):
-    expanded = []
+def _logging_catalog_form(log: Path, fail: str | None = None):
+    """verify.catalog_form that first appends "pid name" to log, in
+    append mode, so that forked lanes log too, and raises for fail."""
     real = qmod.verify.catalog_form
 
-    def counting(name, prec):
-        expanded.append(name)
+    def logging(name, prec):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {name}\n")
+        if name == fail:
+            raise RuntimeError(f"no expansion of {name} to {prec}")
         return real(name, prec)
 
+    return logging
+
+
+def _logged(log: Path) -> list[tuple[int, str]]:
+    lines = log.read_text().split() if log.exists() else []
+    return [(int(pid), name) for pid, name in zip(lines[::2], lines[1::2])]
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_grid_expands_each_form_once(monkeypatch, cold_cache, tmp_path):
+    log = tmp_path / "expanded.txt"
     with monkeypatch.context() as patch:
-        patch.setattr(qmod.verify, "catalog_form", counting)
+        patch.setattr(qmod.verify, "catalog_form",
+                      _logging_catalog_form(log))
         reports, skipped = run_grid(levels=(27, 32, 64), prime_bound=12,
                                     ceiling=5000)
-    # G64 is the twist of the cached G32, so it expands no eta quotient
+    # G64 is the twist of the cached G32, so it expands no eta quotient;
+    # forked lanes count too, through the log
+    expanded = [name for _, name in _logged(log)]
     assert sorted(expanded) == ["G27", "G32", "g27", "g32", "g64"]
     assert len(reports) == 2 * 17 and skipped == []
     # truncating the planned expansions gives what each check computes
@@ -687,6 +710,95 @@ def test_run_grid_expands_each_form_once(monkeypatch, cold_cache):
         else:
             alone = check_limit(level, p, m, r.params["K"])
         assert r.to_json_dict() == alone.to_json_dict()
+
+
+_LANE_GRID = dict(levels=(27, 32, 36, 64), prime_bound=12, ceiling=5000)
+_forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+def _grid_on(cpus: int, cache, log: Path, monkeypatch):
+    """run_grid over _LANE_GRID on an empty store as if cpus were
+    available, logging each expansion, and the store it leaves."""
+    monkeypatch.setattr(cache, "_data", {})
+    monkeypatch.setattr(verify, "_cpu_count", lambda: cpus)
+    with monkeypatch.context() as patch:
+        patch.setattr(qmod.verify, "catalog_form",
+                      _logging_catalog_form(log))
+        reports, skipped = run_grid(**_LANE_GRID)
+    held = {name: (f.prec, f._c) for name, f in cache._data.items()}
+    return [r.to_json_dict() for r in reports], skipped, held
+
+
+@_forks
+def test_run_grid_lanes_give_the_serial_store(monkeypatch, cold_cache,
+                                             tmp_path):
+    serial = _grid_on(1, cold_cache, tmp_path / "one.txt", monkeypatch)
+    lanes = _grid_on(2, cold_cache, tmp_path / "two.txt", monkeypatch)
+    assert lanes[0] == serial[0] and lanes[1] == serial[1]
+    assert lanes[2] == serial[2]
+    _assert_no_child()
+    # every form once; one lane expands all in this process, two expand
+    # the largest, G32 (4,861 terms at stride 4), here first and G27 and
+    # G36 in one child
+    forms = ["G27", "G32", "G36", "g27", "g32", "g36", "g64"]
+    one, two = _logged(tmp_path / "one.txt"), _logged(tmp_path / "two.txt")
+    assert sorted(name for _, name in one) == forms
+    assert {pid for pid, _ in one} == {os.getpid()}
+    assert sorted(name for _, name in two) == forms
+    assert two[0] == (os.getpid(), "G32")
+    pids = {name: pid for pid, name in two}
+    assert pids["G27"] == pids["G36"] != os.getpid()
+    assert {pids[g] for g in ("g27", "g32", "g36", "g64")} == {os.getpid()}
+
+
+@_forks
+def test_run_grid_forks_no_lane_while_other_threads_run(
+        monkeypatch, cold_cache, tmp_path):
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
+    log = tmp_path / "expanded.txt"
+    monkeypatch.setattr(qmod.verify, "catalog_form",
+                        _logging_catalog_form(log))
+    done = []
+    worker = threading.Thread(target=lambda: done.append(
+        run_grid(**_LANE_GRID)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and len(done) == 1
+    assert {pid for pid, _ in _logged(log)} == {os.getpid()}
+    _assert_no_child()
+
+
+@_forks
+def test_run_grid_reaps_its_lanes_when_this_process_fails(
+        monkeypatch, cold_cache, tmp_path):
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
+    log = tmp_path / "expanded.txt"
+    monkeypatch.setattr(qmod.verify, "catalog_form",
+                        _logging_catalog_form(log, fail="G32"))
+    with pytest.raises(RuntimeError, match="no expansion of G32 to 4861"):
+        run_grid(**_LANE_GRID)
+    _assert_no_child()
+    assert _logged(log)[0] == (os.getpid(), "G32")
+
+
+@_forks
+def test_run_grid_expands_a_failed_lane_here(monkeypatch, cold_cache,
+                                            tmp_path):
+    errors = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(cold_cache, "_data", {})
+        monkeypatch.setattr(verify, "_cpu_count", lambda: cpus)
+        log = tmp_path / f"expanded-{cpus}.txt"
+        monkeypatch.setattr(qmod.verify, "catalog_form",
+                            _logging_catalog_form(log, fail="G27"))
+        with pytest.raises(RuntimeError) as caught:
+            run_grid(**_LANE_GRID)
+        errors.append(str(caught.value))
+        _assert_no_child()
+        # with two lanes the child failed on G27 first, then this process
+        tried = [pid for pid, name in _logged(log) if name == "G27"]
+        assert tried[-1] == os.getpid() and len(tried) == cpus
+    assert errors[0] == errors[1] == "no expansion of G27 to 2561"
 
 
 def test_default_ceiling_constant():
