@@ -99,12 +99,12 @@ def run_grid(levels: tuple[int, ...] = tuple(CURVES),
 
     Every form is expanded once, at the largest precision the grid needs,
     before the checks run, by DEFAULT_CACHE.prefetch: the eta quotients
-    in one lane per available CPU, balanced by kernel slots
-    (prec // gcd(deltas)).  This process expands the lane with the
-    largest form first, so a cold store's first request expands here (the
-    cold-start probe), and forked children the other lanes, whose series
-    enter the store through FormCache.series.  One lane is the serial
-    loop."""
+    in lanes balanced by kernel slots (prec // gcd(deltas)), at most one
+    per available CPU and no more than shorten the longest.  This process
+    expands the lane with the largest form first, so a cold store's first
+    request expands here (the cold-start probe), and forked children the
+    other lanes, whose series enter the store through FormCache.series.
+    One lane is the serial loop."""
     for level in levels:
         curve(level)
     for q in primes or ():

@@ -112,9 +112,9 @@ class FormCache:
     module, so they, _expand and DEFAULT_CACHE stay here.
 
     prefetch holds a planned set of forms and spreads their eta-quotient
-    expansions over the available CPUs.  Lane results from other processes
-    are only pending until series asks for them: they too enter the store
-    through series."""
+    expansions over up to one lane per available CPU.  Lane results from
+    other processes are only pending until series asks for them: they too
+    enter the store through series."""
 
     def __init__(self):
         self._data: dict[str, QSeries] = {}
@@ -137,12 +137,13 @@ class FormCache:
         """Hold every form of need (name -> precision) to at least its
         precision.
 
-        The eta quotients not yet held are split into one lane per
-        available CPU, and never more lanes than forms: largest first, each
-        to the least-loaded lane, a form costing its kernel slots,
-        prec // gcd(deltas).  Lanes 1 and up each expand in one forked
-        child, which sends its series back through a pipe.  This process
-        expands lane 0 itself before it reads any child, so the first
+        The eta quotients not yet held are spread over lanes, largest
+        first, each to the least-loaded lane, a form costing its kernel
+        slots, prec // gcd(deltas); of the lane counts up to the available
+        CPUs, the fewest whose longest lane is shortest (_lanes).  Lanes 1
+        and up each expand in one forked child, which sends its series back
+        through a pipe.  This process expands lane 0, which holds the
+        largest form, itself before it reads any child, so the first
         request of a cold store expands in this process, as perfbench's
         cold-start probe requires.  Then every entry of need is asked for
         in order: a child's series enters the store through series, and a
@@ -205,25 +206,35 @@ def _cpu_count() -> int:
 
 
 def _lanes(todo: dict[str, int]) -> list[list[tuple[str, int]]]:
-    """todo's (name, precision) entries in one lane per available CPU
-    (never more lanes than entries), largest first, each to the
-    least-loaded lane, by kernel slots.  One lane without os.fork, and
-    while other threads run: a forked child could inherit a lock one of
-    them holds."""
+    """todo's (name, precision) entries spread over the fewest lanes, up
+    to one per available CPU and one per entry, whose longest lane (in
+    kernel slots) is shortest: a lane that cannot shorten the longest one
+    is not forked.  One lane without os.fork, and while other threads
+    run: a forked child could inherit a lock one of them holds."""
     forks = hasattr(os, "fork") and threading.active_count() == 1
-    n = min(_cpu_count() if forks else 1, len(todo))
+    entries = sorted(todo.items(), key=_slots, reverse=True)
+    counts = range(1, min(_cpu_count() if forks else 1, len(todo)) + 1)
+    # min keeps the first of equally long plans: the one of fewest lanes
+    return min((_spread(entries, n) for n in counts), default=[],
+               key=lambda lanes: max(sum(map(_slots, lane))
+                                     for lane in lanes))
+
+
+def _spread(entries: list[tuple[str, int]],
+            n: int) -> list[list[tuple[str, int]]]:
+    """entries, largest first, each to the least-loaded of n lanes."""
     lanes: list[list[tuple[str, int]]] = [[] for _ in range(n)]
     loads = [0] * n
-
-    def slots(entry):
-        name, prec = entry
-        return prec // math.gcd(*(d for d, _ in FORMS[name].factors))
-
-    for entry in sorted(todo.items(), key=slots, reverse=True):
+    for entry in entries:
         i = loads.index(min(loads))
         lanes[i].append(entry)
-        loads[i] += slots(entry)
+        loads[i] += _slots(entry)
     return lanes
+
+
+def _slots(entry: tuple[str, int]) -> int:
+    name, prec = entry
+    return prec // math.gcd(*(d for d, _ in FORMS[name].factors))
 
 
 def _fork_lane(lane: list[tuple[str, int]]):

@@ -745,10 +745,32 @@ def test_run_grid_lanes_give_the_serial_store(monkeypatch, cold_cache,
     assert sorted(name for _, name in one) == forms
     assert {pid for pid, _ in one} == {os.getpid()}
     assert sorted(name for _, name in two) == forms
-    assert two[0] == (os.getpid(), "G32")
+    assert [name for pid, name in two if pid == os.getpid()][0] == "G32"
     pids = {name: pid for pid, name in two}
     assert pids["G27"] == pids["G36"] != os.getpid()
     assert {pids[g] for g in ("g27", "g32", "g36", "g64")} == {os.getpid()}
+
+
+def test_lanes_fork_only_what_shortens_the_longest_lane(monkeypatch):
+    # grid_1e5's eta quotients: G27 costs 20,833 slots, G32 10,935 and
+    # G36 10,416, the g-forms 7, 5, 5, 3 and 3
+    small = {"g27": 21, "g32": 21, "g64": 21, "g36": 21, "g144": 21}
+    todo = {"G27": 62501, "G32": 43741, "G36": 62501, **small}
+    names = lambda lanes: [[name for name, _ in lane] for lane in lanes]
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+    assert names(verify._lanes(todo)) == [list(todo)[:3] + list(small)]
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
+    assert names(verify._lanes(todo)) == [["G27", *small], ["G32", "G36"]]
+    # a third lane takes G36 off the longest lane, a fourth shortens none
+    for cpus in (3, 8):
+        monkeypatch.setattr(verify, "_cpu_count", lambda: cpus)
+        assert names(verify._lanes(todo)) == [["G27"], ["G32"],
+                                              ["G36", *small]]
+    # the default grid's G27 (218,453 slots) outweighs all the others,
+    # so no host gives it more than two lanes
+    todo.update(G27=655361, G32=393661)
+    assert names(verify._lanes(todo)) == [["G27"], ["G32", "G36", *small]]
+    assert verify._lanes({}) == []
 
 
 @_forks
@@ -778,7 +800,8 @@ def test_run_grid_reaps_its_lanes_when_this_process_fails(
     with pytest.raises(RuntimeError, match="no expansion of G32 to 4861"):
         run_grid(**_LANE_GRID)
     _assert_no_child()
-    assert _logged(log)[0] == (os.getpid(), "G32")
+    here = [name for pid, name in _logged(log) if pid == os.getpid()]
+    assert here == ["G32"]
 
 
 @_forks
