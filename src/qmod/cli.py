@@ -95,16 +95,16 @@ def run_grid(levels: tuple[int, ...] = tuple(CURVES),
 
     primes=None means every eligible inert prime up to prime_bound, per
     level; repeated primes count once.  m_max=None means the per-prime
-    default depth: the largest m with K * p^(2m+1) + 1 <= ceiling.
+    default depth: the largest m with K * p^(2m+1) + 1 <= ceiling.  An
+    explicit m_max is bounded by the ceiling too: a job above it raises
+    ValueError before any expansion.
 
     Every form is expanded once, at the largest precision the grid needs,
-    before the checks run, by DEFAULT_CACHE.prefetch: the eta quotients
-    in lanes balanced by kernel slots (prec // gcd(deltas)), at most one
-    per available CPU and no more than shorten the longest.  This process
-    expands the lane with the largest form first, so a cold store's first
-    request expands here (the cold-start probe), and forked children the
-    other lanes, whose series enter the store through FormCache.series.
-    One lane is the serial loop."""
+    before the checks run, by DEFAULT_CACHE.prefetch: this process expands
+    the eta quotient of most kernel slots (prec // gcd(deltas)) first, so
+    a cold store's first request expands here (the cold-start probe), and
+    one forked child the others, when more than one CPU is available.
+    Otherwise it is the serial loop."""
     for level in levels:
         curve(level)
     for q in primes or ():
@@ -151,8 +151,12 @@ def run_grid(levels: tuple[int, ...] = tuple(CURVES),
     # than its base.
     need: dict[str, int] = {}
     for level, p, m in jobs:
-        need[f"G{level}"] = max(need.get(f"G{level}", 0),
-                                limit_prec(K, p, m))
+        prec = limit_prec(K, p, m)
+        if prec > ceiling:
+            raise ValueError(f"level {level}, p = {p}, m = {m} needs "
+                             f"precision {prec}, above the precision "
+                             f"ceiling {ceiling}")
+        need[f"G{level}"] = max(need.get(f"G{level}", 0), prec)
         need[f"g{level}"] = K + 1
     DEFAULT_CACHE.prefetch(need)
     reports: list[CheckReport] = []

@@ -106,19 +106,15 @@ class FormCache:
     out the held expansion itself, and coefficient reads one coefficient
     from it, so a check that reads C(p^k), or a warm-up that only sets the
     precision, copies nothing.  A miss in expansion or coefficient still
-    enters through series, the one method that expands: a wrapper on
-    series then sees every expansion the cache makes.  perfbench's
+    enters through series, the one method that expands in this process: a
+    wrapper on series then sees every expansion made here.  prefetch may
+    expand all planned forms but the largest in one forked child, whose
+    series go into the store without passing series.  perfbench's
     cold-start probe patches FormCache.series and catalog_form in this
-    module, so they, _expand and DEFAULT_CACHE stay here.
-
-    prefetch holds a planned set of forms and spreads their eta-quotient
-    expansions over up to one lane per available CPU.  Lane results from
-    other processes are only pending until series asks for them: they too
-    enter the store through series."""
+    module, so they, _expand and DEFAULT_CACHE stay here."""
 
     def __init__(self):
         self._data: dict[str, QSeries] = {}
-        self._pending: dict[str, QSeries] = {}
 
     def series(self, name: str, prec: int) -> QSeries:
         return truncate(_memo(self._data, name, prec, _expand, self, name,
@@ -137,55 +133,51 @@ class FormCache:
         """Hold every form of need (name -> precision) to at least its
         precision.
 
-        The eta quotients not yet held are spread over lanes, largest
-        first, each to the least-loaded lane, a form costing its kernel
-        slots, prec // gcd(deltas); of the lane counts up to the available
-        CPUs, the fewest whose longest lane is shortest (_lanes).  Lanes 1
-        and up each expand in one forked child, which sends its series back
-        through a pipe.  This process expands lane 0, which holds the
-        largest form, itself before it reads any child, so the first
-        request of a cold store expands in this process, as perfbench's
-        cold-start probe requires.  Then every entry of need is asked for
-        in order: a child's series enters the store through series, and a
-        twist twists its held base.  A child that fails leaves its forms to
-        be expanded here, so an error surfaces as it does serially, and
-        every child is reaped before prefetch returns or raises.  With one
-        lane (one CPU, no os.fork, or other threads running) only that last
-        loop runs: the serial path."""
-        lanes = _lanes({
-            name: prec for name, prec in need.items()
-            if isinstance(FORMS.get(name), EtaQuotient)
-            and (name not in self._data or self._data[name].prec < prec)})
-        children = []
+        Of the eta quotients not yet held, the one of most kernel slots,
+        prec // gcd(deltas), expands in this process, and every other one
+        in one forked child, which sends its series back through a pipe.
+        This process expands its form before it reads the child, so the
+        first request of a cold store expands in this process, as
+        perfbench's cold-start probe requires.  Then every entry of need
+        is asked for in order, and a twist twists its held base.  A child
+        that fails leaves its forms to be expanded here, so an error
+        surfaces as it does serially, and the child is reaped before
+        prefetch returns or raises.  The child is forked only when os.fork
+        exists, more than one CPU is available and no other thread runs
+        (a forked child could inherit a lock one of them holds); otherwise
+        only that last loop runs: the serial path."""
+        todo = sorted(((name, prec) for name, prec in need.items()
+                       if isinstance(FORMS.get(name), EtaQuotient)
+                       and (name not in self._data
+                            or self._data[name].prec < prec)),
+                      key=_slots, reverse=True)
+        child = None
+        if (len(todo) > 1 and hasattr(os, "fork") and _cpu_count() > 1
+                and threading.active_count() == 1):
+            child = _fork_lane(todo[1:])
         try:
-            if len(lanes) > 1:
-                for lane in lanes[1:]:
-                    child = _fork_lane(lane)
-                    if child:
-                        children.append(child)
-                for name, prec in lanes[0]:
-                    self.expansion(name, prec)
-                while children:
-                    pid, pipe = children[-1]
+            if child:
+                self.expansion(*todo[0])
+                pid, pipe = child
+                with pipe:
                     data = pipe.read()
-                    pipe.close()
-                    status = os.waitpid(pid, 0)[1]
-                    children.pop()
-                    # a child exits 0 only after writing all of its lane
-                    if status == 0:
-                        for name, (c, prec) in marshal.loads(data).items():
-                            self._pending[name] = QSeries._trusted(c, prec)
+                status = os.waitpid(pid, 0)[1]
+                child = None
+                # the child exits 0 only after writing all of its forms
+                if status == 0:
+                    for name, (c, prec) in marshal.loads(data).items():
+                        _memo(self._data, name, prec, QSeries._trusted, c,
+                              prec)
             for name, prec in need.items():
                 self.expansion(name, prec)
         finally:
-            if children:
-                # this process raised before it read them all
+            if child:
+                # this process raised before it reaped the child
                 from signal import SIGKILL
-            for pid, pipe in children:
+                pid, pipe = child
                 pipe.close()
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
-            self._pending.clear()
 
 
 def _expand(cache: FormCache, name: str, prec: int) -> QSeries:
@@ -193,9 +185,6 @@ def _expand(cache: FormCache, name: str, prec: int) -> QSeries:
     if isinstance(recipe, Twist):
         # reuse the cached base expansion instead of expanding it
         return twist(cache.series(recipe.base, prec), recipe.disc)
-    f = cache._pending.pop(name, None)
-    if f is not None and f.prec >= prec:
-        return f
     return catalog_form(name, prec)
 
 
@@ -205,42 +194,15 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _lanes(todo: dict[str, int]) -> list[list[tuple[str, int]]]:
-    """todo's (name, precision) entries spread over the fewest lanes, up
-    to one per available CPU and one per entry, whose longest lane (in
-    kernel slots) is shortest: a lane that cannot shorten the longest one
-    is not forked.  One lane without os.fork, and while other threads
-    run: a forked child could inherit a lock one of them holds."""
-    forks = hasattr(os, "fork") and threading.active_count() == 1
-    entries = sorted(todo.items(), key=_slots, reverse=True)
-    counts = range(1, min(_cpu_count() if forks else 1, len(todo)) + 1)
-    # min keeps the first of equally long plans: the one of fewest lanes
-    return min((_spread(entries, n) for n in counts), default=[],
-               key=lambda lanes: max(sum(map(_slots, lane))
-                                     for lane in lanes))
-
-
-def _spread(entries: list[tuple[str, int]],
-            n: int) -> list[list[tuple[str, int]]]:
-    """entries, largest first, each to the least-loaded of n lanes."""
-    lanes: list[list[tuple[str, int]]] = [[] for _ in range(n)]
-    loads = [0] * n
-    for entry in entries:
-        i = loads.index(min(loads))
-        lanes[i].append(entry)
-        loads[i] += _slots(entry)
-    return lanes
-
-
 def _slots(entry: tuple[str, int]) -> int:
     name, prec = entry
     return prec // math.gcd(*(d for d, _ in FORMS[name].factors))
 
 
-def _fork_lane(lane: list[tuple[str, int]]):
-    """(pid, pipe) of a forked child that expands lane and writes
+def _fork_lane(forms: list[tuple[str, int]]):
+    """(pid, pipe) of a forked child that expands forms and writes
     marshal.dumps({name: (coefficients, prec)}) to the pipe, or None when
-    the fork fails, which leaves the lane to this process."""
+    the fork fails, which leaves the forms to this process."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -254,7 +216,7 @@ def _fork_lane(lane: list[tuple[str, int]]):
         try:
             os.close(r)
             out = {}
-            for name, prec in lane:
+            for name, prec in forms:
                 f = catalog_form(name, prec)
                 out[name] = (f._c, f.prec)
             with open(w, "wb") as pipe:

@@ -258,12 +258,23 @@ def test_verify_ceiling_must_be_integer(capsys, monkeypatch):
     assert rc == 2 and "QMOD_PREC_CEILING" in err
 
 
-def test_verify_explicit_m_max_overrides_ceiling(capsys, monkeypatch):
-    monkeypatch.setenv("QMOD_PREC_CEILING", "50")
-    rc, out, _ = run(capsys, "verify", "--curve", "27", "--primes", "2",
-                     "--m-max", "1")
-    assert rc == 0
-    assert "PASSED 4/4 (skipped 0)" in out
+def test_verify_ceiling_bounds_an_explicit_depth(capsys, monkeypatch):
+    expanded = []
+    monkeypatch.setattr(qmod.verify, "catalog_form",
+                        lambda *a: expanded.append(a))
+    for ceiling, argv in [
+            (None, ("--curve", "27", "--primes", "2", "--m-max", "40")),
+            ("1000", ("--curve", "32", "--primes", "3", "--m-max", "9")),
+            ("50", ("--curve", "27", "--primes", "2", "--m-max", "1"))]:
+        if ceiling is not None:
+            monkeypatch.setenv("QMOD_PREC_CEILING", ceiling)
+        rc, out, err = run(capsys, "verify", *argv)
+        assert rc == 2 and out == "" and expanded == [], argv
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: level "), argv
+        assert "above the precision ceiling" in lines[0]
+    assert err == ("error: level 27, p = 2, m = 1 needs precision 161, "
+                   "above the precision ceiling 50\n")
 
 
 # ---------------------------------------------------------------------------
@@ -737,40 +748,48 @@ def test_run_grid_lanes_give_the_serial_store(monkeypatch, cold_cache,
     assert lanes[0] == serial[0] and lanes[1] == serial[1]
     assert lanes[2] == serial[2]
     _assert_no_child()
-    # every form once; one lane expands all in this process, two expand
-    # the largest, G32 (4,861 terms at stride 4), here first and G27 and
-    # G36 in one child
+    # every form once; one CPU expands all in this process, two expand
+    # the largest, G32 (4,861 terms at stride 4), here first and all the
+    # others in one child
     forms = ["G27", "G32", "G36", "g27", "g32", "g36", "g64"]
     one, two = _logged(tmp_path / "one.txt"), _logged(tmp_path / "two.txt")
     assert sorted(name for _, name in one) == forms
     assert {pid for pid, _ in one} == {os.getpid()}
     assert sorted(name for _, name in two) == forms
-    assert [name for pid, name in two if pid == os.getpid()][0] == "G32"
+    assert [name for pid, name in two if pid == os.getpid()] == ["G32"]
     pids = {name: pid for pid, name in two}
-    assert pids["G27"] == pids["G36"] != os.getpid()
-    assert {pids[g] for g in ("g27", "g32", "g36", "g64")} == {os.getpid()}
+    assert pids["G27"] != os.getpid()
+    assert {pids[f] for f in forms if f != "G32"} == {pids["G27"]}
 
 
-def test_lanes_fork_only_what_shortens_the_longest_lane(monkeypatch):
-    # grid_1e5's eta quotients: G27 costs 20,833 slots, G32 10,935 and
-    # G36 10,416, the g-forms 7, 5, 5, 3 and 3
-    small = {"g27": 21, "g32": 21, "g64": 21, "g36": 21, "g144": 21}
-    todo = {"G27": 62501, "G32": 43741, "G36": 62501, **small}
-    names = lambda lanes: [[name for name, _ in lane] for lane in lanes]
-    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
-    assert names(verify._lanes(todo)) == [list(todo)[:3] + list(small)]
+@_forks
+def test_run_grid_forks_one_child_on_many_cpus(monkeypatch, cold_cache,
+                                               tmp_path):
+    serial = _grid_on(1, cold_cache, tmp_path / "one.txt", monkeypatch)
+    many = _grid_on(8, cold_cache, tmp_path / "eight.txt", monkeypatch)
+    assert many == serial
+    _assert_no_child()
+    log = _logged(tmp_path / "eight.txt")
+    assert len({pid for pid, _ in log}) == 2
+    assert [name for pid, name in log if pid == os.getpid()] == ["G32"]
+
+
+@_forks
+def test_prefetch_keeps_a_held_form(monkeypatch, cold_cache, tmp_path):
+    # G32 and G27 held above the 4,861 and 2,561 terms _LANE_GRID needs
+    # of them; without the held filter the largest, G32, would be a hit
+    # here and G27 would expand again in the child
+    held = {name: cold_cache.expansion(name, 6000).prec
+            for name in ("G32", "G27")}
     monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
-    assert names(verify._lanes(todo)) == [["G27", *small], ["G32", "G36"]]
-    # a third lane takes G36 off the longest lane, a fourth shortens none
-    for cpus in (3, 8):
-        monkeypatch.setattr(verify, "_cpu_count", lambda: cpus)
-        assert names(verify._lanes(todo)) == [["G27"], ["G32"],
-                                              ["G36", *small]]
-    # the default grid's G27 (218,453 slots) outweighs all the others,
-    # so no host gives it more than two lanes
-    todo.update(G27=655361, G32=393661)
-    assert names(verify._lanes(todo)) == [["G27"], ["G32", "G36", *small]]
-    assert verify._lanes({}) == []
+    log = tmp_path / "expanded.txt"
+    monkeypatch.setattr(qmod.verify, "catalog_form",
+                        _logging_catalog_form(log))
+    run_grid(**_LANE_GRID)
+    _assert_no_child()
+    expanded = [name for _, name in _logged(log)]
+    assert "G32" not in expanded and "G27" not in expanded
+    assert {name: cold_cache._data[name].prec for name in held} == held
 
 
 @_forks
