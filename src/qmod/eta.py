@@ -3,7 +3,7 @@
 An eta quotient prod_delta eta(delta z)^(r_delta) expands as
 q^s * prod_delta E(q^delta)^(r_delta), where E(q) = prod_n (1 - q^n) and
 s = sum(delta * r_delta) / 24 must be an integer.  Expansion multiplies
-and divides four lacunary building blocks, each with constant term 1:
+and divides five lacunary building blocks, each with constant term 1:
 
 - E(q) = sum_{k in Z} (-1)^k q^(k(3k-1)/2), Euler's pentagonal number
   theorem; eta(z) = q^(1/24) E(q).
@@ -20,19 +20,20 @@ and divides four lacunary building blocks, each with constant term 1:
   Proof: the Jacobi triple product sum_n x^n q^(n^2) =
   prod_m (1 - q^(2m)) (1 + x q^(2m-1)) (1 + q^(2m-1) / x) at x = -1 is
   E(q^2) prod_m (1 - q^(2m-1))^2, and prod_m (1 - q^(2m-1)) = E(q) / E(q^2).
+- c(q) / (3 q^(1/3)) = E(q^3)^3 / E(q) = (1/3) sum_{m,n in Z}
+  q^(m^2+mn+n^2+m+n), from the cubic theta function c(q) =
+  3 eta(3z)^3 / eta(z) (see _cubic_theta).
 
-_plan rewrites the exponent vector with the last two wherever that saves
+_plan rewrites the exponent vector with the last three wherever that saves
 an Euler-factor division.  eta_quotient_expand then multiplies all the
-numerator atoms into one packed integer and divides it there by the first
-divisor (qseries._product_quotient); a second divisor goes through div.
-No dense-by-dense product ever forms.  The packed rows of that first
-division take their width from _rate_bits, a bound proved from the eta
-quotient itself: it rewrites the quotient with bounded atoms, the cubic
-theta function b(q) = E(q)^3 / E(q^3) among them, and bounds what is
-left by the growth of its Euler-factor divisors alone.  A second
-division's rows take the 1-norm of the first quotient times the bound
-_rate_bits gives for the divisor's inverse.  The catalog divides as
-follows:
+numerator atoms into one packed integer and divides it there by the
+product of the divisor atoms (qseries._product_quotient), so every
+expansion divides once and no dense-by-dense product ever forms.  The
+packed rows of that division take their width from _rate_bits, a bound
+proved from the eta quotient itself: it rewrites the quotient with
+bounded atoms, c(q) and the cubic theta function b(q) = E(q)^3 / E(q^3)
+among them, and bounds what is left by the growth of its Euler-factor
+divisors alone.  The catalog divides as follows:
 
 - g27, g32 and g36 have no negative exponent and divide by nothing.
 - g64 = eta(8z)^8 / (eta(4z)^2 eta(16z)^2) = q E(q^8)^2 E(-q^4)^2 and
@@ -44,11 +45,10 @@ follows:
 - G27 = eta(3z) eta(9z)^6 / eta(27z)^3, L2 = eta(3z)^3 / eta(27z)^3 and
   G36 = eta(6z)^3 eta(12z) eta(18z)^3 / eta(36z)^3 divide once, by a cube;
   a theta atom could only split that cube.
-- L1 = eta(9z)^4 / (eta(3z) eta(27z)^3) and
-  L36 = eta(6z) eta(9z)^3 / (eta(3z) eta(18z)^3) divide twice, by E(q^3)
-  and by a cube.  L1's deltas are odd, so no theta atom fits it; for L36
-  the one that fits, phi(-q^9), would split the cube E(q^18)^3 into two
-  divisions.  E(q^3) goes first, in the packed pass (see _plan).
+- L1 = eta(9z)^4 / (eta(3z) eta(27z)^3) = q^-2 E(q^9) c(q^3) / E(q^27)^3
+  and L36 = eta(6z) eta(9z)^3 / (eta(3z) eta(18z)^3)
+  = q^-1 E(q^6) c(q^3) / E(q^18)^3 divide once, by a cube: c(q^3)
+  absorbs their E(q^3) divisor.
 
 The catalog holds the five weight-2 CM newforms that are eta quotients
 (levels 27, 32, 36, 64, 144), the weight-2 companion forms with a simple
@@ -61,12 +61,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import count
 from math import gcd, isqrt
 
 from .qseries import (PrecisionError, QSeries, _lattice, _product_quotient,
-                      div, one)
+                      mul, one)
 from .operators import twist as _twist_op
 
 __all__ = [
@@ -221,6 +221,41 @@ def _theta_at_minus_q(delta: int, prec: int) -> QSeries:
     return QSeries._trusted(d, prec)
 
 
+def _cubic_theta(delta: int, prec: int) -> QSeries:
+    """E(q^(3 delta))^3 / E(q^delta)
+    = (1/3) sum_{m,n in Z} q^(delta (m^2+mn+n^2+m+n))
+    = sum_{k,n >= 0} q^(delta (k^2-kn+n^2+k)).
+
+    The first sum is c(q^delta) / (3 q^(delta/3)) for the cubic theta
+    function c(q) = sum_{m,n in Z} q^((m+1/3)^2 + (m+1/3)(n+1/3) + (n+1/3)^2)
+    = 3 eta(3z)^3 / eta(z) (Borwein, Borwein and Garvan, Trans. AMS 343,
+    1994), whose exponent is (m+1/3)^2 + (m+1/3)(n+1/3) + (n+1/3)^2
+    = m^2+mn+n^2+m+n + 1/3.
+
+    The map s(m, n) = (n, -m-n-1) keeps Q = m^2+mn+n^2+m+n, has order 3
+    and no fixed point (one would have n = m and 3m = -1), so every orbit
+    has three points and every count of representations is divisible by 3.
+    Each orbit meets D = {n >= 0, m + n >= 0} exactly once: s(m, n) lies
+    in D when m <= -1 and m + n <= -1, s(s(m, n)) = (-m-n-1, m) when
+    m >= 0 and n <= -1, and these two sets and D split Z^2.  On D, with
+    k = m + n, Q = k^2-kn+n^2+k over k, n >= 0.
+
+    For fixed k, Q < M exactly when (2n - k)^2 < 4M - 3k^2 - 4k =: disc,
+    that is |2n - k| <= isqrt(disc - 1), and disc falls as k grows.
+    """
+    M = -(-prec // delta)  # delta Q < prec
+    counts = [0] * M
+    for k in count(0):
+        disc = 4 * M - 3 * k * k - 4 * k
+        if disc < 1:
+            break
+        s, a = isqrt(disc - 1), k * k + k
+        for n in range(max(0, (k - s + 1) // 2), (k + s) // 2 + 1):
+            counts[a + n * (n - k)] += 1
+    return QSeries._trusted(
+        {delta * e: c for e, c in enumerate(counts) if c}, prec)
+
+
 # Every atom kind, one row each: (expansion, exponent vector, majorant).
 # The expansion is the lacunary series at (delta, prec); b(q) = E(q)^3 /
 # E(q^3) (see _rate_bits) has None, as it only bounds.  The vector {k: r}
@@ -232,6 +267,7 @@ _ATOMS = {
     "E^3": (_euler_factor_cubed, {1: 3}, (6367, 10000, 2)),
     "E(-q)": (_euler_factor_at_minus_q, {1: -1, 2: 3, 4: -1}, (1, 1, 1)),
     "phi(-q)": (_theta_at_minus_q, {1: 2, 2: -1}, (1, 1, 1)),
+    "c": (_cubic_theta, {1: -1, 3: 3}, (1, 2, 2)),
     "b": (None, {1: 3, 3: -1}, (2, 1, 2)),
 }
 
@@ -306,16 +342,10 @@ def _plan(factors) -> tuple[tuple, tuple]:
     The theta atoms are taken out of the exponent vector by _rewrite while
     that lowers _divisions, which only a move that feeds a negative
     exponent can do.  What is left splits into cubes and single Euler
-    factors.
-
-    The divisors go in increasing delta.  For L1 and L36 that puts E(q^3)
-    first: its stride on their lattice is 1, so it runs the scalar branch
-    of _product_quotient, and it does so on the numerator's small
-    coefficients (E(q^6) E(q^9)^3 / E(q^3) stays below 7 bits at 10^5
-    terms).  At 10^5 terms both forms expanded about a fifth faster that
-    way than with E(q^3) last.
+    factors, the divisors in increasing delta.
     """
-    r, theta = _rewrite(dict(factors), ("E(-q)", "phi(-q)"), _divisions)
+    r, theta = _rewrite(dict(factors), ("E(-q)", "phi(-q)", "c"),
+                        _divisions)
     num, den = _euler_split(r)
     return tuple(num + theta), tuple(den)
 
@@ -331,7 +361,7 @@ def _bound_plan(factors) -> tuple[Fraction, tuple]:
     of E(q^delta)^(r'_delta), with inverse rate rho = sum |r'_delta| /
     delta.
 
-    _rewrite takes out the theta atoms and b(q) while that lowers
+    _rewrite takes out the theta atoms, b(q) and c(q) while that lowers
     _rates: first rho, then, at equal rho, sigma.  No move raises rho.
     A move that keeps rho can still lower sigma, and that lets one atom
     free exponents for the next: G36 takes phi(-q^18), then b(q^6), which
@@ -339,27 +369,29 @@ def _bound_plan(factors) -> tuple[Fraction, tuple]:
     splits into cubes and single Euler factors, also bounded atoms.
     G27 = q^-1 E(q^3) b(q^9)^2 / E(q^27), rho = 1/27 (from 1/9);
     G36 = q^-1 b(q^6) E(q^12) phi(-q^18)^2 / E(q^36), rho = 1/36 (from
-    1/12).
+    1/12); L1 = q^-2 E(q^9) c(q^3) / E(q^27)^3, rho = 1/9 (from 4/9);
+    L36 = q^-1 E(q^6) c(q^3) / E(q^18)^3, rho = 1/6 (from 1/2).
     """
-    r, taken = _rewrite(dict(factors), ("E(-q)", "phi(-q)", "b"), _rates)
+    r, taken = _rewrite(dict(factors), ("E(-q)", "phi(-q)", "b", "c"),
+                        _rates)
     num, _ = _euler_split(r)
     return _rates(r)[0], tuple(num + taken)
 
 
 @cache
-def _rate_terms(num: tuple, divisor: tuple) -> tuple:
+def _rate_terms(num: tuple, den: tuple) -> tuple:
     """The K-free integers of _rate_bits for the quotient of the atoms num
-    by the atom (kind, delta) divisor: (a, b, ((y4_num, y4_den, j), ...))
-    with rho = a / b from _bound_plan of the quotient's exponent vector,
-    or 1 / delta when that leaves no negative exponent, and
-    (y 2^_FRAC)^4 = y4_num * K / y4_den per bound atom, equal atoms
-    merged into one power j."""
+    by the atoms den, each a (kind, delta): (a, b, ((y4_num, y4_den, j),
+    ...)) with rho = a / b from _bound_plan of the quotient's exponent
+    vector, or 1 / delta of the first divisor when that leaves no negative
+    exponent, and (y 2^_FRAC)^4 = y4_num * K / y4_den per bound atom,
+    equal atoms merged into one power j."""
     r = {}
-    for sign, (kind, delta) in [(1, a) for a in num] + [(-1, divisor)]:
+    for sign, (kind, delta) in [(1, a) for a in num] + [(-1, a) for a in den]:
         for k, e in _ATOMS[kind][1].items():
             r[k * delta] = r.get(k * delta, 0) + sign * e
     rho, atoms = _bound_plan(tuple(sorted((d, e) for d, e in r.items() if e)))
-    rho = rho or Fraction(1, divisor[1])
+    rho = rho or Fraction(1, den[0][1])
     a, b = rho.numerator, rho.denominator
     terms = {}
     for kind, delta in atoms:
@@ -369,10 +401,10 @@ def _rate_terms(num: tuple, divisor: tuple) -> tuple:
     return a, b, tuple((*y4, j) for y4, j in terms.items())
 
 
-def _rate_bits(num: tuple, divisor: tuple, K: int) -> int:
+def _rate_bits(num: tuple, den: tuple, K: int) -> int:
     """An integer b such that every coefficient at degrees 0..K of
-    Q = prod(num) / divisor, the quotient of the atoms, is below 2^b;
-    with num empty, Q = 1 / divisor.
+    Q = prod(num) / prod(den), the quotient of the atoms (den not empty),
+    is below 2^b; with num empty, Q = 1 / prod(den).
 
     Write Q as _bound_plan does, the atoms A times prod E(q^delta)^(-s_d)
     with s_d > 0 and rho = sum s_d / delta.  The coefficients of
@@ -388,7 +420,7 @@ def _rate_bits(num: tuple, divisor: tuple, K: int) -> int:
     This holds for every t > 0, so it also holds with rho replaced by any
     rho' >= rho with rho' > 0.  When no negative exponent is left (rho = 0,
     as for b(q) = E(q)^3 / E(q^3) itself), _rate_terms takes rho = 1 / delta
-    of the divisor.
+    of the first divisor.
 
     The majorants, at x = e^(-u), with sum_(n>=1) e^(-u n^2) <=
     integral_0^inf e^(-u y^2) dy = sqrt(pi / u) / 2:
@@ -406,6 +438,9 @@ def _rate_bits(num: tuple, divisor: tuple, K: int) -> int:
       1994), so |b_n| is at most the number of representations of n by
       m^2+mn+n^2, which is 6 sum_(d|n) (d|3) <= 6 d(n); and
       m^2+mn+n^2 >= (m^2+n^2)/2 gives M <= (1 + sqrt(2 pi / u))^2.
+    - c(q) = E(q^3)^3 / E(q) = sum_(k,n >= 0) q^(k^2-kn+n^2+k) (see
+      _cubic_theta) and k^2-kn+n^2+k >= (k^2+n^2)/2, so
+      M <= (sum_(k>=0) x^(k^2/2))^2 <= (1 + sqrt(pi / (2u)))^2.
 
     Each is (1 + sqrt(c / u))^j with c <= pi g, (g, j) from _ATOMS.
     t = pi sqrt(rho / (6K)) makes the first two terms pi sqrt(2 rho K / 3)
@@ -417,7 +452,7 @@ def _rate_bits(num: tuple, divisor: tuple, K: int) -> int:
     product M as (M - 1).bit_length(), 0 at M = 1.  The bound stays strict:
     the first term over-estimates, as 4.533 > pi / log 2 and isqrt + 1 > sqrt.
     """
-    a, b, terms = _rate_terms(num, divisor)
+    a, b, terms = _rate_terms(num, den)
     F = _FRAC
     bits = -(-4533 * (isqrt((2 * a * K << 2 * F) // (3 * b)) + 1)
              // (1000 << F))
@@ -433,9 +468,8 @@ def eta_quotient_expand(eq: EtaQuotient, prec: int) -> QSeries:
 
     Raises ShiftError when the q-shift sum(delta*r)/24 is not an integer and
     PrecisionError when prec does not reach past the shift.  The numerator
-    atoms of _plan and its first divisor go through one packed product and
-    division, with the quotient bound of _rate_bits; a later divisor goes
-    through div, with a bound proved here as well.
+    atoms of _plan and the product of its divisor atoms go through one
+    packed product and division, with the quotient bound of _rate_bits.
     """
     s_frac = eq.shift
     if s_frac.denominator != 1:
@@ -449,22 +483,11 @@ def eta_quotient_expand(eq: EtaQuotient, prec: int) -> QSeries:
         )
     pw = prec - s
     num, den = _plan(tuple(eq.factors))
-
-    def atom(kind, delta):
-        return _ATOMS[kind][0](delta, pw)
-
-    factors = [atom(*a) for a in num] or [one(pw)]
-    first = [atom(*a) for a in den[:1]]
-    bits = _rate_bits(num, den[0], pw - 1) if den else None
-    f = _product_quotient(factors, first[0] if den else None, bits, s, pw,
-                          _lattice(*factors, *first))
-    del factors, first  # let the atoms go before a second division
-    for a in den[1:]:
-        # each h_k is a sum of f_i (1/a)_(k-i), so |h_k| is below
-        # ||f||_1 times the largest coefficient of 1/a below q^pw
-        bits = sum(map(abs, f._c.values())).bit_length() + _rate_bits(
-            (), a, pw - 1)
-        f = div(f, atom(*a), quotient_bits=bits)
+    factors = [_ATOMS[k][0](d, pw) for k, d in num] or [one(pw)]
+    divisors = [_ATOMS[k][0](d, pw) for k, d in den]
+    f = _product_quotient(factors, reduce(mul, divisors) if den else None,
+                          _rate_bits(num, den, pw - 1) if den else None,
+                          s, pw, _lattice(*factors, *divisors))
     if f.prec != prec:
         raise RuntimeError(
             f"eta product came back at precision {f.prec}, not {prec}"

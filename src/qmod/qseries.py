@@ -12,10 +12,10 @@ coefficient beyond it.  For the zero series (no stored entries) the leading
 exponent is reported as P itself, which acts as an order sentinel in the
 precision rules below.
 
-One kernel, _product_quotient, runs mul's packed branch, div and the
-eta-quotient expansion.  It packs many coefficients into one Python integer
-(Kronecker substitution): a list v_0, ..., v_{n-1} becomes
-sum_k v_k 2^(kW) with W = 8B bits per slot.  A slot value v with
+One kernel, _product_quotient, runs mul's packed branch and the
+eta-quotient expansion, division included.  It packs many coefficients
+into one Python integer (Kronecker substitution): a list v_0, ..., v_{n-1}
+becomes sum_k v_k 2^(kW) with W = 8B bits per slot.  A slot value v with
 |v| < 2^(W-1) is stored as v + 2^(W-1), a B-byte unsigned field, so the
 conversion runs through int.to_bytes/int.from_bytes; subtracting the same
 offset in every slot gives back a signed-digit integer on which big-int
@@ -24,9 +24,7 @@ is a strided copy of those bytes.  The digits of such an integer are
 recovered exactly when every slot of the result again lies in
 (-2^(W-1), 2^(W-1)), so every slot width comes from a proven bound on
 the coefficients it will hold and never from a guess that is checked
-later: the kernel proves the product's, and the caller of a division
-proves the quotient's.  div passes its caller's bound through, and eta
-proves every bound the package passes.
+later: the kernel proves the product's, and eta proves the quotient's.
 Two helpers carry its arithmetic: _shift_add multiplies a packed integer
 by a lacunary series, and _solve_rows runs the division recurrence on
 whole packed rows.
@@ -39,13 +37,11 @@ import math
 __all__ = [
     "QSeries",
     "PrecisionError",
-    "NotInvertibleError",
     "one",
     "add",
     "sub",
     "scale",
     "mul",
-    "div",
     "truncate",
     "first_difference",
     "padic_valuation",
@@ -55,10 +51,6 @@ __all__ = [
 
 class PrecisionError(ValueError):
     """A coefficient or range beyond the certified precision was requested."""
-
-
-class NotInvertibleError(ValueError):
-    """Inversion or division needs a nonzero series with unit leading term."""
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -388,9 +380,9 @@ def _product_quotient(factors: list[QSeries], divisor: QSeries | None,
     P exponents past its order, and every exponent offset a multiple of L
     (see _lattice).  The divisor's leading coefficient u is +-1.
     quotient_bits is None or an integer b such that every coefficient of
-    the quotient at the first P offsets is below 2^b; eta proves every
-    one, and div passes its caller's through.  The numerator needs no such
-    bound: the rows never get narrower than its packing width (below).
+    the quotient at the first P offsets is below 2^b; eta proves it.  The
+    numerator needs no such bound: the rows never get narrower than its
+    packing width (below).
 
     The result lives on n = ceil(P / L) slots of the compressed lattice.
     The factor with the most stored terms is laid out as a list a of exact
@@ -519,41 +511,6 @@ def mul(f: QSeries, g: QSeries) -> QSeries:
     for e in [e for e, c in d.items() if c == 0]:
         del d[e]
     return QSeries._trusted(d, P)
-
-
-# ---------------------------------------------------------------------------
-# division
-
-def div(f: QSeries, g: QSeries, quotient_bits: int | None = None) -> QSeries:
-    """Solve g*h = f for h by forward substitution.
-
-    Requires g nonzero with leading coefficient +-1.  The result is certified
-    to precision min(f.prec - order(g), g.prec - 2*order(g) + order(f)),
-    the precision of mul(f, 1/g) with 1/g certified to g.prec - 2*order(g).
-    Cost is (number of stored terms of g) times the output length, so
-    division by a lacunary series is cheap.
-
-    quotient_bits, if given, must be an integer b such that every
-    coefficient of h below the result precision is below 2^b in absolute
-    value, the bound of _product_quotient, which gets it unchanged.  It
-    lets the kernel solve the residue classes of h that the stride of g
-    separates together, in packed rows.  Without it every coefficient is
-    solved on its own.
-    """
-    if not g._c:
-        raise NotInvertibleError("division by a zero series")
-    wg = g._order
-    u = g._c[wg]
-    if u not in (1, -1):
-        raise NotInvertibleError(
-            f"leading coefficient {u} of the divisor is not a unit"
-        )
-    P = min(f.prec - wg, g.prec - 2 * wg + f._order)
-    if not f._c:
-        return QSeries._trusted({}, P)
-    w = f._order - wg
-    return _product_quotient([f], g, quotient_bits, w, P - w,
-                             _lattice(f, g))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import reduce
 from math import isqrt
 
 import pytest
@@ -19,7 +20,6 @@ from qmod import (
     catalog_form,
     catalog_manifest,
     cusp_orders,
-    div,
     eta_quotient_expand,
     first_difference,
     one,
@@ -29,7 +29,7 @@ from qmod.eta import (_ATOMS, _bound_plan, _euler_factor, _plan,
                       _rate_bits, curve)
 from qmod.qseries import _lattice, _product_quotient, _slot_bytes
 from _oracles import (cm_newform_coefficients, naive_euler_product,
-                      naive_eta_quotient, ref_mul)
+                      naive_eta_quotient, ref_invert, ref_mul)
 
 ETA_NAMES = sorted(n for n, r in FORMS.items() if isinstance(r, EtaQuotient))
 
@@ -276,7 +276,7 @@ def test_euler_inverse_width_lemma():
     assert p3[:6] == [1, 3, 9, 22, 51, 108]
     for kind, coeffs in (("E", p), ("E^3", p3)):
         for m, c in enumerate(coeffs):
-            assert 0 <= c < 2 ** _rate_bits((), (kind, 1), m), (kind, m)
+            assert 0 <= c < 2 ** _rate_bits((), ((kind, 1),), m), (kind, m)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +325,16 @@ def test_theta_atoms_match_their_eta_forms():
     assert _ATOMS["E^3"][0](1, 300) == euler(1, 300, 3)
 
 
+@pytest.mark.parametrize("delta", [1, 3])
+def test_cubic_theta_c_atom(delta):
+    # E(q^(3 delta))^3 / E(q^delta) through q^3000, from the Jacobi cube
+    # and the schoolbook inverse of the pentagonal series
+    N = 3001
+    E = QSeries(naive_euler_product(delta, N), N)
+    assert _ATOMS["c"][0](delta, N) == ref_mul(
+        _ATOMS["E^3"][0](3 * delta, N), ref_invert(E))
+
+
 def _euler_split(factors):
     """Divisors before any rewriting: a cube per three of -r, then single
     Euler factors."""
@@ -337,18 +347,42 @@ def test_catalog_division_plans():
     assert {n: den for n, (_, den) in plans.items()} == {
         "g27": (), "g32": (), "g36": (), "g64": (), "g144": (),
         "G27": (("E^3", 27),), "L2": (("E^3", 27),),
-        "L1": (("E", 3), ("E^3", 27)), "L36": (("E", 3), ("E^3", 18)),
+        "L1": (("E^3", 27),), "L36": (("E^3", 18),),
         "G36": (("E^3", 36),), "G32": (("E", 32),),
     }
+    # every catalog eta quotient divides at most once
+    assert all(len(den) <= 1 for _, den in plans.values())
     assert sorted(plans["G32"][0]) == (
         [("E", 4)] * 2 + [("phi(-q)", 16)] * 3)
     assert sorted(plans["g64"][0]) == [("E", 8)] * 2 + [("E(-q)", 4)] * 2
     assert plans["g144"][0] == (("E(-q)", 6),) * 4
+    # c(q^3) = E(q^9)^3 / E(q^3) takes L1's and L36's E(q^3) divisor
+    assert plans["L1"][0] == (("E", 9), ("c", 3))
+    assert plans["L36"][0] == (("E", 6), ("c", 3))
     # every form without a theta atom keeps its plain Euler split
-    for name in set(ETA_NAMES) - {"G32", "g64", "g144"}:
+    for name in set(ETA_NAMES) - {"G32", "g64", "g144", "L1", "L36"}:
         factors = FORMS[name].factors
         assert sorted(plans[name][1]) == _euler_split(factors), name
-        assert not any(k in ("E(-q)", "phi(-q)") for k, _ in plans[name][0])
+        assert not any(k in ("E(-q)", "phi(-q)", "c")
+                       for k, _ in plans[name][0])
+
+
+def test_two_divisor_atoms_divide_once(monkeypatch):
+    # eta(3z) / (eta(z) eta(2z)) keeps E(q) and E(q^2) as divisors: the
+    # kernel runs once, on the product of the two
+    eq = EtaQuotient(((3, 1), (1, -1), (2, -1)), 6)
+    assert _plan(eq.factors) == ((("E", 3),), (("E", 1), ("E", 2)))
+    calls = []
+    real = qmod.eta._product_quotient
+
+    def recording(factors, divisor, quotient_bits, w, P, L):
+        calls.append(divisor)
+        return real(factors, divisor, quotient_bits, w, P, L)
+
+    monkeypatch.setattr(qmod.eta, "_product_quotient", recording)
+    assert eta_quotient_expand(eq, 1000) == naive_eta_quotient(eq.factors,
+                                                               1000)
+    assert calls == [ref_mul(_euler_factor(1, 1000), _euler_factor(2, 1000))]
 
 
 @pytest.mark.parametrize("name", ETA_NAMES)
@@ -387,18 +421,15 @@ def respaced(monkeypatch):
 
 
 def _scalar_expansion(eq, prec):
-    """eta_quotient_expand's plan with every division run by the scalar
+    """eta_quotient_expand's plan with its division run by the scalar
     recurrence: the kernel gets no quotient bound, so it solves no rows."""
     s = int(eq.shift)
     pw = prec - s
     num, den = _plan(eq.factors)
     factors = [_ATOMS[k][0](d, pw) for k, d in num] or [one(pw)]
-    first, *rest = [_ATOMS[k][0](d, pw) for k, d in den]
-    f = _product_quotient(factors, first, None, s, pw,
-                          _lattice(*factors, first))
-    for g in rest:
-        f = div(f, g)
-    return f
+    divisor = reduce(ref_mul, [_ATOMS[k][0](d, pw) for k, d in den])
+    return _product_quotient(factors, divisor, None, s, pw,
+                             _lattice(*factors, divisor))
 
 
 def _cubic_theta_sum(N):
@@ -420,7 +451,7 @@ def test_cubic_theta_function_and_its_coefficient_bound():
     # b(q) = E(q)^3 / E(q^3) = sum_(m,n) w^(m-n) q^(m^2+mn+n^2) through
     # q^3000, and |b_n| <= 6 d(n) for n >= 1
     N = 3001
-    b = div(_ATOMS["E^3"][0](1, N), _ATOMS["E"][0](3, N))
+    b = ref_mul(_ATOMS["E^3"][0](1, N), ref_invert(_ATOMS["E"][0](3, N)))
     assert b == _cubic_theta_sum(N)
     divisors = [0] * N
     for k in range(1, N):
@@ -451,7 +482,8 @@ def test_quotient_bound_rows_match_the_scalar_recurrence(case):
 
 def test_bound_plans_of_the_cubes():
     # G27 = q^-1 E(q^3) b(q^9)^2 / E(q^27), G36 = q^-1 b(q^6) E(q^12)
-    # phi(-q^18)^2 / E(q^36)
+    # phi(-q^18)^2 / E(q^36), L1 = q^-2 E(q^9) c(q^3) / E(q^27)^3 and
+    # L36 = q^-1 E(q^6) c(q^3) / E(q^18)^3
     rho, atoms = _bound_plan(FORMS["G27"].factors)
     assert rho == Fraction(1, 27)
     assert sorted(atoms) == [("E", 3), ("b", 9), ("b", 9)]
@@ -459,6 +491,10 @@ def test_bound_plans_of_the_cubes():
     assert rho == Fraction(1, 36)
     assert sorted(atoms) == [("E", 12), ("b", 6), ("phi(-q)", 18),
                              ("phi(-q)", 18)]
+    assert _bound_plan(FORMS["L1"].factors) == (
+        Fraction(1, 9), (("E", 9), ("c", 3)))
+    assert _bound_plan(FORMS["L36"].factors) == (
+        Fraction(1, 6), (("E", 6), ("c", 3)))
 
 
 # Precisions of the bound sweep, and the bytes per row slot of each first
@@ -479,29 +515,27 @@ _ONE_NORM_ROW_BYTES = {
 def _first_division_bits(name, prec):
     eq = FORMS[name]
     num, den = _plan(eq.factors)
-    return _rate_bits(num, den[0], prec - int(eq.shift) - 1)
+    return _rate_bits(num, den, prec - int(eq.shift) - 1)
 
 
 @pytest.mark.parametrize("name", ["G27", "G32", "G36", "L1", "L2", "L36"])
 def test_quotient_bits_bound_the_first_quotient(name, monkeypatch,
                                                 respaced):
-    # the kernel's first quotient at the top of the sweep holds it at every
-    # smaller precision as a prefix.  L1 and L36 divide first by E(q^3), a
-    # stride of 1 on their lattice, so that division solves no rows and
-    # only their second one, through div, is respaced
+    # the kernel's quotient at the top of the sweep holds it at every
+    # smaller precision as a prefix; it is the expansion's one division,
+    # and its rows are the only ones respaced
     calls = []
     real = qmod.eta._product_quotient
 
     def recording(factors, divisor, quotient_bits, w, P, L):
         out = real(factors, divisor, quotient_bits, w, P, L)
-        calls.append((quotient_bits, out, len(respaced)))
+        calls.append((quotient_bits, out))
         return out
 
     monkeypatch.setattr(qmod.eta, "_product_quotient", recording)
     eta_quotient_expand(FORMS[name], _SWEEP[-1])
-    (passed, quotient, first_rows), = calls
+    (passed, quotient), = calls
     assert passed == _first_division_bits(name, _SWEEP[-1])
-    assert first_rows == (0 if name in ("L1", "L36") else 1)
     assert len(respaced) == 1
     widest, k = 0, 0
     old = _ONE_NORM_ROW_BYTES.get(name, (None,) * len(_SWEEP))
@@ -516,28 +550,18 @@ def test_quotient_bits_bound_the_first_quotient(name, monkeypatch,
     assert k == len(_SWEEP)
 
 
-@pytest.mark.parametrize("name", ["L1", "L36"])
-def test_div_rows_hold_the_second_quotient(name, respaced):
-    # L1's and L36's only rows are their second division's, by a cube,
-    # through div with eta's bound from the 1-norm of the first quotient
-    # (test_second_division_bound_at_every_precision).  At every sweep
-    # precision from 30 on (below it the cube has no step) they hold the
-    # widest coefficient of the expansion and a sign bit
-    for prec in _SWEEP:
-        respaced.clear()
-        f = eta_quotient_expand(FORMS[name], prec)
-        widest = max(abs(c).bit_length() for _, c in f.items())
-        assert len(respaced) == (prec >= 30), (name, prec)
-        assert all(8 * Bw >= widest + 1 for _, Bw in respaced), (name, prec)
-
-
 @pytest.mark.parametrize("name,prec,most", [
     ("G27", 62_501, 232), ("G27", 655_361, 640),
     ("G36", 62_501, 200), ("G36", 655_361, 560),
+    ("L1", 62_501, 327), ("L1", 655_361, 1_021),
+    ("L36", 62_501, 396), ("L36", 655_361, 1_246),
 ])
 def test_cube_quotient_rows_are_narrow(name, prec, most):
     # the 1-norm bound alone gave 348 and 1,045 bits for G27 and 301 and
-    # 908 for G36; the coefficients reach 173 and 549, and 131 and 413 bits
+    # 908 for G36; the coefficients reach 173 and 549, and 131 and 413 bits.
+    # L1 and L36 stay within the pinned widths of their old second
+    # division, by the cube with the 1-norm of the quotient by E(q^3);
+    # their coefficients reach 227 and 755, and 240 and 801 bits
     assert _first_division_bits(name, prec) <= most
 
 
@@ -549,35 +573,3 @@ def test_narrow_rows_give_the_scalar_expansion(name, respaced):
     assert len(respaced) == 1
     assert narrow == _scalar_expansion(FORMS[name], 300_001)
     assert len(respaced) == 1  # the scalar recurrence solved no rows
-
-
-@pytest.mark.parametrize("name", ["L1", "L36"])
-def test_second_division_bound_at_every_precision(name, monkeypatch):
-    # eta bounds L1's and L36's second quotient by bits(||f||_1), f the
-    # first quotient, plus _rate_bits of the cube's inverse.  The first
-    # quotient and the expansion at N terms hold those at every smaller
-    # precision as prefixes, so running sums give the bound and the widest
-    # coefficient at every precision from shift + 2 to N
-    N = 3_100
-    calls = []
-    real = qmod.eta.div
-
-    def recording(f, g, quotient_bits=None):
-        calls.append((f, quotient_bits))
-        return real(f, g, quotient_bits)
-
-    monkeypatch.setattr(qmod.eta, "div", recording)
-    eq = FORMS[name]
-    s = int(eq.shift)
-    cube = _plan(eq.factors)[1][1]
-    h = eta_quotient_expand(eq, N)
-    (f, passed), = calls
-    norm = sum(abs(c) for _, c in f.items())
-    assert passed == norm.bit_length() + _rate_bits((), cube, N - s - 1)
-    norm = widest = 0
-    for prec in range(s + 1, N + 1):
-        norm += abs(f.coefficient(prec - 1))
-        widest = max(widest, abs(h.coefficient(prec - 1)).bit_length())
-        if prec >= s + 2:
-            bits = norm.bit_length() + _rate_bits((), cube, prec - s - 1)
-            assert bits >= widest + 1, (name, prec)
