@@ -367,22 +367,25 @@ def test_catalog_division_plans():
                        for k, _ in plans[name][0])
 
 
-def test_two_divisor_atoms_divide_once(monkeypatch):
+def test_two_divisor_atoms_divide_in_turn(monkeypatch):
     # eta(3z) / (eta(z) eta(2z)) keeps E(q) and E(q^2) as divisors: the
-    # kernel runs once, on the product of the two
+    # kernel divides by E(q), with the bound of that quotient, and div
+    # by E(q^2), each atom on its own, so every division stays lacunary
     eq = EtaQuotient(((3, 1), (1, -1), (2, -1)), 6)
-    assert _plan(eq.factors) == ((("E", 3),), (("E", 1), ("E", 2)))
+    num, den = _plan(eq.factors)
+    assert (num, den) == ((("E", 3),), (("E", 1), ("E", 2)))
     calls = []
     real = qmod.eta._product_quotient
 
     def recording(factors, divisor, quotient_bits, w, P, L):
-        calls.append(divisor)
+        calls.append((divisor, quotient_bits))
         return real(factors, divisor, quotient_bits, w, P, L)
 
     monkeypatch.setattr(qmod.eta, "_product_quotient", recording)
     assert eta_quotient_expand(eq, 1000) == naive_eta_quotient(eq.factors,
                                                                1000)
-    assert calls == [ref_mul(_euler_factor(1, 1000), _euler_factor(2, 1000))]
+    assert calls == [(_euler_factor(1, 1000), _rate_bits(num, den[:1], 999)),
+                     (_euler_factor(2, 1000), None)]
 
 
 @pytest.mark.parametrize("name", ETA_NAMES)
@@ -421,8 +424,9 @@ def respaced(monkeypatch):
 
 
 def _scalar_expansion(eq, prec):
-    """eta_quotient_expand's plan with its division run by the scalar
-    recurrence: the kernel gets no quotient bound, so it solves no rows."""
+    """eta_quotient_expand's plan with one division, by the product of its
+    divisor atoms, run by the scalar recurrence: the kernel gets no
+    quotient bound, so it solves no rows."""
     s = int(eq.shift)
     pw = prec - s
     num, den = _plan(eq.factors)
