@@ -94,10 +94,10 @@ def run_grid(levels: tuple[int, ...] = tuple(CURVES),
     skipped as dicts with a reason each.
 
     primes=None means every eligible inert prime up to prime_bound, per
-    level; repeated primes count once.  m_max=None means the per-prime
-    default depth: the largest m with K * p^(2m+1) + 1 <= ceiling.  An
-    explicit m_max is bounded by the ceiling too: a job above it raises
-    ValueError before any expansion.
+    level; repeated levels and primes count once.  m_max=None means the
+    per-prime default depth: the largest m with K * p^(2m+1) + 1 <=
+    ceiling.  An explicit m_max is bounded by the ceiling too: a job above
+    it raises ValueError before any expansion.
 
     Every form is expanded once, at the largest precision the grid needs,
     before the checks run, by DEFAULT_CACHE.prefetch: this process expands
@@ -105,6 +105,7 @@ def run_grid(levels: tuple[int, ...] = tuple(CURVES),
     a cold store's first request expands here (the cold-start probe), and
     one forked child the others, when more than one CPU is available.
     Otherwise it is the serial loop."""
+    levels = tuple(dict.fromkeys(levels))
     for level in levels:
         curve(level)
     for q in primes or ():

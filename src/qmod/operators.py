@@ -77,10 +77,10 @@ def theta(f: QSeries) -> QSeries:
     )
 
 
-def hecke(f: QSeries, k: int, p: int, n: int) -> QSeries:
-    """Weight-k Hecke operator at the prime power p^n:
+def hecke(f: QSeries, p: int, n: int) -> QSeries:
+    """Weight-2 Hecke operator at the prime power p^n:
 
-        f | T_k(p^n) = sum_{j=0..n} p^((k-1)j) (f | U(p^(n-j)) | V(p^j)).
+        f | T_2(p^n) = sum_{j=0..n} p^j (f | U(p^(n-j)) | V(p^j)).
 
     Precision is the minimum over the terms, which is the U(p^n) term's
     P = ceil(f.prec / p^n) whenever P >= 1.  So each U(p^(n-j)) image is
@@ -91,15 +91,13 @@ def hecke(f: QSeries, k: int, p: int, n: int) -> QSeries:
         raise ValueError(f"{p} is not prime")
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"prime-power exponent must be >= 1, got {n}")
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"weight must be a positive integer, got {k}")
     P = _ceil_div(f.prec, p ** n)
     terms = []
     for j in range(n + 1):
         m = p ** (n - j)
         window = min(_ceil_div(P - 1, p ** j) + 1, _ceil_div(f.prec, m))
         t = apply_V(apply_U(f, m, window), p ** j)
-        terms.append(scale(t, p ** ((k - 1) * j)))
+        terms.append(scale(t, p ** j))
     return reduce(add, terms)
 
 

@@ -103,11 +103,11 @@ class FormCache:
     read it.
 
     series answers with a copy truncated to the request; expansion hands
-    out the held expansion itself, and coefficient reads one coefficient
-    from it, so a check that reads C(p^k), or a warm-up that only sets the
-    precision, copies nothing.  A miss in expansion or coefficient still
-    enters through series, the one method that expands in this process: a
-    wrapper on series then sees every expansion made here.  prefetch may
+    out the held expansion itself, so a check asks once per form, at the
+    largest precision it reads, and takes every coefficient and shorter
+    copy from that one series.  A miss in expansion still enters through
+    series, the one method that expands in this process: a wrapper on
+    series then sees every expansion made here.  prefetch may
     expand all planned forms but the largest in one forked child, whose
     series go into the store without passing series.  perfbench's
     cold-start probe patches FormCache.series and catalog_form in this
@@ -124,10 +124,6 @@ class FormCache:
         """The held expansion of name, certified to at least prec: the
         stored series, not a truncated copy."""
         return _memo(self._data, name, prec, self.series, name, prec)
-
-    def coefficient(self, name: str, e: int) -> int:
-        """The coefficient of q^e in name, read from the held expansion."""
-        return self.expansion(name, e + 1).coefficient(e)
 
     def prefetch(self, need: dict[str, int]):
         """Hold every form of need (name -> precision) to at least its
@@ -283,7 +279,7 @@ def check_valuation(level: int, p: int, m: int) -> CheckReport:
     _at_least("m", m, 0)
     _require_eligible(level, p)
     e = p ** (2 * m + 1)
-    C = DEFAULT_CACHE.coefficient(f"G{level}", e)
+    C = DEFAULT_CACHE.expansion(f"G{level}", e + 1).coefficient(e)
     v = padic_valuation(C, p)
     return CheckReport(
         check_id="valuation",
@@ -329,9 +325,8 @@ def check_congruence(level: int, p: int, m: int = 0) -> CheckReport:
     _at_least("m", m, 0)
     _require_span_level("congruence check", level, p)
     e = p ** (2 * m + 1)
-    # C(e) first: e >= p, so one expansion serves both reads
-    C2 = DEFAULT_CACHE.coefficient(f"G{level}", e)
-    C1 = DEFAULT_CACHE.coefficient(f"G{level}", p)
+    G = DEFAULT_CACHE.expansion(f"G{level}", e + 1)
+    C2, C1 = G.coefficient(e), G.coefficient(p)
     mod = p ** (m + 1)
     lhs = C2 % mod
     rhs = ((-1) ** m * p ** m * C1) % mod
@@ -354,7 +349,7 @@ def check_hecke_decomposition(level: int, p: int, n: int = 1,
     _require_span_level("span decomposition", level, p)
     pn = p ** n
     G = DEFAULT_CACHE.series(f"G{level}", prec * pn)
-    lhs = hecke(G, 2, p, n)
+    lhs = hecke(G, p, n)
     C = G.coefficient(pn)
     H = build_H(level, pn, prec)
     g = DEFAULT_CACHE.series(f"g{level}", prec)
@@ -385,17 +380,14 @@ def check_theta_psi(level: int, p: int, prec: int = 30, m_max: int = 1,
     _require_span_level("theta-psi identity", level, p)
     psi = build_psi(level, p, prec)
     th = theta(psi)
-    # one expansion of G at the largest precision requested below
-    DEFAULT_CACHE.expansion(f"G{level}",
-                            max(p * prec, limit_prec(K, p, m_max)))
-    G = DEFAULT_CACHE.series(f"G{level}", p * prec)
-    lhs = hecke(G, 2, p, 1)
+    G = DEFAULT_CACHE.expansion(f"G{level}",
+                                max(p * prec, limit_prec(K, p, m_max)))
+    lhs = hecke(truncate(G, p * prec), p, 1)
     bad = first_difference(lhs, scale(th, -1))
     cong_vals = []
     passed = bad is None
     for m in range(m_max + 1):
         pe = p ** (2 * m + 1)
-        G = DEFAULT_CACHE.expansion(f"G{level}", limit_prec(K, p, m))
         GU = apply_U(G, pe, K + 1)
         target = scale(th, (-1) ** (m + 1) * p ** m)
         D = sub(GU, target)
@@ -443,7 +435,7 @@ def check_residue(level: int, p: int, prec: int = 30) -> CheckReport:
 def check_nondivisibility(level: int, p: int) -> CheckReport:
     """p does not divide C(p)."""
     _require_eligible(level, p)
-    C = DEFAULT_CACHE.coefficient(f"G{level}", p)
+    C = DEFAULT_CACHE.expansion(f"G{level}", p + 1).coefficient(p)
     return CheckReport(
         check_id="nondivisibility",
         params={"level": level, "p": p},
@@ -478,12 +470,11 @@ def check_twist_consistency(prec: int = 200) -> CheckReport:
         mismatches.append(first_difference(direct, twisted))
         compared.append(f"{dst} vs {src} twisted by ({recipe.disc}|.)")
     commute = []
-    # one expansion of G32 at the largest precision requested below
-    DEFAULT_CACHE.expansion("G32", max(limit_prec(_TWIST_K, p, m)
-                                       for p, m in _TWIST_SAMPLES))
+    G32 = DEFAULT_CACHE.expansion("G32", max(limit_prec(_TWIST_K, p, m)
+                                             for p, m in _TWIST_SAMPLES))
     for p, m in _TWIST_SAMPLES:
         pe = p ** (2 * m + 1)
-        G = DEFAULT_CACHE.series("G32", limit_prec(_TWIST_K, p, m))
+        G = truncate(G32, limit_prec(_TWIST_K, p, m))
         lhs = apply_U(twist(G, 8), pe)
         rhs = scale(twist(apply_U(G, pe), 8), kronecker(8, pe))
         commute.append(first_difference(lhs, rhs))
@@ -519,16 +510,15 @@ def check_support(level: int, prec: int = 500) -> CheckReport:
     curve(level)  # an unknown level raises ValueError here
     (g_res, g_mod), (G_res, G_mod), even = _SUPPORT_CLASSES[level]
     g = DEFAULT_CACHE.series(f"g{level}", prec)
-    # one expansion of G at the largest precision requested below
-    DEFAULT_CACHE.expansion(f"G{level}",
-                            max([prec] + [31 * p ** (2 * m) for p, m in even]))
-    G = DEFAULT_CACHE.series(f"G{level}", prec)
+    G = DEFAULT_CACHE.expansion(
+        f"G{level}", max([prec] + [31 * p ** (2 * m) for p, m in even]))
     bad_g = sorted(e for e in g.support() if e % g_mod != g_res)
-    bad_G = sorted(e for e in G.support() if e % G_mod != G_res)
+    bad_G = sorted(e for e in truncate(G, prec).support()
+                   if e % G_mod != G_res)
     # C(p^2m) = 0, so the decomposition is G|T2(p^2m) = p^2m H_(p^2m);
     # the largest p^2m first, so that its span expands L1 and L2 once for
     # every smaller one
-    extras = [[DEFAULT_CACHE.coefficient(f"G{level}", p ** (2 * m)),
+    extras = [[G.coefficient(p ** (2 * m)),
                check_hecke_decomposition(level, p, 2 * m, 31).actual]
               for p, m in reversed(even)][::-1]
     ok = (not bad_g and not bad_G

@@ -674,6 +674,17 @@ def test_run_grid_direct_call():
     assert len(skipped) == 1 and skipped[0]["p"] == 5
 
 
+def test_run_grid_repeated_levels_count_once():
+    def grid(levels):
+        reports, skipped = run_grid(levels=levels, primes=(2, 3), m_max=0,
+                                    K=2)
+        return [r.to_json_dict() for r in reports], skipped
+
+    once = grid((27,))
+    assert len(once[0]) == 2 and len(once[1]) == 1
+    assert grid((27, 27)) == once
+
+
 def _logging_catalog_form(log: Path, fail: str | None = None):
     """verify.catalog_form that first appends "pid name" to log, in
     append mode, so that forked lanes log too, and raises for fail."""
@@ -1041,6 +1052,24 @@ def test_only_eta_names_the_expansion_engine():
             if name == "eta_quotient_expand":
                 naming.append(f"{path.name}:{node.lineno}")
     assert naming == []
+
+
+def test_each_check_asks_the_store_once_per_form():
+    # a check reads each form once, at its largest precision, and takes
+    # every coefficient and shorter copy from that one series
+    path = Path(qmod.verify.__file__)
+    repeated = []
+    for fn in ast.parse(path.read_text(), str(path)).body:
+        if not (isinstance(fn, ast.FunctionDef)
+                and fn.name.startswith("check_")):
+            continue
+        forms = [ast.unparse(node.args[0]) for node in ast.walk(fn)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)
+                 and ast.unparse(node.func.value) == "DEFAULT_CACHE"]
+        repeated += [(fn.name, form) for form in sorted(set(forms))
+                     if forms.count(form) > 1]
+    assert repeated == []
 
 
 def test_readme_library_example_runs():

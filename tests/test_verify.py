@@ -266,7 +266,8 @@ def test_cache_coefficient_equals_the_truncated_series():
         lead = catalog_form(name, 5).order
         for e in (6, 2, 15, 15, 9, lead):
             want = FormCache().series(name, e + 1).coefficient(e)
-            assert cache.coefficient(name, e) == want, (name, e)
+            got = cache.expansion(name, e + 1).coefficient(e)
+            assert got == want, (name, e)
         assert cache.expansion(name, 16).prec == 16
 
 
@@ -284,7 +285,7 @@ def test_cache_hit_copies_and_expands_nothing(monkeypatch, cold_cache):
     for name, f in held.items():
         assert cache.expansion(name, 200) is f
         assert cache.expansion(name, 7) is f
-        assert [cache.coefficient(name, e)
+        assert [cache.expansion(name, e + 1).coefficient(e)
                 for e in range(-1, 200)] == want[name]
     assert check_valuation(27, 5, 1).passed
     assert check_congruence(27, 5, 1).passed
@@ -293,9 +294,8 @@ def test_cache_hit_copies_and_expands_nothing(monkeypatch, cold_cache):
 
 def test_cold_cache_expands_only_inside_series(monkeypatch, cold_cache):
     """series is the one method that expands, so a wrapper on it sees every
-    expansion: on an empty cache the first request of a coefficient read, a
-    warm-up or a check enters through series, and each expansion runs
-    inside it."""
+    expansion: on an empty cache the first request of an expansion read or
+    a check enters through series, and each expansion runs inside it."""
     events = []
     depth = [0]
     real_series = FormCache.series
@@ -316,8 +316,8 @@ def test_cold_cache_expands_only_inside_series(monkeypatch, cold_cache):
     monkeypatch.setattr(FormCache, "series", series)
     monkeypatch.setattr(qmod.verify, "catalog_form", catalog)
     requests = [
-        lambda c: c.coefficient("G27", 125),
-        lambda c: c.coefficient("G144", 30),
+        lambda c: c.expansion("G27", 126).coefficient(125),
+        lambda c: c.expansion("G144", 31).coefficient(30),
         lambda c: c.expansion("G64", 40),
         lambda c: check_valuation(27, 5, 1),
         lambda c: check_congruence(36, 5, 1),
@@ -443,8 +443,8 @@ def expansions(monkeypatch):
 @pytest.fixture
 def held(monkeypatch):
     """(name, prec) of each FormCache.expansion request, in call order: a
-    warm-up, whose answer is thrown away, asks for the held expansion
-    rather than a truncated copy."""
+    check asks for the held expansion of each form once, at the largest
+    precision it reads."""
     requests = []
     real = FormCache.expansion
 
@@ -456,29 +456,37 @@ def held(monkeypatch):
     return requests
 
 
-def test_congruence_expands_G_once(cold_cache, expansions):
+def test_congruence_expands_G_once(cold_cache, expansions, held):
     # C(5) and C(5^3) come from one expansion of G27 to 126 terms
     assert check_congruence(27, 5, 1).passed
     assert expansions == ["G27"]
+    assert held == [("G27", 126)]
+
+
+def test_valuation_and_nondivisibility_ask_for_G_once(cold_cache, held):
+    # C(5^3) and C(5), each from one request of the held expansion
+    assert check_valuation(27, 5, 1).passed
+    assert check_nondivisibility(27, 5).passed
+    assert held == [("G27", 126), ("G27", 6)]
 
 
 def test_theta_psi_expands_G_once(cold_cache, expansions, held):
     # G27 is needed at 5 * 30 = 150 and at 20 * 5^3 + 1 = 2501; psi_5 is
-    # built first, from L1 and L2 at 30 + 5.  After the warm-up, each
-    # congruence reads its U-window from the held expansion
+    # built first, from L1 and L2 at 30 + 5.  T2(5) reads the first 150
+    # terms of the one held expansion, and each congruence its U-window
     assert check_theta_psi(27, 5).passed
     assert expansions == ["L1", "L2", "G27"]
-    assert held == [("G27", 2501), ("G27", 101), ("G27", 2501)]
+    assert held == [("G27", 2501)]
 
 
 def test_support_expands_G_once(cold_cache, expansions, held):
     # G27 is needed at 500 and at 31 * 25 = 775.  H_25 and then H_4 read
     # L1 and L2 at 31 + 25 + 4 and at 31 + 4 + 4, so both are expanded
-    # once (g27 is held at 500 by then).  After the warm-up, C(25) and
-    # C(4) are read from the held expansion
+    # once (g27 is held at 500 by then).  The support of G below 500,
+    # C(25) and C(4) are read from the one held expansion
     assert check_support(27, prec=500).passed
     assert expansions == ["g27", "G27", "L1", "L2"]
-    assert held == [("G27", 775), ("G27", 26), ("G27", 5)]
+    assert held == [("G27", 775)]
 
 
 def test_twist_consistency_expands_G32_once(cold_cache, expansions, held):
