@@ -24,15 +24,14 @@ from .verify import (
     DEFAULT_CACHE,
     CheckReport,
     _at_least,
+    _grid_reports,
     check_congruence,
     check_hecke_decomposition,
-    check_limit,
     check_nondivisibility,
     check_residue,
     check_support,
     check_theta_psi,
     check_twist_consistency,
-    check_valuation,
     eligible_inert_primes,
     limit_prec,
     prime_eligibility,
@@ -99,12 +98,9 @@ def run_grid(levels: tuple[int, ...] = tuple(CURVES),
     ceiling.  An explicit m_max is bounded by the ceiling too: a job above
     it raises ValueError before any expansion.
 
-    Every form is expanded once, at the largest precision the grid needs,
-    before the checks run, by DEFAULT_CACHE.prefetch: this process expands
-    the eta quotient of most kernel slots (prec // gcd(deltas)) first, so
-    a cold store's first request expands here (the cold-start probe), and
-    one forked child the others, when more than one CPU is available.
-    Otherwise it is the serial loop."""
+    The levels are split between this process and, with more than one
+    CPU, one forked child (verify._grid_reports); each expands each form
+    it reads once, at the largest precision its jobs need."""
     levels = tuple(dict.fromkeys(levels))
     for level in levels:
         curve(level)
@@ -146,24 +142,12 @@ def run_grid(levels: tuple[int, ...] = tuple(CURVES),
                     })
                     continue
             jobs.extend((level, p, m) for m in range(top + 1))
-    # Expand each form once, at the largest precision any job needs; the
-    # checks below then only read or truncate it.  Twin levels (32 and 64,
-    # 36 and 144) admit the same primes, so a twisted G never needs more
-    # than its base.
-    need: dict[str, int] = {}
     for level, p, m in jobs:
-        prec = limit_prec(K, p, m)
-        if prec > ceiling:
+        if limit_prec(K, p, m) > ceiling:
             raise ValueError(f"level {level}, p = {p}, m = {m} needs "
-                             f"precision {prec}, above the precision "
-                             f"ceiling {ceiling}")
-        need[f"G{level}"] = max(need.get(f"G{level}", 0), prec)
-        need[f"g{level}"] = K + 1
-    DEFAULT_CACHE.prefetch(need)
-    reports: list[CheckReport] = []
-    for level, p, m in jobs:
-        reports.append(check_valuation(level, p, m))
-        reports.append(check_limit(level, p, m, K))
+                             f"precision {limit_prec(K, p, m)}, above the "
+                             f"precision ceiling {ceiling}")
+    reports = _grid_reports(jobs, K)
     reports.sort(key=report_sort_key)
     skipped.sort(key=lambda s: (s["level"], s["p"],
                                 -1 if s["m"] is None else s["m"]))

@@ -9,7 +9,7 @@ import marshal
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .qseries import (
     QSeries,
@@ -23,9 +23,9 @@ from .qseries import (
     sub,
     truncate,
 )
-from .eta import FORMS, EtaQuotient, Twist, catalog_form, curve
+from .eta import FORMS, Twist, catalog_form, curve
 from .operators import apply_U, hecke, is_inert, kronecker, theta, twist
-from .spans import _LEVELS, _memo, build_H, build_psi
+from .spans import _LEVELS, _memo, _require_span_prec, build_H, build_psi
 
 __all__ = [
     "CheckReport",
@@ -107,11 +107,11 @@ class FormCache:
     largest precision it reads, and takes every coefficient and shorter
     copy from that one series.  A miss in expansion still enters through
     series, the one method that expands in this process: a wrapper on
-    series then sees every expansion made here.  prefetch may
-    expand all planned forms but the largest in one forked child, whose
-    series go into the store without passing series.  perfbench's
-    cold-start probe patches FormCache.series and catalog_form in this
-    module, so they, _expand and DEFAULT_CACHE stay here."""
+    series then sees every expansion made here.  After a forked grid run
+    the store holds only the forms of this process's levels (see
+    _grid_reports).  perfbench's cold-start probe patches FormCache.series
+    and catalog_form in this module, so they, _expand and DEFAULT_CACHE
+    stay here."""
 
     def __init__(self):
         self._data: dict[str, QSeries] = {}
@@ -125,56 +125,6 @@ class FormCache:
         stored series, not a truncated copy."""
         return _memo(self._data, name, prec, self.series, name, prec)
 
-    def prefetch(self, need: dict[str, int]):
-        """Hold every form of need (name -> precision) to at least its
-        precision.
-
-        Of the eta quotients not yet held, the one of most kernel slots,
-        prec // gcd(deltas), expands in this process, and every other one
-        in one forked child, which sends its series back through a pipe.
-        This process expands its form before it reads the child, so the
-        first request of a cold store expands in this process, as
-        perfbench's cold-start probe requires.  Then every entry of need
-        is asked for in order, and a twist twists its held base.  A child
-        that fails leaves its forms to be expanded here, so an error
-        surfaces as it does serially, and the child is reaped before
-        prefetch returns or raises.  The child is forked only when os.fork
-        exists, more than one CPU is available and no other thread runs
-        (a forked child could inherit a lock one of them holds); otherwise
-        only that last loop runs: the serial path."""
-        todo = sorted(((name, prec) for name, prec in need.items()
-                       if isinstance(FORMS.get(name), EtaQuotient)
-                       and (name not in self._data
-                            or self._data[name].prec < prec)),
-                      key=_slots, reverse=True)
-        child = None
-        if (len(todo) > 1 and hasattr(os, "fork") and _cpu_count() > 1
-                and threading.active_count() == 1):
-            child = _fork_lane(todo[1:])
-        try:
-            if child:
-                self.expansion(*todo[0])
-                pid, pipe = child
-                with pipe:
-                    data = pipe.read()
-                status = os.waitpid(pid, 0)[1]
-                child = None
-                # the child exits 0 only after writing all of its forms
-                if status == 0:
-                    for name, (c, prec) in marshal.loads(data).items():
-                        _memo(self._data, name, prec, QSeries._trusted, c,
-                              prec)
-            for name, prec in need.items():
-                self.expansion(name, prec)
-        finally:
-            if child:
-                # this process raised before it reaped the child
-                from signal import SIGKILL
-                pid, pipe = child
-                pipe.close()
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
-
 
 def _expand(cache: FormCache, name: str, prec: int) -> QSeries:
     recipe = FORMS.get(name)
@@ -182,46 +132,6 @@ def _expand(cache: FormCache, name: str, prec: int) -> QSeries:
         # reuse the cached base expansion instead of expanding it
         return twist(cache.series(recipe.base, prec), recipe.disc)
     return catalog_form(name, prec)
-
-
-def _cpu_count() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _slots(entry: tuple[str, int]) -> int:
-    name, prec = entry
-    return prec // math.gcd(*(d for d, _ in FORMS[name].factors))
-
-
-def _fork_lane(forms: list[tuple[str, int]]):
-    """(pid, pipe) of a forked child that expands forms and writes
-    marshal.dumps({name: (coefficients, prec)}) to the pipe, or None when
-    the fork fails, which leaves the forms to this process."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        # the child never returns into its caller, nor flushes its stdout
-        code = 1
-        try:
-            os.close(r)
-            out = {}
-            for name, prec in forms:
-                f = catalog_form(name, prec)
-                out[name] = (f._c, f.prec)
-            with open(w, "wb") as pipe:
-                pipe.write(marshal.dumps(out))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, open(r, "rb")
 
 
 DEFAULT_CACHE = FormCache()
@@ -347,6 +257,7 @@ def check_hecke_decomposition(level: int, p: int, n: int = 1,
     _at_least("n", n, 1)
     _at_least("prec", prec, 2)
     _require_span_level("span decomposition", level, p)
+    _require_span_prec(level, prec)
     pn = p ** n
     G = DEFAULT_CACHE.series(f"G{level}", prec * pn)
     lhs = hecke(G, p, n)
@@ -536,3 +447,106 @@ def check_support(level: int, prec: int = 500) -> CheckReport:
                if even else "")
         ),
     )
+
+
+# ---------------------------------------------------------------------------
+# the grid: valuation and limit checks over many (level, p, m)
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _slots(name: str, prec: int) -> int:
+    """Kernel slots of the eta quotient name expanded to prec."""
+    return prec // math.gcd(*(d for d, _ in FORMS[name].factors))
+
+
+def _check_jobs(jobs: list[tuple[int, int, int]], K: int) -> list[CheckReport]:
+    """The valuation and limit reports of jobs (level, p, m), each form
+    expanded first, once, at the largest precision a job reads of it."""
+    need: dict[str, int] = {}
+    for level, p, m in jobs:
+        need[f"G{level}"] = max(need.get(f"G{level}", 0), limit_prec(K, p, m))
+        need[f"g{level}"] = K + 1
+    for name, prec in need.items():
+        DEFAULT_CACHE.expansion(name, prec)
+    return [r for level, p, m in jobs
+            for r in (check_valuation(level, p, m),
+                      check_limit(level, p, m, K))]
+
+
+def _fork_checks(jobs: list[tuple[int, int, int]], K: int):
+    """(pid, pipe) of a forked child that writes marshal.dumps of the
+    plain report tuples of _check_jobs(jobs, K) to the pipe, or None when
+    the fork fails, which leaves the jobs to this process."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        # the child never returns into its caller, nor flushes its stdout
+        code = 1
+        try:
+            os.close(r)
+            out = [astuple(report) for report in _check_jobs(jobs, K)]
+            with open(w, "wb") as pipe:
+                pipe.write(marshal.dumps(out))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _grid_reports(jobs: list[tuple[int, int, int]],
+                  K: int) -> list[CheckReport]:
+    """The valuation and limit reports of the grid jobs (level, p, m),
+    unsorted.  The jobs are grouped by the eta quotient their G reads, a
+    level with its twist levels (32 with 64, 36 with 144).  This process
+    checks the group of most _slots, at its largest precision, first, so
+    a cold store's first request expands here (perfbench's cold-start
+    probe), and one forked child checks every other group in its own copy
+    of the store and sends back only its reports.  A failed child leaves
+    its jobs to this process, so an error surfaces as it does serially,
+    and it is reaped before this returns or raises.  The child is forked
+    only for two groups or more, when os.fork exists, more than one CPU is
+    available and no other thread runs (it could inherit a lock one of
+    them holds); otherwise this process checks every group in turn."""
+    groups: dict[str, list] = {}
+    for job in jobs:
+        recipe = FORMS[f"G{job[0]}"]
+        base = recipe.base if isinstance(recipe, Twist) else f"G{job[0]}"
+        groups.setdefault(base, []).append(job)
+    ranked = sorted(groups, reverse=True, key=lambda base: _slots(
+        base, max(limit_prec(K, p, m) for _, p, m in groups[base])))
+    here = groups[ranked[0]] if ranked else []
+    rest = [job for base in ranked[1:] for job in groups[base]]
+    child = None
+    if (rest and hasattr(os, "fork") and _cpu_count() > 1
+            and threading.active_count() == 1):
+        child = _fork_checks(rest, K)
+    try:
+        reports = _check_jobs(here, K)
+        if child:
+            pid, pipe = child
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            child = None
+            # the child exits 0 only after writing all of its reports
+            if status == 0:
+                return reports + [CheckReport(*r) for r in marshal.loads(data)]
+        return reports + _check_jobs(rest, K)
+    finally:
+        if child:
+            # this process raised before it reaped the child
+            from signal import SIGKILL
+            pid, pipe = child
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)

@@ -687,7 +687,7 @@ def test_run_grid_repeated_levels_count_once():
 
 def _logging_catalog_form(log: Path, fail: str | None = None):
     """verify.catalog_form that first appends "pid name" to log, in
-    append mode, so that forked lanes log too, and raises for fail."""
+    append mode, so that a forked child logs too, and raises for fail."""
     real = qmod.verify.catalog_form
 
     def logging(name, prec):
@@ -718,7 +718,7 @@ def test_run_grid_expands_each_form_once(monkeypatch, cold_cache, tmp_path):
         reports, skipped = run_grid(levels=(27, 32, 64), prime_bound=12,
                                     ceiling=5000)
     # G64 is the twist of the cached G32, so it expands no eta quotient;
-    # forked lanes count too, through the log
+    # a forked child counts too, through the log
     expanded = [name for _, name in _logged(log)]
     assert sorted(expanded) == ["G27", "G32", "g27", "g32", "g64"]
     assert len(reports) == 2 * 17 and skipped == []
@@ -738,17 +738,33 @@ _LANE_GRID = dict(levels=(27, 32, 36, 64), prime_bound=12, ceiling=5000)
 _forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
 
-def _grid_on(cpus: int, cache, log: Path, monkeypatch):
-    """run_grid over _LANE_GRID on an empty store as if cpus were
-    available, logging each expansion, and the store it leaves."""
+def _grid_on(cpus: int, cache, log: Path, monkeypatch, grid=_LANE_GRID):
+    """run_grid over grid on an empty store as if cpus were available,
+    logging each expansion, and the store it leaves."""
     monkeypatch.setattr(cache, "_data", {})
     monkeypatch.setattr(verify, "_cpu_count", lambda: cpus)
     with monkeypatch.context() as patch:
         patch.setattr(qmod.verify, "catalog_form",
                       _logging_catalog_form(log))
-        reports, skipped = run_grid(**_LANE_GRID)
+        reports, skipped = run_grid(**grid)
     held = {name: (f.prec, f._c) for name, f in cache._data.items()}
     return [r.to_json_dict() for r in reports], skipped, held
+
+
+def _split(log: Path) -> tuple[list[str], list[str], set[int]]:
+    """The logged expansions of this process, those of other processes,
+    and the other processes' pids."""
+    entries = _logged(log)
+    here = [name for pid, name in entries if pid == os.getpid()]
+    there = [(pid, name) for pid, name in entries if pid != os.getpid()]
+    return here, [name for _, name in there], {pid for pid, _ in there}
+
+
+# The level 32 group (G32 and its twist G64, 4,861 terms at stride 4) has
+# the most kernel slots of _LANE_GRID, so it is checked here; the child
+# checks levels 27 and 36
+_HERE = ["G32", "g32", "g64"]
+_CHILD = ["G27", "g27", "G36", "g36"]
 
 
 @_forks
@@ -757,20 +773,15 @@ def test_run_grid_lanes_give_the_serial_store(monkeypatch, cold_cache,
     serial = _grid_on(1, cold_cache, tmp_path / "one.txt", monkeypatch)
     lanes = _grid_on(2, cold_cache, tmp_path / "two.txt", monkeypatch)
     assert lanes[0] == serial[0] and lanes[1] == serial[1]
-    assert lanes[2] == serial[2]
     _assert_no_child()
-    # every form once; one CPU expands all in this process, two expand
-    # the largest, G32 (4,861 terms at stride 4), here first and all the
-    # others in one child
-    forms = ["G27", "G32", "G36", "g27", "g32", "g36", "g64"]
-    one, two = _logged(tmp_path / "one.txt"), _logged(tmp_path / "two.txt")
-    assert sorted(name for _, name in one) == forms
-    assert {pid for pid, _ in one} == {os.getpid()}
-    assert sorted(name for _, name in two) == forms
-    assert [name for pid, name in two if pid == os.getpid()] == ["G32"]
-    pids = {name: pid for pid, name in two}
-    assert pids["G27"] != os.getpid()
-    assert {pids[f] for f in forms if f != "G32"} == {pids["G27"]}
+    # one CPU checks every group here, the one of most slots first
+    assert _split(tmp_path / "one.txt") == (_HERE + _CHILD, [], set())
+    here, there, pids = _split(tmp_path / "two.txt")
+    assert here == _HERE and there == _CHILD and len(pids) == 1
+    # the store then holds this process's group only, as the serial run
+    # held it
+    assert lanes[2] == {name: serial[2][name]
+                        for name in ("G32", "g32", "G64", "g64")}
 
 
 @_forks
@@ -778,18 +789,43 @@ def test_run_grid_forks_one_child_on_many_cpus(monkeypatch, cold_cache,
                                                tmp_path):
     serial = _grid_on(1, cold_cache, tmp_path / "one.txt", monkeypatch)
     many = _grid_on(8, cold_cache, tmp_path / "eight.txt", monkeypatch)
-    assert many == serial
+    assert many[:2] == serial[:2]
     _assert_no_child()
-    log = _logged(tmp_path / "eight.txt")
-    assert len({pid for pid, _ in log}) == 2
-    assert [name for pid, name in log if pid == os.getpid()] == ["G32"]
+    here, there, pids = _split(tmp_path / "eight.txt")
+    assert here == _HERE and there == _CHILD and len(pids) == 1
+    assert set(many[2]) == {"G32", "g32", "G64", "g64"}
 
 
 @_forks
-def test_prefetch_keeps_a_held_form(monkeypatch, cold_cache, tmp_path):
+@pytest.mark.parametrize("levels,ceiling,here,child,held", [
+    # G27's group has the most slots below 3,000 terms, so the child
+    # expands G32 itself and twists it into G64
+    ((27, 64), 3000, ["G27", "g27"], ["G32", "g64"], {"G27", "g27"}),
+    # one group: nothing to fork
+    ((32, 64), 5000, _HERE, [], {"G32", "g32", "G64", "g64"}),
+], ids=["27-64", "32-64"])
+def test_run_grid_splits_levels_by_their_eta_quotient(
+        monkeypatch, cold_cache, tmp_path, levels, ceiling, here, child,
+        held):
+    grid = dict(levels=levels, prime_bound=12, ceiling=ceiling)
+    serial = _grid_on(1, cold_cache, tmp_path / "one.txt", monkeypatch,
+                      grid)
+    forked = _grid_on(2, cold_cache, tmp_path / "two.txt", monkeypatch,
+                      grid)
+    assert forked[:2] == serial[:2]
+    _assert_no_child()
+    assert _split(tmp_path / "one.txt") == (here + child, [], set())
+    logged_here, there, pids = _split(tmp_path / "two.txt")
+    assert logged_here == here and there == child
+    assert len(pids) == (1 if child else 0)
+    assert forked[2] == {name: serial[2][name] for name in held}
+
+
+@_forks
+def test_run_grid_keeps_a_held_form(monkeypatch, cold_cache, tmp_path):
     # G32 and G27 held above the 4,861 and 2,561 terms _LANE_GRID needs
-    # of them; without the held filter the largest, G32, would be a hit
-    # here and G27 would expand again in the child
+    # of them: this process reads G32 from its store, and the child G27
+    # from its copy
     held = {name: cold_cache.expansion(name, 6000).prec
             for name in ("G32", "G27")}
     monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
@@ -823,6 +859,8 @@ def test_run_grid_forks_no_lane_while_other_threads_run(
 @_forks
 def test_run_grid_reaps_its_lanes_when_this_process_fails(
         monkeypatch, cold_cache, tmp_path):
+    # this process fails on its first expansion while the child checks
+    # its jobs; the child is killed and reaped
     monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
     log = tmp_path / "expanded.txt"
     monkeypatch.setattr(qmod.verify, "catalog_form",
@@ -848,7 +886,8 @@ def test_run_grid_expands_a_failed_lane_here(monkeypatch, cold_cache,
             run_grid(**_LANE_GRID)
         errors.append(str(caught.value))
         _assert_no_child()
-        # with two lanes the child failed on G27 first, then this process
+        # with two CPUs the child failed on G27 first, then this process
+        # ran the child's jobs
         tried = [pid for pid, name in _logged(log) if name == "G27"]
         assert tried[-1] == os.getpid() and len(tried) == cpus
     assert errors[0] == errors[1] == "no expansion of G27 to 2561"

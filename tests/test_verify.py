@@ -3,6 +3,7 @@ the shared expansion cache, and small instances of every check."""
 
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
@@ -12,6 +13,7 @@ import pytest
 
 import qmod.spans
 import qmod.verify
+from qmod.cli import main, run_grid
 from qmod.verify import (
     CheckReport,
     DEFAULT_CACHE,
@@ -30,7 +32,7 @@ from qmod.verify import (
     report_sort_key,
 )
 from qmod.eta import FORMS, catalog_form
-from qmod.qseries import truncate
+from qmod.qseries import QSeries, add, truncate
 
 
 # ---------------------------------------------------------------------------
@@ -495,3 +497,86 @@ def test_twist_consistency_expands_G32_once(cold_cache, expansions, held):
     assert check_twist_consistency(prec=40).passed
     assert expansions == ["g64", "g32", "g144", "g36", "G32"]
     assert held == [("G32", 351)]
+
+
+def test_hecke_decomposition_checks_the_span_floor_before_G(
+        cold_cache, expansions, capsys):
+    # level 36's spans start at precision 3, so prec = 2 is refused before
+    # G36 is read, from the library and from the command line
+    message = "prec must be at least 3 at level 36, got 2"
+    with pytest.raises(ValueError, match=message):
+        check_hecke_decomposition(36, 5, 1, 2)
+    rc = main(["check", "hecke-decomposition", "--level", "36", "--p", "5",
+               "--prec", "2"])
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+    assert expansions == []
+
+
+# ---------------------------------------------------------------------------
+# every check can fail
+
+@pytest.fixture
+def perturb(monkeypatch, cold_cache):
+    """perturb(form, e) empties the store; from then on every expansion
+    of the catalog form past q^e carries one more there."""
+    real = qmod.verify.catalog_form
+
+    def install(form, e):
+        def perturbed(name, prec):
+            f = real(name, prec)
+            if name != form or e >= prec:
+                return f
+            return add(f, QSeries({e: 1}, prec))
+
+        monkeypatch.setattr(cold_cache, "_data", {})
+        monkeypatch.setattr(qmod.verify, "catalog_form", perturbed)
+
+    return install
+
+
+# check, arguments, a (form, exponent) the check certifies there, and for
+# a check whose witness is a first differing exponent, a test that the
+# report names it
+_CERTIFIED = [
+    (check_valuation, (27, 5, 1), "G27", 125, None),
+    (check_limit, (27, 2, 1), "G27", 8, None),
+    (check_congruence, (27, 5, 1), "G27", 125, None),
+    (check_nondivisibility, (27, 5), "G27", 5, None),
+    (check_residue, (27, 5), "G27", 5, None),
+    # G|T2(2) reads G at q^8 for its coefficient at q^4
+    (check_hecke_decomposition, (27, 2), "G27", 8, lambda a: a == 4),
+    (check_theta_psi, (27, 2), "G27", 8, lambda a: a[0] == 4),
+    (check_support, (27,), "g27", 3, lambda a: a[0] == [3]),
+    # g64 against g32 twisted by (8|.); the U-twist commutation on G32
+    # holds for every series, so a G32 coefficient would not do
+    (check_twist_consistency, (), "g32", 5, lambda a: a[0] == 5),
+]
+
+
+@pytest.mark.parametrize("check,args,form,e,names", _CERTIFIED,
+                         ids=[c.__name__ for c, *_ in _CERTIFIED])
+def test_every_check_can_fail(perturb, check, args, form, e, names):
+    assert check(*args).passed
+    perturb(form, e)
+    r = check(*args)
+    assert r.passed is False
+    assert names is None or names(r.actual), r.actual
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_fail_in_the_forked_child_reaches_the_grid(monkeypatch, perturb,
+                                                     cold_cache):
+    # below 5,000 terms G27's group has the most kernel slots, so with two
+    # CPUs level 36 is checked in the child
+    runs = []
+    for cpus in (1, 2):
+        perturb("G36", 125)
+        monkeypatch.setattr(qmod.verify, "_cpu_count", lambda: cpus)
+        reports, _ = run_grid(levels=(27, 36), ceiling=5000)
+        runs.append([r.to_json_dict() for r in reports])
+        failed = [(r.check_id, r.params["level"], r.params["p"],
+                   r.params["m"]) for r in reports if not r.passed]
+        assert failed == [("limit", 36, 5, 1), ("valuation", 36, 5, 1)]
+    assert runs[0] == runs[1]
+    assert set(cold_cache._data) == {"G27", "g27"}
