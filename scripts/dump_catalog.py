@@ -6,7 +6,8 @@ import argparse
 import os
 import sys
 
-from qmod.eta import catalog_form, catalog_manifest
+from qmod.eta import catalog_manifest
+from qmod.verify import DEFAULT_CACHE
 
 
 def main() -> int:
@@ -19,7 +20,7 @@ def main() -> int:
         print(line)
         if args.prec is not None:
             name = line.split()[0]
-            f = catalog_form(name, args.prec)
+            f = DEFAULT_CACHE.series(name, args.prec)
             print("   ", f)
     return 0
 

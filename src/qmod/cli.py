@@ -203,15 +203,22 @@ def _skip_line(s: dict) -> str:
 # subcommands
 
 def _resolve_form(name: str, prec: int) -> QSeries:
+    """name to prec.  Before any work, the precision it needs, prec plus
+    the pole of a span element, must be at most the precision ceiling."""
     mo = _SPAN_FORM.match(name)
-    if mo:
-        build = build_H if mo.group(1) == "H" else build_psi
-        return build(int(mo.group(3)), int(mo.group(2)), prec)
-    if name not in FORMS:
+    if not mo and name not in FORMS:
         raise ValueError(
             f"unknown form {name!r}; catalog forms are "
             + ", ".join(sorted(FORMS))
             + ", plus span elements H<m>@<level> and psi<p>@<level>")
+    pole = abs(int(mo.group(2))) if mo else 0
+    need, ceiling = prec + pole, _prec_ceiling()
+    if need > ceiling:
+        raise ValueError(f"{name} at --prec {prec} needs precision {need}, "
+                         f"above the precision ceiling {ceiling}")
+    if mo:
+        build = build_H if mo.group(1) == "H" else build_psi
+        return build(int(mo.group(3)), int(mo.group(2)), prec)
     return DEFAULT_CACHE.series(name, prec)
 
 

@@ -48,16 +48,19 @@ Euler-factor divisors alone.  The catalog divides as follows:
 - G27 = eta(3z) eta(9z)^6 / eta(27z)^3, L2 = eta(3z)^3 / eta(27z)^3 and
   G36 = eta(6z)^3 eta(12z) eta(18z)^3 / eta(36z)^3 divide once, by a cube;
   a theta atom could only split that cube.
-- L1 = eta(9z)^4 / (eta(3z) eta(27z)^3) = q^-2 E(q^9) c(q^3) / E(q^27)^3
-  and L36 = eta(6z) eta(9z)^3 / (eta(3z) eta(18z)^3)
-  = q^-1 E(q^6) c(q^3) / E(q^18)^3 divide once, by a cube: c(q^3)
-  absorbs their E(q^3) divisor.
+- L1 = eta(9z)^4 / (eta(3z) eta(27z)^3) = q^-2 E(q^9) c(q^3) / E(q^27)^3,
+  L36 = q^-1 E(q^6) c(q^3) / E(q^18)^3, X36 = q^-2 E(q^12) c(q^6) /
+  E(q^36)^3 and Y36 = q^-3 E(q^12) c(q^3) / E(q^36)^3 divide once, by a
+  cube: c absorbs their one single Euler-factor divisor.
 
 The catalog holds the five weight-2 CM newforms that are eta quotients
-(levels 27, 32, 36, 64, 144), the weight-2 companion forms with a simple
-pole at infinity, and the weight-0 pole generators used by the span
-constructions.  The level 64 and 144 companions are quadratic twists of the
-level 32 and 36 ones.
+(levels 27, 32, 36, 64, 144), their weight-2 companions G, and the weight-0
+forms L1, L2, L36, X36 = L36(2z) and Y36 = L36(z)L36(2z); all but L36 have
+poles only at infinity and give the span levels' Weierstrass coordinates.
+Each G has a simple pole at infinity, its only pole at levels 27, 32 and
+36; G64 has another at the cusp 1/32, and G144 at 1/9, 1/18 and 1/72.
+catalog_form expands the eta quotients; the store, verify.FormCache,
+applies a twist, as of G32 into G64 and G36 into G144, to its held base.
 """
 
 from __future__ import annotations
@@ -70,7 +73,6 @@ from math import gcd, isqrt
 
 from .qseries import (PrecisionError, QSeries, _lattice, _product_quotient,
                       one)
-from .operators import twist as _twist_op
 
 __all__ = [
     "EtaQuotient",
@@ -140,7 +142,8 @@ class CurveSpec:
 
 
 # Every named form: g<N> is the newform of the level N curve, G<N> its
-# companion with a simple pole at infinity, L* the weight-0 pole generators.
+# companion (poles as in the module docstring), L1, L2, X36 and Y36 the
+# Weierstrass coordinates of the span levels, up to a constant, and L36.
 FORMS: dict[str, EtaQuotient | Twist] = {
     "g27": EtaQuotient(((3, 2), (9, 2)), 27),
     "G27": EtaQuotient(((3, 1), (9, 6), (27, -3)), 27),
@@ -151,6 +154,8 @@ FORMS: dict[str, EtaQuotient | Twist] = {
     "g36": EtaQuotient(((6, 4),), 36),
     "G36": EtaQuotient(((6, 3), (12, 1), (18, 3), (36, -3)), 36),
     "L36": EtaQuotient(((6, 1), (9, 3), (3, -1), (18, -3)), 36),
+    "X36": EtaQuotient(((12, 1), (18, 3), (6, -1), (36, -3)), 36),
+    "Y36": EtaQuotient(((9, 3), (12, 1), (3, -1), (36, -3)), 36),
     "g64": EtaQuotient(((8, 8), (4, -2), (16, -2)), 64),
     "G64": Twist("G32", 8, 64),
     "g144": EtaQuotient(((12, 12), (6, -4), (24, -4)), 144),
@@ -513,19 +518,17 @@ def eta_quotient_expand(eq: EtaQuotient, prec: int) -> QSeries:
 
 
 def catalog_form(name: str, prec: int) -> QSeries:
-    """Expand a catalog form to the given precision.
-
-    Eta-quotient entries expand directly; twist entries expand their base
-    form at the same precision and twist it coefficientwise.  Every catalog
-    expansion has leading coefficient 1.
-    """
+    """Expand a catalog eta quotient to the given precision; every one has
+    leading coefficient 1.  A Twist name raises ValueError: the store,
+    verify.FormCache, twists its held base."""
     recipe = FORMS.get(name)
-    if isinstance(recipe, EtaQuotient):
-        f = eta_quotient_expand(recipe, prec)
-    elif isinstance(recipe, Twist):
-        f = _twist_op(catalog_form(recipe.base, prec), recipe.disc)
-    else:
+    if isinstance(recipe, Twist):
+        raise ValueError(f"catalog form {name} is the twist of {recipe.base}"
+                         f" by the character ({recipe.disc}|.), which "
+                         f"verify.FormCache applies")
+    if recipe is None:
         raise ValueError(f"unknown catalog form {name!r}")
+    f = eta_quotient_expand(recipe, prec)
     lead = f.coefficient(f.order)
     if lead != 1:
         raise RuntimeError(

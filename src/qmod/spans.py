@@ -1,11 +1,12 @@
 """Normal forms in spans of weakly holomorphic forms.
 
-_LEVELS has one row per span level N: the weight-2 newform g = q + ... and
-the Weierstrass coordinates x = q^-2 + ..., y = q^-3 + ... of CURVES[N],
-weight-0 functions with poles only at infinity (Alfes, Griffin, Ono and
-Rolen, "Weierstrass mock modular forms and elliptic curves", 2015):
-x = L1, y = L2 + 4 on y^2 + y = x^3 - 7 at level 27, and x = psi2 = L(2z),
-y = psi3 = L(z)L(2z) - 1, L = L36, on y^2 = x^3 + 1 at level 36.  The tests
+_LEVELS has one row per span level N, all data: the catalog name of the
+weight-2 newform g = q + ..., and the Weierstrass coordinates x = q^-2 +
+..., y = q^-3 + ... of CURVES[N], weight-0 functions with poles only at
+infinity (Alfes, Griffin, Ono and Rolen, "Weierstrass mock modular forms
+and elliptic curves", 2015), each a catalog form plus a constant: x = L1,
+y = L2 + 4 on y^2 + y = x^3 - 7 at level 27, and x = X36 = L36(2z),
+y = Y36 - 1 = L36(z)L36(2z) - 1 on y^2 = x^3 + 1 at level 36.  The tests
 check each curve equation, G = x*g and theta(x) = -(2y + a1*x + a3)*g.
 g*x^a*y^b leads with q^-(2a+3b-1) and x^a*y^b with q^-(2a+3b), both with
 coefficient 1, and each lies on one residue class (g, x, y on 1, 1, 0 mod
@@ -42,9 +43,9 @@ share.  _memo holds the one memo rule of the package, which
 verify.FormCache follows too: keep an entry at the highest precision
 requested so far, answer a request at or below it from the entry, and on a
 request above it build the entry again and replace it.  _NORMAL_FORMS holds
-each H_m and psi_p built, keyed by (kind, level, pole), and the expansions
-of g27, L1, L2, g36 and L36 are read by name from the store,
-verify.DEFAULT_CACHE; both hand out the entry truncated to the request.  A
+each H_m and psi_p built, keyed by (kind, level, pole), and every catalog
+form a row names is read by name from the store, verify.DEFAULT_CACHE;
+both hand out the entry truncated to the request.  A
 truncated entry is what a fresh build returns, digit for digit and with the
 same precision: the expansions are exact, so truncation commutes with every
 product and sum built from them; each pivot lies below the least admitted
@@ -68,7 +69,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from .qseries import QSeries, _is_prime, add, mul, one, scale, sub, truncate
-from .operators import apply_V
 
 __all__ = ["UnconstructibleError", "build_H", "build_psi"]
 
@@ -149,43 +149,31 @@ def echelonize(family) -> EchelonBasis:
 # ---------------------------------------------------------------------------
 # the span levels
 
-def _coordinates_27(prec: int, with_y: bool):
-    """x = L1 and y = L2 + 4 to prec; y is None unless with_y."""
-    x = _expansion("L1", prec)
-    return x, _plus(_expansion("L2", prec), 4) if with_y else None
-
-
-def _coordinates_36(prec: int, with_y: bool):
-    """x = L(2z) and y = L(z)L(2z) - 1, L = L36, to at least prec; y is
-    None unless with_y.  x alone reads L to (prec+2)//2, which V_2
-    certifies to prec; with y, one L to prec + 4 gives x and y = L*x - 1
-    to prec + 2."""
-    if not with_y:
-        return apply_V(_expansion("L36", (prec + 2) // 2), 2), None
-    l = _expansion("L36", prec + 4)
-    x = apply_V(l, 2)
-    return x, _plus(mul(l, x), -1)
-
-
-def _plus(f: QSeries, c: int) -> QSeries:
-    return add(f, scale(one(f.prec), c))
-
-
 # The one table of span levels, derived in the module docstring.  A row: g,
-# the newform's catalog name; coordinates(prec, with_y), the pair (x, y);
-# H_step, the H chain's step, and psi, the psi chain's first member and
-# step, as exponents (a, b) of x^a*y^b; low, the least prec of build_H.
-_Level = namedtuple("_Level", "g coordinates H_step psi low")
+# the newform's catalog name; x and y, each a (catalog name, constant)
+# pair; H_step, the H chain's step, and psi, the psi chain's first member
+# and step, as exponents (a, b) of x^a*y^b; low, the least prec of build_H.
+_Level = namedtuple("_Level", "g x y H_step psi low")
 _LEVELS = {
-    27: _Level("g27", _coordinates_27, (0, 1), ((1, 0), (0, 1)), 2),
-    36: _Level("g36", _coordinates_36, (3, 0), ((1, 1), (0, 2)), 3),
+    27: _Level("g27", ("L1", 0), ("L2", 4), (0, 1), ((1, 0), (0, 1)), 2),
+    36: _Level("g36", ("X36", 0), ("Y36", -1), (3, 0), ((1, 1), (0, 2)), 3),
 }
 
 
 def _level(level: int, what: str) -> _Level:
     if level not in _LEVELS:
-        raise ValueError(f"no {what} at level {level}")
+        raise ValueError(f"{what} runs at levels "
+                         f"{' and '.join(map(str, _LEVELS))}, not {level}")
     return _LEVELS[level]
+
+
+def _coordinates(row: _Level, prec: int, with_y: bool):
+    """The pair (x, y) of row to prec, each its catalog form read from the
+    store plus its constant; y is None unless with_y."""
+    def coordinate(name, c):
+        f = _expansion(name, prec)
+        return add(f, scale(one(prec), c)) if c else f
+    return coordinate(*row.x), coordinate(*row.y) if with_y else None
 
 
 def _pole(ab) -> int:
@@ -222,7 +210,7 @@ def spanning_family(level: int, max_pole: int, prec: int) -> list[QSeries]:
     _require_span_prec(level, prec)
     P = prec + max_pole + 4
     g = _expansion(row.g, P)
-    x, y = row.coordinates(P, True)
+    x, y = _coordinates(row, P, True)
     members = []
     for f in (g, mul(g, y)):
         while f.order >= -max_pole:
@@ -315,11 +303,11 @@ def _normal_form(kind: str, level: int, pole: int, prec: int) -> QSeries:
     if kind == "H":
         P = prec + max(pole, 1) + 4
         g = _expansion(row.g, P)
-        x, y = row.coordinates(P, row.H_step[1] > 0)
+        x, y = _coordinates(row, P, row.H_step[1] > 0)
         first = _monomial(g, x, y, (_first_power(row, pole), 0))
         step = _monomial(None, x, y, row.H_step)
     else:
-        x, y = row.coordinates(prec + pole, True)
+        x, y = _coordinates(row, prec + pole, True)
         first, step = (_monomial(None, x, y, ab) for ab in row.psi)
     rows = {f.order: truncate(f, prec)
             for f in _certified(_chain(first, step, pole), prec)}

@@ -25,7 +25,7 @@ from .qseries import (
 )
 from .eta import FORMS, Twist, catalog_form, curve
 from .operators import apply_U, hecke, is_inert, kronecker, theta, twist
-from .spans import _LEVELS, _memo, _require_span_prec, build_H, build_psi
+from .spans import _level, _memo, _require_span_prec, build_H, build_psi
 
 __all__ = [
     "CheckReport",
@@ -129,7 +129,7 @@ class FormCache:
 def _expand(cache: FormCache, name: str, prec: int) -> QSeries:
     recipe = FORMS.get(name)
     if isinstance(recipe, Twist):
-        # reuse the cached base expansion instead of expanding it
+        # the one place a Twist recipe is applied: to the held base
         return twist(cache.series(recipe.base, prec), recipe.disc)
     return catalog_form(name, prec)
 
@@ -175,9 +175,7 @@ def _require_eligible(level: int, p: int):
 
 
 def _require_span_level(what: str, level: int, p: int):
-    if level not in _LEVELS:
-        raise ValueError(f"{what} runs at levels "
-                         f"{' and '.join(map(str, _LEVELS))}, not {level}")
+    _level(level, what)
     _require_eligible(level, p)
 
 

@@ -14,7 +14,8 @@ from qmod.qseries import (
     one,
     truncate,
 )
-from qmod.spans import _LEVELS, build_H, echelonize, spanning_family
+from qmod.spans import (_LEVELS, _coordinates, build_H, echelonize,
+                         spanning_family)
 from qmod.verify import (
     DEFAULT_CACHE,
     check_congruence,
@@ -65,7 +66,7 @@ def test_criterion_1_printed_expansions(capsys):
             failures.append((name, prec, got))
     if build_H(27, 2, 5).items() != [(-2, 1), (4, -5)]:
         failures.append(("H2@27", build_H(27, 2, 5).items()))
-    psi2, psi3 = _LEVELS[36].coordinates(4, True)
+    psi2, psi3 = _coordinates(_LEVELS[36], 4, True)
     if truncate(psi2, 4).items() != [(-2, 1)]:
         failures.append(("psi2@36", psi2.items()))
     if truncate(psi3, 3).items() != [(-3, 1)]:

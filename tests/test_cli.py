@@ -96,6 +96,28 @@ def test_expand_unknown_form_is_usage_error(capsys):
     assert "g27" in err and "H<m>@<level>" in err and "psi<p>@<level>" in err
 
 
+def test_expand_obeys_the_precision_ceiling(capsys, monkeypatch,
+                                            cold_cache):
+    # before any work: the precision a form needs, --prec plus a span
+    # element's pole, above QMOD_PREC_CEILING ends in one error line
+    expanded = []
+    real = qmod.verify.catalog_form
+    monkeypatch.setattr(qmod.verify, "catalog_form",
+                        lambda *a: expanded.append(a[0]) or real(*a))
+    monkeypatch.setenv("QMOD_PREC_CEILING", "100")
+    for form, prec, need in (("G27", 101, 101), ("G64", 101, 101),
+                             ("psi5@27", 96, 101), ("H-1@36", 100, 101)):
+        rc, out, err = run(capsys, "expand", "--form", form, "--prec",
+                           str(prec))
+        assert (rc, out, err) == (
+            2, "", f"error: {form} at --prec {prec} needs precision {need}, "
+                   "above the precision ceiling 100\n")
+    assert expanded == []
+    # at the ceiling it runs
+    rc, out, _ = run(capsys, "expand", "--form", "psi5@27", "--prec", "95")
+    assert rc == 0 and out.startswith("-5 1\n") and expanded
+
+
 def test_expand_requires_form_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["expand", "--prec", "5"])

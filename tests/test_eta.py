@@ -12,6 +12,7 @@ from qmod import (
     CURVES,
     FORMS,
     EtaQuotient,
+    FormCache,
     LevelMismatchError,
     PrecisionError,
     QSeries,
@@ -97,7 +98,7 @@ def test_weights_and_shifts():
 
 def test_leading_coefficient_is_one():
     for name in sorted(FORMS):
-        f = catalog_form(name, 12)
+        f = FormCache().series(name, 12)
         e0, c0 = f.items()[0]
         assert c0 == 1, name
         assert e0 == (-1 if name[0] == "G" or name[0] == "L" else 1) or True
@@ -136,6 +137,10 @@ def test_twist_catalog_names():
                       "G144": Twist("G36", 12, 144)}
     with pytest.raises(ValueError):
         catalog_form("H2", 5)
+    # a twist is applied only where the expansions are stored
+    with pytest.raises(ValueError, match=r"^catalog form G64 is the twist of "
+                       r"G32 by the character \(8\|\.\)"):
+        catalog_form("G64", 5)
 
 
 def test_cusp_orders_level_27():
@@ -165,6 +170,21 @@ def test_cusp_orders_level_36_generator():
         (18, -1), (36, -1)]
     assert cusp_orders(FORMS["g36"], 36) == [
         (d, 1) for d in (1, 2, 3, 4, 6, 9, 12, 18, 36)]
+
+
+def test_level_36_coordinates_are_L36_at_z_and_2z():
+    # the level-36 Weierstrass coordinates, less their constants: through
+    # q^2000, X36 = L36(2z) and Y36 = L36(z)L36(2z), and each, unlike L36,
+    # has its one pole at infinity, of order 2 and 3
+    from qmod import apply_V, mul
+    L = catalog_form("L36", 2003)
+    x = apply_V(L, 2)
+    assert catalog_form("X36", 2001) == truncate(x, 2001)
+    assert catalog_form("Y36", 2001) == truncate(mul(L, x), 2001)
+    for name, pole in (("X36", -2), ("Y36", -3)):
+        orders = cusp_orders(FORMS[name], 36)
+        assert orders[-1] == (36, pole)
+        assert all(v >= 0 for _, v in orders[:-1]), name
 
 
 def _index(n):
@@ -211,10 +231,11 @@ def test_manifest_lists_every_form():
 
 def test_twisted_catalog_forms_match_direct_twist():
     from qmod import twist
+    cache = FormCache()
     assert first_difference(
-        catalog_form("G64", 60), twist(catalog_form("G32", 60), 8)) is None
+        cache.series("G64", 60), twist(catalog_form("G32", 60), 8)) is None
     assert first_difference(
-        catalog_form("G144", 60), twist(catalog_form("G36", 60), 12)) is None
+        cache.series("G144", 60), twist(catalog_form("G36", 60), 12)) is None
 
 
 def test_curve_table_shape():
@@ -348,6 +369,7 @@ def test_catalog_division_plans():
         "g27": (), "g32": (), "g36": (), "g64": (), "g144": (),
         "G27": (("E^3", 27),), "L2": (("E^3", 27),),
         "L1": (("E^3", 27),), "L36": (("E^3", 18),),
+        "X36": (("E^3", 36),), "Y36": (("E^3", 36),),
         "G36": (("E^3", 36),), "G32": (("E", 32),),
     }
     # every catalog eta quotient divides at most once
@@ -356,11 +378,15 @@ def test_catalog_division_plans():
         [("E", 4)] * 2 + [("phi(-q)", 16)] * 3)
     assert sorted(plans["g64"][0]) == [("E", 8)] * 2 + [("E(-q)", 4)] * 2
     assert plans["g144"][0] == (("E(-q)", 6),) * 4
-    # c(q^3) = E(q^9)^3 / E(q^3) takes L1's and L36's E(q^3) divisor
+    # c(q^d) = E(q^(3d))^3 / E(q^d) takes the E(q^3) divisor of L1, L36
+    # and Y36, and X36's E(q^6)
     assert plans["L1"][0] == (("E", 9), ("c", 3))
     assert plans["L36"][0] == (("E", 6), ("c", 3))
+    assert plans["X36"][0] == (("E", 12), ("c", 6))
+    assert plans["Y36"][0] == (("E", 12), ("c", 3))
     # every form without a theta atom keeps its plain Euler split
-    for name in set(ETA_NAMES) - {"G32", "g64", "g144", "L1", "L36"}:
+    for name in set(ETA_NAMES) - {"G32", "g64", "g144", "L1", "L36", "X36",
+                                  "Y36"}:
         factors = FORMS[name].factors
         assert sorted(plans[name][1]) == _euler_split(factors), name
         assert not any(k in ("E(-q)", "phi(-q)", "c")

@@ -27,6 +27,7 @@ from qmod.spans import (
     EliminationError,
     _LEVELS,
     _chain,
+    _coordinates,
     _first_power,
     _monomial,
     _reduce,
@@ -37,7 +38,7 @@ from qmod.spans import (
 
 def _xy(level, prec):
     """The Weierstrass pair (x, y) of a span level, to at least prec."""
-    return _LEVELS[level].coordinates(prec, True)
+    return _coordinates(_LEVELS[level], prec, True)
 
 
 def test_echelonize_two_by_two():
@@ -286,8 +287,10 @@ def test_build_H_rejects_bad_pole():
      "level 27 psi needs p = 2 mod 3, got 7"),
     (build_psi, 36, 7, 5, UnconstructibleError,
      "level 36 psi needs p = 5 mod 6, got 7"),
-    (build_H, 32, 1, 5, ValueError, "no span construction at level 32"),
-    (build_psi, 64, 3, 5, ValueError, "no psi construction at level 64"),
+    (build_H, 32, 1, 5, ValueError,
+     "span construction runs at levels 27 and 36, not 32"),
+    (build_psi, 64, 3, 5, ValueError,
+     "psi construction runs at levels 27 and 36, not 64"),
     (build_H, 27, 1, 1, ValueError,
      "prec must be at least 2 at level 27, got 1"),
     (build_H, 36, 1, 2, ValueError,
@@ -585,8 +588,8 @@ def test_memo_keeps_each_form_at_the_highest_precision():
     build_psi(36, 5, 50)
     assert {k: f.prec for k, f in spans._NORMAL_FORMS.items()} == {
         ("psi", 36, 23): 5, ("psi", 36, 5): 50}
-    assert {n: f.prec
-            for n, f in verify.DEFAULT_CACHE._data.items()} == {"L36": 59}
+    assert {n: f.prec for n, f in verify.DEFAULT_CACHE._data.items()} == {
+        "X36": 55, "Y36": 55}
 
 
 def test_held_form_and_generators_form_no_product_or_expansion():

@@ -32,6 +32,7 @@ from qmod.verify import (
     report_sort_key,
 )
 from qmod.eta import FORMS, catalog_form
+from qmod.operators import twist
 from qmod.qseries import QSeries, add, truncate
 
 
@@ -182,7 +183,7 @@ def test_cache_returns_requested_precision():
 def test_cache_handles_twisted_names():
     cache = FormCache()
     assert cache.series("g64", 30) == catalog_form("g64", 30)
-    assert cache.series("G144", 20) == catalog_form("G144", 20)
+    assert cache.series("G144", 20) == twist(catalog_form("G36", 20), 12)
 
 
 def test_cache_is_thread_safe():
@@ -265,7 +266,7 @@ def test_cache_coefficient_equals_the_truncated_series():
     # exactly its precision, a hit below it, and the leading coefficient
     for name in FORMS:
         cache = FormCache()
-        lead = catalog_form(name, 5).order
+        lead = FormCache().series(name, 5).order
         for e in (6, 2, 15, 15, 9, lead):
             want = FormCache().series(name, e + 1).coefficient(e)
             got = cache.expansion(name, e + 1).coefficient(e)
