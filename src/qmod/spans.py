@@ -38,6 +38,22 @@ order, c its current coefficient at e' (_reduce); each step changes only
 exponents >= e', so those already cleared stay clear.  The tests check it
 against echelonize of full families.
 
+The direct chain has one member per pole up to its own; Zagier duality
+(Zagier, "Traces of singular moduli", 2002) gives one whose length is set
+by prec.  Let t = 3 (level 27) or 6 (level 36), every chain's step
+pole.  For k = 1 and n = -1 mod t, H_k*psi_n is a weight-2 form whose only
+pole is at infinity (g is a cusp form; x and y have poles only there), so
+its constant term is 0; the gaps of H_k and psi_n leave psi_n[k] +
+H_k[n] = 0.  So H_m of G's class, m = 1 mod t, is q^-m minus psi_n[m]*q^n
+over the psi chain below prec, and psi_p is q^-p minus H_k[p]*q^k over the
+H chain through G below prec, each dual row certified to the pole + 1.  The
+dual echelon is _reduce applied member by member, in increasing pole,
+against the normal forms already reduced.  _normal_form takes whichever
+chain has fewer members, the direct one on a tie and for an H class with
+no dual; both give the same series, digit for digit.  So past prec,
+hecke-decomposition's H_(p^n), n even, reads a psi chain, and residue and
+theta-psi read psi_p off the H chain through G.
+
 One memo here and the process's one expansion store keep what the builds
 share.  _memo holds the one memo rule of the package, which
 verify.FormCache follows too: keep an entry at the highest precision
@@ -47,10 +63,8 @@ each H_m and psi_p built, keyed by (kind, level, pole), and every catalog
 form a row names is read by name from the store, verify.DEFAULT_CACHE;
 both hand out the entry truncated to the request.  A
 truncated entry is what a fresh build returns, digit for digit and with the
-same precision: the expansions are exact, so truncation commutes with every
-product and sum built from them; each pivot lies below the least admitted
-precision, so the same members enter at every admitted prec; and the
-reduction reads its multipliers at the pivots.
+same precision: the normal form is unique, so a build from either chain,
+at any prec, is the one series truncated to its precision.
 
 No chain is kept.  One chain per class would serve every shorter H_m or
 psi_p from the longest built so far, but then what a call costs depends
@@ -58,8 +72,9 @@ on the calls before it: the same pool of requests in another order does
 different work in different calls.  Here a request whose normal form is
 not held forms the same products whatever came before it; the memo and the
 store save only the normal forms it repeats and the expansions it does not
-extend.  Requests are validated before either is read, a build that raises
-stores nothing, and one lock serializes both.
+extend.  So only the requested normal form enters _NORMAL_FORMS, never the
+other rows of a dual echelon.  Requests are validated before either is
+read, a build that raises stores nothing, and one lock serializes both.
 """
 
 from __future__ import annotations
@@ -266,7 +281,8 @@ def build_H(level: int, m: int, prec: int) -> QSeries:
     through q^2 at level 36) in the span.
 
     Level 27 admits every m >= -1 except m = 0; level 36 admits odd
-    m >= -1.  Raises UnconstructibleError otherwise.
+    m >= -1.  Raises UnconstructibleError otherwise.  An H_m of G's class
+    past prec is read off the psi chain by duality (module docstring).
     """
     row = _level(level, "span construction")
     if _first_power(row, m) is None:
@@ -280,6 +296,7 @@ def build_H(level: int, m: int, prec: int) -> QSeries:
 def build_psi(level: int, p: int, prec: int) -> QSeries:
     """The weight-0 function q^-p + C_p q + O(q^4) (level 27, p = 2 mod 3)
     or q^-p + C q + O(q^7) (level 36, p = 5 mod 6), to precision prec >= 1.
+    Past prec it is read off the H chain through G (module docstring).
     """
     if not _is_prime(p):
         raise UnconstructibleError(f"{p} is not prime")
@@ -294,24 +311,46 @@ def build_psi(level: int, p: int, prec: int) -> QSeries:
 
 
 def _normal_form(kind: str, level: int, pole: int, prec: int) -> QSeries:
-    """H_pole or psi_pole, as kind says, to at least prec: the normal form
-    with pivot -pole of the chain first*step^j that the module docstring
-    derives from the level's row; build_H and build_psi validate the
-    request first.  x and y are computed once, y only when a chain reads
-    it."""
+    """H_pole or psi_pole, as kind says, to prec, off whichever chain has
+    fewer members (module docstring): the direct one, first to pole, or
+    the other kind's from low to top, its largest pole below prec, when
+    low + pole = 0 mod t pairs the two.  build_H and build_psi validate."""
     row = _LEVELS[level]
+    t, psi_low = _pole(row.H_step), _pole(row.psi[0])
     if kind == "H":
-        P = prec + max(pole, 1) + 4
+        dual, first, low = "psi", 2 * _first_power(row, pole) - 1, psi_low
+    else:
+        dual, first, low = "H", psi_low, 1
+    top = prec - 1 - (prec - 1 - low) % t
+    if (low + pole) % t or top - low >= pole - first:
+        rows = _chain_rows(kind, row, pole, prec)
+        return _reduce(rows.pop(-pole), rows)
+    forms: dict[int, QSeries] = {}
+    rows = _chain_rows(dual, row, top, pole + 1) if top >= low else {}
+    for e in sorted(rows, reverse=True):
+        forms[e] = _reduce(rows[e], forms)
+    c = {-pole: 1}
+    c.update((-e, -f._c[pole]) for e, f in forms.items() if pole in f._c)
+    return QSeries._trusted(c, prec)
+
+
+def _chain_rows(kind: str, row: _Level, top: int, prec: int) -> dict:
+    """kind's chain through the class of top, up to top, keyed by leading
+    exponent, each member truncated to prec.  A member's precision is its
+    generators' plus its factors' orders less the largest (g's 1 in H, x's
+    -2 in psi), so reading them to prec + top + 1 or prec + top - 2
+    certifies the top member to exactly prec."""
+    if kind == "H":
+        P = prec + top + 1
         g = _expansion(row.g, P)
         x, y = _coordinates(row, P, row.H_step[1] > 0)
-        first = _monomial(g, x, y, (_first_power(row, pole), 0))
+        first = _monomial(g, x, y, (_first_power(row, top), 0))
         step = _monomial(None, x, y, row.H_step)
     else:
-        x, y = _coordinates(row, prec + pole, True)
+        x, y = _coordinates(row, prec + top - 2, True)
         first, step = (_monomial(None, x, y, ab) for ab in row.psi)
-    rows = {f.order: truncate(f, prec)
-            for f in _certified(_chain(first, step, pole), prec)}
-    return _reduce(rows.pop(-pole), rows)
+    return {f.order: truncate(f, prec)
+            for f in _certified(_chain(first, step, top), prec)}
 
 
 # The normal-form memo of the module docstring: (kind, level, pole) -> that

@@ -27,6 +27,7 @@ from qmod.spans import (
     EliminationError,
     _LEVELS,
     _chain,
+    _chain_rows,
     _coordinates,
     _first_power,
     _monomial,
@@ -148,11 +149,11 @@ def test_class_family_is_one_chain(level, modulus):
     # the chain g*x^d0 * step^j with the first member and step of
     # spans._normal_form: one member per pole of the class of -pole, from
     # the smallest up to pole, so the leading exponents step by the class
-    # modulus; the generators are read at the builder's 10 + pole + 4 for
+    # modulus; the generators are read at the builder's 10 + pole + 1 for
     # the largest pole, so every member is certified to 10
     row = _LEVELS[level]
-    g = catalog_form(row.g, 10 + 39 + 4)
-    x, y = _xy(level, 10 + 39 + 4)
+    g = catalog_form(row.g, 10 + 39 + 1)
+    x, y = _xy(level, 10 + 39 + 1)
     step = _monomial(None, x, y, row.H_step)
     for pole in range(-1, 40, 1 if level == 27 else 2):
         if pole == 0:
@@ -576,20 +577,22 @@ def test_memo_keeps_each_form_at_the_highest_precision():
     # a higher precision replaces the entry
     build_H(27, 10, 41)
     assert spans._NORMAL_FORMS[("H", 27, 10)].prec == 41
-    # the generators stay at the longest expansion so far: 41 + 10 + 4
+    # the generators stay at the longest expansion so far: 41 + 10 + 1
     build_H(27, 4, 12)
     assert {n: f.prec for n, f in verify.DEFAULT_CACHE._data.items()} == {
-        "g27": 55, "L1": 55, "L2": 55}
+        "g27": 52, "L1": 52, "L2": 52}
     # and are handed out truncated to the precision asked for
     assert [f.prec for f in (spans._expansion("g27", 20), *_xy(27, 20))] == [
         20, 20, 20]
+    # psi_23 at prec 5 is read off the dual chain, H_1 at 24, so g36 and
+    # X36 to 24 + 1 + 1; psi_5 at 50 off its own chain, x and y to 50 + 5 - 2
     _clear_memos()
     build_psi(36, 23, 5)
     build_psi(36, 5, 50)
     assert {k: f.prec for k, f in spans._NORMAL_FORMS.items()} == {
         ("psi", 36, 23): 5, ("psi", 36, 5): 50}
     assert {n: f.prec for n, f in verify.DEFAULT_CACHE._data.items()} == {
-        "X36": 55, "Y36": 55}
+        "g36": 26, "X36": 53, "Y36": 53}
 
 
 def test_held_form_and_generators_form_no_product_or_expansion():
@@ -671,3 +674,73 @@ def test_memo_is_thread_safe():
     assert all(spans._NORMAL_FORMS[k] is v for k, v in forms.items())
     assert all(verify.DEFAULT_CACHE._data[k] is v
                for k, v in expansions.items())
+
+
+# ---------------------------------------------------------------------------
+# the dual chain: Zagier duality psi_n[k] + H_k[n] = 0
+
+def _direct(kind, level, pole, prec):
+    """The normal form with pivot -pole read off kind's own chain alone."""
+    rows = _chain_rows(kind, _LEVELS[level], pole, prec)
+    return _reduce(rows.pop(-pole), rows)
+
+
+@pytest.mark.parametrize("level,pairs", [(27, 400), (36, 100)])
+def test_zagier_duality_grid(level, pairs):
+    # H_k*psi_n is a weight-2 form whose only pole is at infinity, so its
+    # constant term psi_n[k] + H_k[n] vanishes, for k = 1 and n = -1 mod t;
+    # every form below P is read off its own chain, composite n included,
+    # so the two sides are independent constructions
+    P, t = 60, spans._pole(_LEVELS[level].H_step)
+    H = {k: _direct("H", level, k, P) for k in range(1, P, t)}
+    psi = {n: _direct("psi", level, n, P) for n in range(t - 1, P, t)}
+    assert len(H) * len(psi) == pairs
+    nonzero = 0
+    for k, h in H.items():
+        for n, f in psi.items():
+            assert f.coefficient(k) + h.coefficient(n) == 0, (level, k, n)
+            nonzero += h.coefficient(n) != 0
+    assert nonzero > pairs // 2
+
+
+@pytest.mark.parametrize("level", sorted(_LEVELS))
+def test_dual_chain_builds_match_the_echelon_oracles(level):
+    # every H_m of G's class, m = 1 mod t, to about 300 and every psi_p to
+    # 101, at precisions from the floor to 30: where the pole lies above
+    # the precision, the dual chain is the shorter and serves the request.
+    # A few large poles of the other H classes, which have no dual, too
+    row = _LEVELS[level]
+    t = spans._pole(row.H_step)
+    poles = list(range(1, 301, t)) + [
+        m for m in (147, 149, 150, 297, 299, 300)
+        if _first_power(row, m) is not None and m % t != 1]
+    H_rows = echelonize(spanning_family(level, 300, 30))
+    psi_rows = echelonize(_full_monomial_family(level, 101, 30))
+    primes = [p for p in _PRIMES_101 if p % t == t - 1]
+    for prec in (1, 2, 3, 7, 12, 30):
+        _clear_memos()
+        for p in primes:
+            assert build_psi(level, p, prec) == truncate(
+                psi_rows.row_with_pivot(-p), prec), (level, p, prec)
+        if prec < row.low:
+            continue
+        for m in poles:
+            assert build_H(level, m, prec) == truncate(
+                H_rows.row_with_pivot(-m), prec), (level, m, prec)
+
+
+@pytest.mark.parametrize("build,level,pole,most", [
+    (build_H, 27, 289, 10),    # 97 products on its own chain
+    (build_psi, 27, 101, 10),  # 33 on its own chain
+    (build_H, 36, 289, 6),     # 51 on its own chain
+])
+def test_dual_chain_bounds_the_products(build, level, pole, most):
+    # on a cold memo, a pole far above the precision costs the dual chain's
+    # products, one per pole of the other kind below 30
+    _clear_memos()
+    calls, restore = _counting([(spans, "mul")])
+    try:
+        build(level, pole, 30)
+    finally:
+        restore()
+    assert len(calls) <= most

@@ -251,13 +251,14 @@ print(json.dumps(precs))
 def test_hecke_check_expands_the_newform_once(level):
     # a new process starts with every store cold; each binding of the
     # engine is counted, so a second store with its own path would show.
-    # The span chain reads g at prec + pole + 4 = 39, the check at 30.
+    # H_5 is read off its own chain, which reads g at prec + pole + 1 = 36;
+    # the check reads it at 30.
     proc = subprocess.run(
         [sys.executable, "-c", _COUNT_NEWFORM_EXPANSIONS, str(level)],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [39]
+    assert json.loads(proc.stdout) == [36]
 
 
 def test_cache_coefficient_equals_the_truncated_series():
@@ -484,7 +485,7 @@ def test_theta_psi_expands_G_once(cold_cache, expansions, held):
 
 def test_support_expands_G_once(cold_cache, expansions, held):
     # G27 is needed at 500 and at 31 * 25 = 775.  H_25 and then H_4 read
-    # L1 and L2 at 31 + 25 + 4 and at 31 + 4 + 4, so both are expanded
+    # L1 and L2 at 31 + 25 + 1 and at 31 + 4 + 1, so both are expanded
     # once (g27 is held at 500 by then).  The support of G below 500,
     # C(25) and C(4) are read from the one held expansion
     assert check_support(27, prec=500).passed
