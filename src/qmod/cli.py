@@ -5,7 +5,12 @@ Exit codes: 0 all requested checks passed, 1 at least one check failed
 or stdout was closed before the output was written (as by `| head`), 2
 bad usage, invalid parameters or an --out file that cannot be written.
 Output is deterministic for fixed arguments: no timestamps, fixed key
-order, canonical report ordering."""
+order, canonical report ordering.
+
+A check command line in its canonical spelling (`check`, a check id, then
+whole `--flag value` pairs with every flag written out) is read without
+building the argparse parser, into the namespace that parser would build
+for it; every other command line is parsed by argparse (see `_parse`)."""
 
 from __future__ import annotations
 
@@ -46,6 +51,8 @@ DEFAULT_PREC_CEILING = 10 ** 6
 
 # Every flag of the check subcommand, in --help order.
 _CHECK_FLAGS = ("level", "p", "m", "n", "K", "prec", "m_max")
+# Their option strings, each to its namespace attribute.
+_CHECK_OPTIONS = {"--" + f.replace("_", "-"): f for f in _CHECK_FLAGS}
 
 # check id -> (check function in this module, required flags, optional
 # flags).  Flags are passed on by name only when given, so every default
@@ -306,8 +313,12 @@ def _parse_primes(raw: str) -> dict:
         raise ValueError(f"bad --primes value {raw!r}")
 
 
+# The --format choices; the first is the default.
+_FORMATS = ("table", "json")
+
+
 def _io_flags(sp):
-    sp.add_argument("--format", choices=("table", "json"), default="table")
+    sp.add_argument("--format", choices=_FORMATS, default=_FORMATS[0])
     sp.add_argument("--out", default=None, metavar="FILE")
 
 
@@ -346,8 +357,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     c = sub.add_parser("check", help="run a single identity check")
     c.add_argument("check_id", choices=_CHECKS)
-    for flag in _CHECK_FLAGS:
-        c.add_argument("--" + flag.replace("_", "-"), type=int, dest=flag)
+    for option, flag in _CHECK_OPTIONS.items():
+        c.add_argument(option, type=int, dest=flag)
     _io_flags(c)
 
     return p, {"expand": e, "verify": v, "check": c}
@@ -375,14 +386,56 @@ def _attach_primes(argv: list) -> list:
     return out
 
 
+_ASCII_INT = re.compile(r"-?[0-9]+")
+
+
+def _read_check(argv: list) -> argparse.Namespace | None:
+    """The namespace the check subcommand's parser builds for argv, when
+    argv is `check`, a check id and then whole `--flag value` pairs, each
+    flag spelled out exactly: an integer flag with an ASCII integer, --format
+    with one of its choices, --out with a value not starting with -.  As in
+    argparse, the last of a repeated flag wins.  None for any other argv."""
+    if len(argv) < 2 or len(argv) % 2 or argv[0] != "check" \
+            or argv[1] not in _CHECKS:
+        return None
+    args = dict.fromkeys(_CHECK_FLAGS)
+    args.update(format=_FORMATS[0], out=None)
+    for flag, value in zip(argv[2::2], argv[3::2]):
+        if flag in _CHECK_OPTIONS and _ASCII_INT.fullmatch(value):
+            try:
+                args[_CHECK_OPTIONS[flag]] = int(value)
+            except ValueError:  # more digits than int() converts
+                return None
+        elif flag == "--format" and value in _FORMATS:
+            args["format"] = value
+        elif flag == "--out" and not value.startswith("-"):
+            args["out"] = value
+        else:
+            return None
+    return argparse.Namespace(command="check", check_id=argv[1], **args)
+
+
 def _parse(argv: list) -> argparse.Namespace:
-    """argv parsed as the top-level parser parses it.  When argv starts
-    with a subcommand name, the rest goes straight to that subcommand's
-    parser, the object the top-level parser would hand it to; leftovers
-    end in the top-level parser's error, as in parse_args.  This skips
-    the top-level scan of argv, about as costly as the subcommand's own
-    parse.  Any other argv (no command, -h, an unknown command) goes
-    through the top-level parser."""
+    """argv parsed as the top-level parser parses it.
+
+    A check command line in the canonical spelling `_read_check` takes is
+    read by it, and the parser is not built: the parse of a cheap check
+    costs more than the check.  The namespaces are equal, because for those
+    argvs argparse, too, matches each flag exactly, converts each integer
+    with int(), reads -5 as a value (no check option looks like a negative
+    number), checks the --format choice, takes a token not starting with -
+    as --out's value, keeps the last of a repeated flag and leaves absent
+    flags None.  Everything else (abbreviations, --flag=value, help, --, a
+    usage error) is argparse's.  When argv starts with a subcommand name,
+    the rest goes straight to that subcommand's parser, the object the
+    top-level parser would hand it to; leftovers end in the top-level
+    parser's error, as in parse_args.  This skips the top-level scan of
+    argv, about as costly as the subcommand's own parse.  Any other argv
+    (no command, -h, an unknown command) goes through the top-level
+    parser."""
+    args = _read_check(argv)
+    if args is not None:
+        return args
     parser, commands = _build_parser()
     sub = commands.get(argv[0]) if argv else None
     if sub is None:

@@ -628,26 +628,72 @@ _DISPATCH_CORPUS = [
     ["verify", "--curve", "27", "--all"],
     ["verify", "--curve", "27", "--primes", "2", "--m-max", "0",
      "--format", "json"],
+    # spellings at the edge of what cli._read_check takes
+    ["check", "residue", "--level", "27", "--p", "5", "--out", ""],
+    ["check", "residue", "--level", "27", "--p", "5", "--out", "-"],
+    ["check", "residue", "--level", "27", "--p", "5", "--out", "--p"],
+    ["check", "residue", "--level", "27", "--p", "+5"],
+    ["check", "residue", "--level", "27", "--p", "5_0"],
+    ["check", "residue", "--level", "27", "--p", "\u0665"],
+    ["check", "residue", "--level", "27", "--p", "1" * 5000],
+    ["check", "residue", "--level", "27", "--p", "5", "--format", "JSON"],
+    ["check", "residue", "--level", "27", "--p"],
+    ["check", "--level", "27", "residue", "--p", "5"],
+    ["check", "residue", "--level", "27", "--p", "5", "--format", "json",
+     "--format", "table"],
 ]
 
 
-def _full_parse_outcome(argv):
-    """_outcome(argv) with every argv parsed by the top-level parser."""
+def _full_parse_outcome(argv, out_file=None):
+    """_outcome(argv, out_file) with every argv parsed by the top-level
+    parser: the check reader declines and no subcommand is routed."""
     parser, _ = cli._build_parser()
-    with mock.patch.object(cli, "_build_parser", lambda: (parser, {})):
-        return _outcome(argv)
+    with mock.patch.object(cli, "_build_parser", lambda: (parser, {})), \
+            mock.patch.object(cli, "_read_check", lambda argv: None):
+        return _outcome(argv, out_file)
 
 
-@pytest.mark.parametrize("argv", _DISPATCH_CORPUS, ids=" ".join)
-def test_dispatch_matches_the_top_level_parser(argv):
-    assert _outcome(argv) == _full_parse_outcome(argv)
+def _argv_id(argv):
+    return " ".join(t if len(t) <= 20 else f"{t[:4]}...({len(t)} chars)"
+                    for t in argv)
 
 
-def test_dispatch_corpus_reaches_both_parsers_and_every_ending():
+@pytest.mark.parametrize("argv", _DISPATCH_CORPUS, ids=_argv_id)
+def test_dispatch_matches_the_top_level_parser(argv, tmp_path, monkeypatch):
+    # a relative --out lands in tmp_path and is compared too
+    monkeypatch.chdir(tmp_path)
+    out_file = tmp_path / "-"
+    assert _outcome(argv, out_file) == _full_parse_outcome(argv, out_file)
+    read = cli._read_check(argv)
+    if read is not None:
+        assert read == cli._build_parser()[0].parse_args(argv)
+
+
+def test_check_reader_builds_no_parser(tmp_path):
+    # a reader that declined every argv would pass the equivalence tests
+    # above and lose its gain; a canonical check builds no parser at all
+    cli._build_parser.cache_clear()
+    for check_id, (_, values) in sorted(CHECK_CALLS.items()):
+        flags = [x for flag, v in zip(("--level", "--p"), values)
+                 for x in (flag, str(v))]
+        assert main(["check", check_id, *flags]) == 0
+    out = tmp_path / "report.json"
+    assert main(["check", "twist", "--format", "json", "--out",
+                 str(out)]) == 0
+    assert json.loads(out.read_text())["check_id"] == "twist"
+    assert cli._build_parser.cache_info().misses == 0
+
+
+def test_dispatch_corpus_reaches_both_parsers_and_every_ending(
+        tmp_path, monkeypatch):
     # the corpus keeps the test above meaningful: it has command lines that
-    # main routes past the top-level parser and ones it must not, and they
-    # end in a report, help, and usage errors from each parser
+    # the check reader takes and ones it declines, ones that main routes
+    # past the top-level parser and ones it must not, and they end in a
+    # report, help, and usage errors from each parser
+    monkeypatch.chdir(tmp_path)
     outcomes = [_outcome(argv) for argv in _DISPATCH_CORPUS]
+    read = [cli._read_check(argv) is not None for argv in _DISPATCH_CORPUS]
+    assert any(read) and not all(read)
     routed = [argv[0] in cli._build_parser()[1] if argv else False
               for argv in _DISPATCH_CORPUS]
     assert any(routed) and not all(routed)
