@@ -16,12 +16,21 @@ def main() -> int:
                     help="also print each form's expansion to this precision")
     args = ap.parse_args()
 
-    for line in catalog_manifest().splitlines():
+    lines = catalog_manifest().splitlines()
+    series = {}
+    if args.prec is not None:
+        # every expansion before the first line, so a bad --prec prints
+        # nothing but its error
+        try:
+            for line in lines:
+                name = line.split()[0]
+                series[name] = DEFAULT_CACHE.series(name, args.prec)
+        except ValueError as e:
+            ap.error(str(e))
+    for line in lines:
         print(line)
-        if args.prec is not None:
-            name = line.split()[0]
-            f = DEFAULT_CACHE.series(name, args.prec)
-            print("   ", f)
+        if series:
+            print("   ", series[line.split()[0]])
     return 0
 
 

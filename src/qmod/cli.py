@@ -7,15 +7,16 @@ bad usage, invalid parameters or an --out file that cannot be written.
 Output is deterministic for fixed arguments: no timestamps, fixed key
 order, canonical report ordering.
 
-A check command line in its canonical spelling (`check`, a check id, then
-whole `--flag value` pairs with every flag written out) is read without
-building the argparse parser, into the namespace that parser would build
-for it; every other command line is parsed by argparse (see `_parse`)."""
+Every command line is parsed one of two ways.  A check command line in its
+canonical spelling (`check`, a check id, then whole `--flag value` pairs
+with every flag written out) is read by `_read_check`, without building the
+argparse parser, into the namespace that parser would build for it.  Every
+other command line goes to `parse_args` of a parser built for that call, so
+argparse alone decides help, abbreviations and usage errors."""
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import re
@@ -45,7 +46,7 @@ from .verify import (
 
 __all__ = ["run_grid", "main", "main_entry", "DEFAULT_PREC_CEILING"]
 
-_SPAN_FORM = re.compile(r"^(H|psi)(-?\d+)@(\d+)$")
+_SPAN_FORM = re.compile(r"(H|psi)(-?\d+)@(\d+)")
 
 DEFAULT_PREC_CEILING = 10 ** 6
 
@@ -212,7 +213,7 @@ def _skip_line(s: dict) -> str:
 def _resolve_form(name: str, prec: int) -> QSeries:
     """name to prec.  Before any work, the precision it needs, prec plus
     the pole of a span element, must be at most the precision ceiling."""
-    mo = _SPAN_FORM.match(name)
+    mo = _SPAN_FORM.fullmatch(name)
     if not mo and name not in FORMS:
         raise ValueError(
             f"unknown form {name!r}; catalog forms are "
@@ -322,11 +323,8 @@ def _io_flags(sp):
     sp.add_argument("--out", default=None, metavar="FILE")
 
 
-@functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The qmod argument parser and its subcommand parsers by name, built
-    on the first call and then reused: they are fixed data, and parsing
-    returns a new namespace every time without changing a parser."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The qmod argument parser."""
     p = argparse.ArgumentParser(
         prog="qmod",
         description="Exact q-series catalog and p-adic verification harness",
@@ -361,7 +359,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         c.add_argument(option, type=int, dest=flag)
     _io_flags(c)
 
-    return p, {"expand": e, "verify": v, "check": c}
+    return p
 
 
 # The option strings argparse resolves to verify's --primes: the flag and
@@ -390,11 +388,19 @@ _ASCII_INT = re.compile(r"-?[0-9]+")
 
 
 def _read_check(argv: list) -> argparse.Namespace | None:
-    """The namespace the check subcommand's parser builds for argv, when
+    """The namespace the top-level parser's parse_args builds for argv, when
     argv is `check`, a check id and then whole `--flag value` pairs, each
     flag spelled out exactly: an integer flag with an ASCII integer, --format
-    with one of its choices, --out with a value not starting with -.  As in
-    argparse, the last of a repeated flag wins.  None for any other argv."""
+    with one of its choices, --out with a value not starting with -.  None
+    for any other argv, which main leaves to argparse.
+
+    The namespaces are equal, because for these argvs argparse, too,
+    matches each flag exactly, converts each integer with int(), reads -5 as
+    a value (no check option looks like a negative number), checks the
+    --format choice, takes a token not starting with - as --out's value,
+    keeps the last of a repeated flag and leaves absent flags None.
+    _attach_primes rewrites only verify command lines, so it need not run
+    before this reader."""
     if len(argv) < 2 or len(argv) % 2 or argv[0] != "check" \
             or argv[1] not in _CHECKS:
         return None
@@ -415,41 +421,10 @@ def _read_check(argv: list) -> argparse.Namespace | None:
     return argparse.Namespace(command="check", check_id=argv[1], **args)
 
 
-def _parse(argv: list) -> argparse.Namespace:
-    """argv parsed as the top-level parser parses it.
-
-    A check command line in the canonical spelling `_read_check` takes is
-    read by it, and the parser is not built: the parse of a cheap check
-    costs more than the check.  The namespaces are equal, because for those
-    argvs argparse, too, matches each flag exactly, converts each integer
-    with int(), reads -5 as a value (no check option looks like a negative
-    number), checks the --format choice, takes a token not starting with -
-    as --out's value, keeps the last of a repeated flag and leaves absent
-    flags None.  Everything else (abbreviations, --flag=value, help, --, a
-    usage error) is argparse's.  When argv starts with a subcommand name,
-    the rest goes straight to that subcommand's parser, the object the
-    top-level parser would hand it to; leftovers end in the top-level
-    parser's error, as in parse_args.  This skips the top-level scan of
-    argv, about as costly as the subcommand's own parse.  Any other argv
-    (no command, -h, an unknown command) goes through the top-level
-    parser."""
-    args = _read_check(argv)
-    if args is not None:
-        return args
-    parser, commands = _build_parser()
-    sub = commands.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
-    return args
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _parse(_attach_primes(argv))
+    args = _read_check(argv) or _build_parser().parse_args(
+        _attach_primes(argv))
     try:
         p = getattr(args, "p", None)
         if p is not None and not _is_prime(p):

@@ -90,10 +90,13 @@ def test_build_h_matches_expand(capsys):
 
 
 def test_expand_unknown_form_is_usage_error(capsys):
-    rc, out, err = run(capsys, "expand", "--form", "nope", "--prec", "5")
-    assert rc == 2 and out == ""
-    assert err.startswith("error:")
-    assert "g27" in err and "H<m>@<level>" in err and "psi<p>@<level>" in err
+    # a span element's name with a trailing newline is no name either
+    for form in ("nope", "psi5@27\n"):
+        rc, out, err = run(capsys, "expand", "--form", form, "--prec", "5")
+        assert rc == 2 and out == ""
+        assert err.startswith("error: unknown form") and err.count("\n") == 1
+        assert "g27" in err and "H<m>@<level>" in err
+        assert "psi<p>@<level>" in err
 
 
 def test_expand_obeys_the_precision_ceiling(capsys, monkeypatch,
@@ -457,7 +460,7 @@ def test_smallest_valid_prec_still_runs(capsys):
 
 
 # ---------------------------------------------------------------------------
-# one parser per process
+# many calls in one process
 
 def _outcome(argv, out_file=None):
     """main(argv) as (exit code, stdout, stderr, --out file text or None);
@@ -476,7 +479,7 @@ def _outcome(argv, out_file=None):
     return rc, stdout.getvalue(), stderr.getvalue(), written
 
 
-def test_reused_parser_matches_a_fresh_parser(tmp_path, monkeypatch):
+def test_calls_in_one_process_share_no_parse_state(tmp_path):
     report = tmp_path / "report.json"
     sequence = [
         ["check", "hecke-decomposition", "--level", "27", "--p", "2",
@@ -494,18 +497,12 @@ def test_reused_parser_matches_a_fresh_parser(tmp_path, monkeypatch):
          "--format", "json", "--out", str(report)],
         ["verify", "--curve", "27", "--primes", "2", "--m-max", "0"],
     ]
-    parser = cli._build_parser()
-    reused = [_outcome(argv, report) for argv in sequence]
-    assert cli._build_parser() is parser
-    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
-    fresh = [_outcome(argv, report) for argv in sequence]
-    for argv, got, want in zip(sequence, reused, fresh):
-        assert got == want, argv
+    got = [_outcome(argv, report) for argv in sequence]
     # the sequence reaches every kind of ending
-    assert [r[0] for r in fresh] == [0, 0, 2, 0, 2, 0, 0, 0, 0]
-    assert "prec=12" in fresh[0][1] and "prec=30" in fresh[1][1]
-    assert fresh[6][1].startswith("usage: qmod check")
-    assert fresh[7][1] == "" and json.loads(fresh[7][3])["summary"]
+    assert [r[0] for r in got] == [0, 0, 2, 0, 2, 0, 0, 0, 0]
+    assert "prec=12" in got[0][1] and "prec=30" in got[1][1]
+    assert got[6][1].startswith("usage: qmod check")
+    assert got[7][1] == "" and json.loads(got[7][3])["summary"]
 
 
 _FUZZ_LEVELS = sorted(CURVES) + [0, 99]
@@ -590,9 +587,9 @@ def test_cli_fuzz_ends_in_an_exit_code(argv):
 # ---------------------------------------------------------------------------
 # subcommand dispatch
 
-# Command lines whose parse main may route straight to a subcommand's
-# parser, or must leave to the top-level parser, ending every way argparse
-# can end: a namespace, help, a usage error from either parser.
+# Command lines that the check reader takes or leaves to argparse, ending
+# every way argparse can end: a namespace, help, a usage error from the
+# top-level parser or a subcommand's.
 _DISPATCH_CORPUS = [
     [],
     ["-h"],
@@ -628,6 +625,7 @@ _DISPATCH_CORPUS = [
     ["verify", "--curve", "27", "--all"],
     ["verify", "--curve", "27", "--primes", "2", "--m-max", "0",
      "--format", "json"],
+    ["verify", "--curve", "27", "--primes", "2", "--m-max", "0", "stray"],
     # spellings at the edge of what cli._read_check takes
     ["check", "residue", "--level", "27", "--p", "5", "--out", ""],
     ["check", "residue", "--level", "27", "--p", "5", "--out", "-"],
@@ -645,11 +643,9 @@ _DISPATCH_CORPUS = [
 
 
 def _full_parse_outcome(argv, out_file=None):
-    """_outcome(argv, out_file) with every argv parsed by the top-level
-    parser: the check reader declines and no subcommand is routed."""
-    parser, _ = cli._build_parser()
-    with mock.patch.object(cli, "_build_parser", lambda: (parser, {})), \
-            mock.patch.object(cli, "_read_check", lambda argv: None):
+    """_outcome(argv, out_file) with every argv parsed by argparse: the
+    check reader declines."""
+    with mock.patch.object(cli, "_read_check", lambda argv: None):
         return _outcome(argv, out_file)
 
 
@@ -666,13 +662,15 @@ def test_dispatch_matches_the_top_level_parser(argv, tmp_path, monkeypatch):
     assert _outcome(argv, out_file) == _full_parse_outcome(argv, out_file)
     read = cli._read_check(argv)
     if read is not None:
-        assert read == cli._build_parser()[0].parse_args(argv)
+        assert read == cli._build_parser().parse_args(argv)
 
 
-def test_check_reader_builds_no_parser(tmp_path):
+def test_check_reader_builds_no_parser(tmp_path, monkeypatch):
     # a reader that declined every argv would pass the equivalence tests
     # above and lose its gain; a canonical check builds no parser at all
-    cli._build_parser.cache_clear()
+    built, real = [], cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda: built.append(1) or real())
     for check_id, (_, values) in sorted(CHECK_CALLS.items()):
         flags = [x for flag, v in zip(("--level", "--p"), values)
                  for x in (flag, str(v))]
@@ -681,22 +679,18 @@ def test_check_reader_builds_no_parser(tmp_path):
     assert main(["check", "twist", "--format", "json", "--out",
                  str(out)]) == 0
     assert json.loads(out.read_text())["check_id"] == "twist"
-    assert cli._build_parser.cache_info().misses == 0
+    assert built == []
 
 
 def test_dispatch_corpus_reaches_both_parsers_and_every_ending(
         tmp_path, monkeypatch):
     # the corpus keeps the test above meaningful: it has command lines that
-    # the check reader takes and ones it declines, ones that main routes
-    # past the top-level parser and ones it must not, and they end in a
-    # report, help, and usage errors from each parser
+    # the check reader takes and ones it declines, and they end in a report,
+    # help, and usage errors from the top-level parser and a subcommand's
     monkeypatch.chdir(tmp_path)
     outcomes = [_outcome(argv) for argv in _DISPATCH_CORPUS]
     read = [cli._read_check(argv) is not None for argv in _DISPATCH_CORPUS]
     assert any(read) and not all(read)
-    routed = [argv[0] in cli._build_parser()[1] if argv else False
-              for argv in _DISPATCH_CORPUS]
-    assert any(routed) and not all(routed)
     assert {rc for rc, *_ in outcomes} == {0, 2}
     errors = [err.splitlines()[-1] for rc, out, err, _ in outcomes if err]
     assert "qmod: error: unrecognized arguments: --bogus" in errors
@@ -710,11 +704,11 @@ def test_dispatch_corpus_reaches_both_parsers_and_every_ending(
 def test_dispatch_matches_the_top_level_parser_fuzz(argv):
     try:
         with _expansion_budget(_FUZZ_TERMS):
-            routed = _outcome(argv)
+            got = _outcome(argv)
             full = _full_parse_outcome(argv)
     except _Oversized:
         reject()
-    assert routed == full, argv
+    assert got == full, argv
 
 
 # ---------------------------------------------------------------------------
@@ -1013,6 +1007,17 @@ def test_dump_catalog_to_a_closed_pipe_ends_quietly():
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_dump_catalog_bad_prec_prints_only_a_usage_error():
+    # before the manifest's first line, as qmod expand does
+    for prec in ("1", "0", "-3"):
+        proc = subprocess.run(
+            [sys.executable, str(_REPO / "scripts" / "dump_catalog.py"),
+             "--prec", prec], capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, ""), prec
+        last = proc.stderr.splitlines()[-1]
+        assert last.startswith("dump_catalog.py: error: precision"), prec
 
 
 def test_cli_imports_no_numpy():
