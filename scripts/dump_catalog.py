@@ -6,6 +6,7 @@ import argparse
 import os
 import sys
 
+from qmod.cli import _prec_ceiling
 from qmod.eta import catalog_manifest
 from qmod.verify import DEFAULT_CACHE
 
@@ -19,9 +20,13 @@ def main() -> int:
     lines = catalog_manifest().splitlines()
     series = {}
     if args.prec is not None:
-        # every expansion before the first line, so a bad --prec prints
-        # nothing but its error
+        # the ceiling qmod expand obeys, then every expansion, before the
+        # first line, so a bad --prec prints nothing but its error
         try:
+            ceiling = _prec_ceiling()
+            if args.prec > ceiling:
+                raise ValueError(f"--prec {args.prec} is above the precision "
+                                 f"ceiling {ceiling}")
             for line in lines:
                 name = line.split()[0]
                 series[name] = DEFAULT_CACHE.series(name, args.prec)

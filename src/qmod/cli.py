@@ -17,10 +17,10 @@ argparse alone decides help, abbreviations and usage errors."""
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .eta import CURVES, FORMS, curve
@@ -165,6 +165,61 @@ def run_grid(levels: tuple[int, ...] = tuple(CURVES),
 # ---------------------------------------------------------------------------
 # rendering
 
+def _json(v) -> str:
+    """json.dumps(v, indent=2, sort_keys=True), byte for byte, for the
+    values qmod prints: str, int, bool and None, nested in lists, tuples
+    and dicts with str keys.  Any other type, float included, raises
+    TypeError.  Strings are escaped to ASCII as json.dumps escapes them by
+    default.  Each scalar goes into one list with the separators and
+    indentation before it, and the list is joined once, so no nested
+    value is built as a string and copied again at every level."""
+    out = []
+    _json_tokens(v, "\n", "", out.append)
+    return "".join(out)
+
+
+def _json_tokens(v, indent: str, head: str, put) -> None:
+    """Pass v's tokens for _json to put, the first prefixed with head,
+    the text between the previous token and v; indent is the line break
+    and indentation before v's closing bracket.  A function of its own,
+    not a closure in _json: a closure that calls itself is a reference
+    cycle, which would keep every token alive until the next garbage
+    collection."""
+    t = type(v)
+    if t is str:
+        put(head + encode_basestring_ascii(v))
+    elif t is int:
+        put(head + repr(v))
+    elif t is list or t is tuple:
+        if not v:
+            put(head + "[]")
+            return
+        inner = indent + "  "
+        sep, head = "," + inner, head + "[" + inner
+        for x in v:
+            _json_tokens(x, inner, head, put)
+            head = sep
+        put(indent + "]")
+    elif t is dict:
+        if not v:
+            put(head + "{}")
+            return
+        inner = indent + "  "
+        sep, head = "," + inner, head + "{" + inner
+        for k in sorted(v):
+            _json_tokens(v[k], inner, head + encode_basestring_ascii(k) + ": ",
+                         put)
+            head = sep
+        put(indent + "}")
+    elif v is None:
+        put(head + "null")
+    elif t is bool:
+        put(head + ("true" if v else "false"))
+    else:
+        raise TypeError(
+            f"Object of type {t.__name__} is not JSON serializable")
+
+
 def _emit(text: str, out_path: str | None):
     if out_path:
         try:
@@ -182,7 +237,7 @@ def _series_text(name: str, f: QSeries, fmt: str) -> str:
             "prec": f.prec,
             "coeffs": [[e, str(c)] for e, c in f.items()],
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return _json(payload)
     return "\n".join(f"{e} {c}" for e, c in f.items())
 
 
@@ -260,7 +315,7 @@ def cmd_verify(args) -> int:
             "summary": {"passed": npass, "total": total,
                         "skipped": len(skipped)},
         }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
+        _emit(_json(payload), args.out)
         print(summary, file=sys.stderr)
     else:
         lines = [_report_line(r) for r in reports]
@@ -286,8 +341,7 @@ def cmd_check(args) -> int:
                              f"--{flag.replace('_', '-')}")
     r = globals()[name](**_given(args, taken))
     if args.format == "json":
-        _emit(json.dumps(r.to_json_dict(), indent=2, sort_keys=True),
-              args.out)
+        _emit(_json(r.to_json_dict()), args.out)
     else:
         _emit(_report_line(r), args.out)
     return 0 if r.passed else 1

@@ -59,22 +59,28 @@ share.  _memo holds the one memo rule of the package, which
 verify.FormCache follows too: keep an entry at the highest precision
 requested so far, answer a request at or below it from the entry, and on a
 request above it build the entry again and replace it.  _NORMAL_FORMS holds
-each H_m and psi_p built, keyed by (kind, level, pole), and every catalog
-form a row names is read by name from the store, verify.DEFAULT_CACHE;
-both hand out the entry truncated to the request.  A
-truncated entry is what a fresh build returns, digit for digit and with the
-same precision: the normal form is unique, so a build from either chain,
-at any prec, is the one series truncated to its precision.
+each H_m and psi_p built or reduced in a dual echelon, keyed by (kind,
+level, pole), and every catalog form a row names is read by name from the
+store, verify.DEFAULT_CACHE; both hand out the entry truncated to the
+request.  A truncated entry is what a fresh build returns, digit for digit
+and with the same precision: the normal form is unique, so a build from
+either chain, at any prec, is the one series truncated to its precision.
 
-No chain is kept.  One chain per class would serve every shorter H_m or
-psi_p from the longest built so far, but then what a call costs depends
-on the calls before it: the same pool of requests in another order does
-different work in different calls.  Here a request whose normal form is
-not held forms the same products whatever came before it; the memo and the
-store save only the normal forms it repeats and the expansions it does not
-extend.  So only the requested normal form enters _NORMAL_FORMS, never the
-other rows of a dual echelon.  Requests are validated before either is
-read, a build that raises stores nothing, and one lock serializes both.
+The rows of a dual echelon are kept.  Each row of the echelon built for
+a request at pole P is the normal form of the other kind with its pivot,
+truncated to P + 1, and enters _NORMAL_FORMS under its own key by the memo
+rule.  Before forming a dual chain, _normal_form looks up every row from
+low to top; when each is held to P + 1 or more (a direct build holds only
+the form it was asked for, so each row is checked), it reads them there
+and forms no product.  So an answer is the same whatever requests came
+before it, digit for digit and with the same precision, but what a call
+costs depends on what the memo already holds, as it does in
+verify.FormCache.  A direct build keeps only the form it was asked for:
+its reduction is linear in the chain's length, a full echelon quadratic.
+When top < low, the dual chain has no member and nothing is looked up or
+formed.  Requests are
+validated before either memo is read, a build that raises stores nothing,
+and one lock serializes both.
 """
 
 from __future__ import annotations
@@ -314,7 +320,9 @@ def _normal_form(kind: str, level: int, pole: int, prec: int) -> QSeries:
     """H_pole or psi_pole, as kind says, to prec, off whichever chain has
     fewer members (module docstring): the direct one, first to pole, or
     the other kind's from low to top, its largest pole below prec, when
-    low + pole = 0 mod t pairs the two.  build_H and build_psi validate."""
+    low + pole = 0 mod t pairs the two.  The dual rows are read from
+    _NORMAL_FORMS when each is held there to pole + 1, and otherwise
+    reduced and stored there.  build_H and build_psi validate."""
     row = _LEVELS[level]
     t, psi_low = _pole(row.H_step), _pole(row.psi[0])
     if kind == "H":
@@ -325,10 +333,16 @@ def _normal_form(kind: str, level: int, pole: int, prec: int) -> QSeries:
     if (low + pole) % t or top - low >= pole - first:
         rows = _chain_rows(kind, row, pole, prec)
         return _reduce(rows.pop(-pole), rows)
-    forms: dict[int, QSeries] = {}
-    rows = _chain_rows(dual, row, top, pole + 1) if top >= low else {}
-    for e in sorted(rows, reverse=True):
-        forms[e] = _reduce(rows[e], forms)
+    with _MEMO_LOCK:
+        forms = {-k: _NORMAL_FORMS.get((dual, level, k))
+                 for k in range(low, top + 1, t)}
+        if any(f is None or f.prec <= pole for f in forms.values()):
+            rows = _chain_rows(dual, row, top, pole + 1)
+            forms = {}
+            for e in sorted(rows, reverse=True):
+                forms[e] = _reduce(rows[e], forms)
+            for e in forms:
+                _memo(_NORMAL_FORMS, (dual, level, -e), pole + 1, forms.get, e)
     c = {-pole: 1}
     c.update((-e, -f._c[pole]) for e, f in forms.items() if pole in f._c)
     return QSeries._trusted(c, prec)

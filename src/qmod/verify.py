@@ -16,7 +16,6 @@ from .qseries import (
     _is_prime,
     add,
     first_difference,
-    mul,
     padic_valuation,
     padic_valuation_range,
     scale,
@@ -321,13 +320,18 @@ def check_theta_psi(level: int, p: int, prec: int = 30, m_max: int = 1,
 
 def check_residue(level: int, p: int, prec: int = 30) -> CheckReport:
     """The constant term of G*psi_p vanishes, and the q-coefficient of
-    psi_p is -C(p)."""
+    psi_p is -C(p).
+
+    The constant term is read as one sum, G[-e]*psi_p[e] over the terms
+    of psi_p, without forming the product: psi_p's exponents run from -p,
+    so G to prec + p > p certifies every G[-e] it reads, and G's lowest
+    term is q^-1, whose partner psi_p[1] is certified by prec >= 2.  So
+    the sum is the product's constant term, every term of it certified."""
     _at_least("prec", prec, 2)
     _require_span_level("residue pairing", level, p)
     psi = build_psi(level, p, prec)
     G = DEFAULT_CACHE.series(f"G{level}", prec + p)
-    prod = mul(G, psi)
-    const = prod.coefficient(0)
+    const = sum(c * G.coefficient(-e) for e, c in psi._c.items())
     Cp = G.coefficient(p)
     cpsi = psi.coefficient(1)
     return CheckReport(

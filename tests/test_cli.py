@@ -348,6 +348,32 @@ def test_check_json_report(capsys):
     assert payload["params"] == {"level": 32, "p": 3}
 
 
+# the values cli._json renders: strings with quotes, backslashes, control
+# characters, non-ASCII and lone surrogates, ints past 2^64, and lists,
+# tuples and dicts of them
+_JSON_TEXT = st.text(st.sampled_from(
+    '"\\/\n\t\x00\x1f\x7fa\u00e9\u2603\U0001f600\ud800\udfff'))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | _JSON_TEXT
+    | st.integers(min_value=-2 ** 80, max_value=2 ** 80),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    max_leaves=20)
+
+
+@given(_JSON_VALUES)
+def test_json_renders_what_json_dumps_renders(v):
+    assert cli._json(v) == json.dumps(v, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("v", [1.5, {1, 2}, [0, {"a": float("inf")}],
+                               {"a": {3}}, {1: "key not a str"}])
+def test_json_rejects_every_other_type(v):
+    with pytest.raises(TypeError):
+        cli._json(v)
+
+
 def test_check_twist_and_support(capsys):
     rc, out, _ = run(capsys, "check", "twist", "--prec", "60")
     assert rc == 0 and out.startswith("PASS twist")
@@ -1018,6 +1044,20 @@ def test_dump_catalog_bad_prec_prints_only_a_usage_error():
         assert (proc.returncode, proc.stdout) == (2, ""), prec
         last = proc.stderr.splitlines()[-1]
         assert last.startswith("dump_catalog.py: error: precision"), prec
+
+
+@pytest.mark.parametrize("ceiling,error", [
+    ("100", "--prec 200 is above the precision ceiling 100"),
+    ("x", "QMOD_PREC_CEILING must be an integer, got 'x'"),
+    ("1", "QMOD_PREC_CEILING must be at least 2")])
+def test_dump_catalog_obeys_the_precision_ceiling(ceiling, error):
+    # as qmod expand does: a usage error before any expansion or output
+    proc = subprocess.run(
+        [sys.executable, str(_REPO / "scripts" / "dump_catalog.py"),
+         "--prec", "200"], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "QMOD_PREC_CEILING": ceiling})
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines()[-1] == f"dump_catalog.py: error: {error}"
 
 
 def test_cli_imports_no_numpy():

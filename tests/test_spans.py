@@ -544,10 +544,11 @@ def _counting(bindings):
 
 @settings(max_examples=25, deadline=None)
 @given(_memo_requests, st.sampled_from(_MEMO_TARGETS))
-def test_products_of_a_request_do_not_depend_on_earlier_requests(
+def test_a_request_forms_no_product_or_the_products_of_a_cold_build(
         before, target):
-    # a normal form the memo does not hold forms the same products whatever
-    # was requested before it: no chain is shared between two requests
+    # earlier requests can only spare a request's products, all of them:
+    # it reads its form, or every row of its dual echelon, from the memo,
+    # or else forms the one chain a cold build forms
     kind, level, m, prec = target
     before = [r for r in before if r[:3] != target[:3]]
     counts = []
@@ -561,7 +562,81 @@ def test_products_of_a_request_do_not_depend_on_earlier_requests(
         finally:
             restore()
         counts.append(len(calls))
-    assert counts[0] == counts[1]
+    assert counts[0] in (0, counts[1])
+
+
+# psi_p and H_m requests at levels 27 and 36 whose dual echelons cross:
+# each pair shares rows, held by one at a precision above or below the
+# other's need, and H_28, H_40 and psi_29 are also asked for directly
+_CROSSING_REQUESTS = (
+    ("psi", 27, 47, 30), ("psi", 27, 41, 12), ("psi", 27, 11, 8),
+    ("H", 27, 40, 30), ("H", 27, 28, 48), ("H", 27, 40, 12),
+    ("psi", 36, 29, 12), ("psi", 36, 53, 20), ("H", 36, 37, 20),
+    ("H", 36, 43, 8), ("psi", 36, 29, 44))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.permutations(_CROSSING_REQUESTS))
+def test_held_dual_rows_give_cold_answers_in_any_order(requests):
+    # each answer, precision included, is a cold build's, whatever order
+    # the requests come in; and every row the memo holds, dual rows
+    # included, is the normal form its key names at the entry's precision
+    # (psi_n of composite n too, which only a dual echelon holds)
+    expected = {r: _fresh(*r) for r in requests}
+    _clear_memos()
+    for r in requests:
+        got = _build(r[0])(*r[1:])
+        assert got == expected[r] and got.prec == r[3], r
+    held = dict(spans._NORMAL_FORMS)
+    assert len(held) > len(requests)
+    for (kind, level, pole), f in held.items():
+        assert f == _direct(kind, level, pole, f.prec), (kind, level, pole)
+
+
+def test_dual_rows_enter_the_memo_as_cold_direct_builds():
+    # the rows of psi_47@27's dual echelon at prec 30, H_1 to H_28 to 48,
+    # and of H_37@36's at prec 20, psi_5, psi_11 and psi_17 to 38, are
+    # held, each what a cold build and the direct chain alone give at that
+    # precision
+    _clear_memos()
+    build_psi(27, 47, 30)
+    build_H(36, 37, 20)
+    held = dict(spans._NORMAL_FORMS)
+    assert {k: f.prec for k, f in held.items()} == {
+        ("psi", 27, 47): 30, ("H", 36, 37): 20,
+        **{("H", 27, k): 48 for k in range(1, 29, 3)},
+        **{("psi", 36, n): 38 for n in range(5, 18, 6)}}
+    for (kind, level, pole), f in held.items():
+        assert f == _fresh(kind, level, pole, f.prec), (kind, level, pole)
+        assert f == _direct(kind, level, pole, f.prec), (kind, level, pole)
+
+
+def test_a_read_from_held_dual_rows_forms_no_product_or_expansion():
+    want = _fresh("psi", 27, 41, 30)
+    _clear_memos()
+    build_psi(27, 47, 30)   # H_1 to H_28 held to 48
+    assert ("psi", 27, 41) not in spans._NORMAL_FORMS
+    calls, restore = _counting([(spans, "mul"), (verify, "catalog_form")])
+    try:
+        got = build_psi(27, 41, 30)
+    finally:
+        restore()
+    assert calls == [] and got == want
+
+
+def test_a_dual_read_with_one_row_missing_forms_its_chain():
+    # a direct build holds only its own form, so H_28 held to 48 alone
+    # leaves psi_41's dual rows H_1 to H_25 to be formed
+    want = _fresh("psi", 27, 41, 30)
+    _clear_memos()
+    build_H(27, 28, 48)
+    assert list(spans._NORMAL_FORMS) == [("H", 27, 28)]
+    calls, restore = _counting([(spans, "mul")])
+    try:
+        got = build_psi(27, 41, 30)
+    finally:
+        restore()
+    assert "mul" in calls and got == want
 
 
 def test_memo_keeps_each_form_at_the_highest_precision():
@@ -585,12 +660,13 @@ def test_memo_keeps_each_form_at_the_highest_precision():
     assert [f.prec for f in (spans._expansion("g27", 20), *_xy(27, 20))] == [
         20, 20, 20]
     # psi_23 at prec 5 is read off the dual chain, H_1 at 24, so g36 and
-    # X36 to 24 + 1 + 1; psi_5 at 50 off its own chain, x and y to 50 + 5 - 2
+    # X36 to 24 + 1 + 1, and H_1 is held to 24 too; psi_5 at 50 off its own
+    # chain, x and y to 50 + 5 - 2
     _clear_memos()
     build_psi(36, 23, 5)
     build_psi(36, 5, 50)
     assert {k: f.prec for k, f in spans._NORMAL_FORMS.items()} == {
-        ("psi", 36, 23): 5, ("psi", 36, 5): 50}
+        ("psi", 36, 23): 5, ("H", 36, 1): 24, ("psi", 36, 5): 50}
     assert {n: f.prec for n, f in verify.DEFAULT_CACHE._data.items()} == {
         "g36": 26, "X36": 53, "Y36": 53}
 
@@ -605,8 +681,12 @@ def test_held_form_and_generators_form_no_product_or_expansion():
         for m in (38, 39, 40):
             build_H(27, m, 12)
         build_psi(27, 47, 30)
+        build_psi(27, 5, 30)   # a row of H_40's dual echelon, held to 41
         assert calls == []
-        build_psi(27, 5, 30)   # a new form from held generators
+        # a form no held row covers (the dual rows are H_1 to H_28 of
+        # class 1 and psi_2 to psi_29), from held generators
+        assert ("H", 27, 2) not in spans._NORMAL_FORMS
+        build_H(27, 2, 30)
         assert "mul" in calls and "catalog_form" not in calls
         build_H(27, 41, 40)    # past the held generators: an expansion
         assert "catalog_form" in calls

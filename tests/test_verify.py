@@ -33,7 +33,7 @@ from qmod.verify import (
 )
 from qmod.eta import FORMS, catalog_form
 from qmod.operators import twist
-from qmod.qseries import QSeries, add, truncate
+from qmod.qseries import QSeries, add, mul, truncate
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +403,20 @@ def test_residue_small_cases():
     # the q-coefficient witness equals -C(p)
     G = DEFAULT_CACHE.series("G36", 20)
     assert r.actual[1] == -G.coefficient(5)
+
+
+@pytest.mark.parametrize("level,primes", [
+    (27, (2, 5, 11, 17, 23, 29, 41, 47, 53, 59, 71, 83, 89, 101)),
+    (36, (5, 11, 17, 23, 29, 41, 47, 53, 59, 71, 83, 89, 101))])
+def test_residue_sum_is_the_constant_term_of_the_product(level, primes):
+    # every residue call of the identities benchmark: the one sum the check
+    # reads is the constant term of the whole product G*psi_p
+    for p in primes:
+        r = check_residue(level, p)
+        psi = qmod.spans.build_psi(level, p, 30)
+        G = DEFAULT_CACHE.series(f"G{level}", 30 + p)
+        assert r.actual[0] == mul(G, psi).coefficient(0) == 0, (level, p)
+        assert r.passed
 
 
 def test_nondivisibility_small_cases():
